@@ -1,10 +1,10 @@
 """Delayed feedback control of periodic orbits in one-dimensional maps.
 
-The toolkit covers the full loop: define a scalar map with exact
-derivatives, detect its T-cycles and multipliers, build the controlled
-system's Jacobian and closed-form characteristic polynomial, test Schur
-stability (root moduli and the Jury table), generate gain schemes, and
-simulate the controlled dynamics.
+The toolkit covers the full loop: define a scalar map, compiled once into
+straight-line code for f and for f' (exact to rounding), detect its T-cycles
+and multipliers, build the controlled system's Jacobian and closed-form
+characteristic polynomial, test Schur stability (root moduli and the Jury
+table), generate gain schemes, and simulate the controlled dynamics.
 
 Symbol note: throughout this package the cycle multipliers f'(x_j) are
 called mu_j and the control weights a_1..a_N are called gains; the two play
@@ -13,7 +13,6 @@ entirely different roles and are never interchangeable.
 
 from .cycles import Cycle, find_cycles, multiplier_of
 from .maps import (
-    Dual,
     MapError,
     MapEvalError,
     MapOverflowError,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cycle",
-    "Dual",
     "GainVector",
     "MapError",
     "MapEvalError",

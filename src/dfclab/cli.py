@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .polynomials import Polynomial, poly_roots
 from .simulation import simulate
 from .spectrum import GainVector, char_poly_closed
 from .stability import (
+    SCHUR_MARGIN,
     analyze,
     make_gains,
     min_N_to_stabilize,
@@ -63,6 +66,17 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         return [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise UsageError(f"{flag} expects a comma-separated list of numbers") from None
+
+
+def _parse_exact(text: str, flag: str) -> Fraction:
+    """The exact rational value of a finite number written in a flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"{flag} expects a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} expects a finite number, got {text!r}")
+    return Fraction(text.strip())
 
 
 def _parse_domain(text: str | None) -> tuple[float, float] | None:
@@ -351,19 +365,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    bounds = _parse_float_list(args.mu_range, "--mu-range")
+    bounds = [_parse_exact(v, "--mu-range") for v in args.mu_range.split(",") if v.strip()]
     if len(bounds) != 2 or not bounds[0] <= bounds[1]:
         raise UsageError("--mu-range expects lo,hi with lo <= hi")
-    if args.mu_step <= 0:
+    lo, hi = bounds
+    step = _parse_exact(args.mu_step, "--mu-step")
+    if float(step) <= 0:
         raise UsageError("--mu-step must be positive")
     gains = _gains_for(args)
     rows = []
-    mu = bounds[0]
-    while mu <= bounds[1] + 1e-12:
-        p = char_poly_closed(args.N, args.T, gains, mu)
-        radius = spectral_radius(p)
-        rows.append([float(mu), radius, bool(radius < 1.0 - 1e-9)])
-        mu += args.mu_step
+    # Row i is the float nearest to lo + i*step, computed exactly.
+    for i in range(int((hi - lo) / step) + 1):
+        mu = float(lo + i * step)
+        radius = spectral_radius(char_poly_closed(args.N, args.T, gains, mu))
+        rows.append([mu, radius, bool(radius < 1.0 - SCHUR_MARGIN)])
     if args.format == "json":
         _emit_json(
             args,
@@ -451,10 +466,10 @@ def pipeline_stabilize(
                 "min_N": n_found,
                 "gains": list(gains.coeffs),
                 "spectral_radius": radius,
-                "predicted_stable": bool(radius < 1.0 - 1e-9),
+                "predicted_stable": bool(radius < 1.0 - SCHUR_MARGIN),
                 "converged": traj.converged,
                 "settle_step": traj.settle_step,
-                "agreement": bool(traj.converged == (radius < 1.0 - 1e-9)),
+                "agreement": bool(traj.converged == (radius < 1.0 - SCHUR_MARGIN)),
             }
         )
         entries.append(entry)
@@ -567,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mu-range", required=True,
         help="lo,hi (use --mu-range=-3,-1 when lo is negative)",
     )
-    sub.add_argument("--mu-step", type=float, required=True)
+    sub.add_argument("--mu-step", required=True, help="grid spacing; rows are lo + i*step")
     _add_common(sub, fmt_default="csv")
     sub.set_defaults(handler=_cmd_sweep)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .maps import MapSpec, eval_map, eval_map_deriv
+from .maps import MapEvalError, MapSpec, eval_map, eval_map_deriv
 
 __all__ = [
     "Cycle",
@@ -126,7 +126,7 @@ def find_cycles(
     for x in xs:
         try:
             gs.append(g(x))
-        except Exception:
+        except MapEvalError:
             gs.append(float("nan"))
 
     roots: list[float] = []
@@ -201,7 +201,7 @@ def _refine_root(m, g, xa, xb, ga, T, lo, hi) -> float:
     try:
         if abs(g(polished)) <= abs(g(bisect_root)):
             return polished
-    except Exception:
+    except MapEvalError:
         pass
     return bisect_root
 
@@ -212,7 +212,7 @@ def _newton_polish(m, x0, T, lo, hi) -> float:
     for _ in range(NEWTON_MAX_ITER):
         try:
             val, slope = _g_and_slope(m, x, T)
-        except Exception:
+        except MapEvalError:
             return x0
         if slope == 0.0:
             break

@@ -1,10 +1,11 @@
 """Scalar 1-D maps f: R -> R with exact first derivatives.
 
-Maps come in two flavors: parameterized builtins (``logistic``, ``quadratic``,
-``cubic``) and user expressions over the variable ``x`` with named parameters.
-Expressions are parsed into a small AST; derivatives are obtained by
-forward-mode dual numbers, so f'(x) is exact to rounding rather than a
-finite-difference approximation.
+Every map is an expression over the variable ``x`` with named parameters.
+The builtins (``logistic``, ``quadratic``, ``cubic``) are stored expression
+sources addressed by a designator such as ``"logistic:r=4"``. Each MapSpec
+compiles its parsed AST once into two straight-line Python functions: f
+alone, and the pair (f, f') obtained by forward-mode differentiation, so
+f'(x) is exact to rounding rather than a finite-difference approximation.
 
 The expression grammar supports real literals, ``x``, named parameters,
 ``+ - * /``, ``^`` with an integer-literal exponent, unary minus, and the
@@ -13,16 +14,16 @@ functions sin, cos, exp, tanh, abs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 __all__ = [
     "MapError",
     "MapSyntaxError",
     "MapEvalError",
     "MapOverflowError",
-    "Dual",
     "MapSpec",
     "parse_map",
     "eval_map",
@@ -50,127 +51,6 @@ class MapEvalError(MapError):
 
 class MapOverflowError(MapEvalError):
     """Evaluation produced a non-finite value."""
-
-
-# ---------------------------------------------------------------------------
-# Dual numbers
-# ---------------------------------------------------------------------------
-
-Number = Union[int, float]
-
-
-@dataclass(frozen=True)
-class Dual:
-    """First-order dual number value + deriv*eps.
-
-    Propagates derivatives through arithmetic: (a*b).deriv =
-    a.value*b.deriv + a.deriv*b.value, with analogous rules for the other
-    supported operations and functions.
-    """
-
-    value: float
-    deriv: float = 0.0
-
-    @staticmethod
-    def _lift(other) -> "Dual":
-        if isinstance(other, Dual):
-            return other
-        if isinstance(other, (int, float)):
-            return Dual(float(other), 0.0)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Dual(self.value + o.value, self.deriv + o.deriv)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Dual(self.value - o.value, self.deriv - o.deriv)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Dual(self.value * o.value, self.value * o.deriv + self.deriv * o.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.value == 0.0:
-            raise MapEvalError("division by zero")
-        return Dual(
-            self.value / o.value,
-            (self.deriv * o.value - self.value * o.deriv) / (o.value * o.value),
-        )
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return Dual(-self.value, -self.deriv)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise MapEvalError("exponent must be an integer")
-        if n == 0:
-            return Dual(1.0, 0.0)
-        if n < 0:
-            if self.value == 0.0:
-                raise MapEvalError("zero raised to a negative power")
-            return Dual(1.0, 0.0) / (self ** (-n))
-        # d(u^n) = n*u^(n-1)*u'
-        return Dual(self.value**n, n * self.value ** (n - 1) * self.deriv)
-
-    def sin(self):
-        return Dual(math.sin(self.value), math.cos(self.value) * self.deriv)
-
-    def cos(self):
-        return Dual(math.cos(self.value), -math.sin(self.value) * self.deriv)
-
-    def exp(self):
-        v = math.exp(self.value)
-        return Dual(v, v * self.deriv)
-
-    def tanh(self):
-        v = math.tanh(self.value)
-        return Dual(v, (1.0 - v * v) * self.deriv)
-
-    def abs(self):
-        # At 0 the right-hand derivative (+1) is used, by convention.
-        sign = 1.0 if self.value >= 0.0 else -1.0
-        return Dual(builtins_abs(self.value), sign * self.deriv)
-
-
-builtins_abs = abs
-
-
-def _apply_func(name: str, v):
-    if isinstance(v, Dual):
-        return getattr(v, name if name != "abs" else "abs")()
-    try:
-        if name == "abs":
-            return builtins_abs(v)
-        return getattr(math, name)(v)
-    except (OverflowError, ValueError) as exc:
-        raise MapOverflowError(f"{name} overflow: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -217,53 +97,6 @@ Node = Union[Num, Var, Bin, Pow, Neg, Call]
 _FUNCTIONS = ("sin", "cos", "exp", "tanh", "abs")
 
 
-def _eval_node(node: Node, env: dict):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, env)
-    if isinstance(node, Call):
-        return _apply_func(node.func, _eval_node(node.arg, env))
-    if isinstance(node, Pow):
-        base = _eval_node(node.base, env)
-        if isinstance(base, Dual):
-            return base**node.exponent
-        if node.exponent < 0 and base == 0.0:
-            raise MapEvalError("zero raised to a negative power")
-        return base**node.exponent
-    if isinstance(node, Bin):
-        lhs = _eval_node(node.left, env)
-        rhs = _eval_node(node.right, env)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if node.op == "/":
-            rv = rhs.value if isinstance(rhs, Dual) else rhs
-            if rv == 0.0:
-                raise MapEvalError("division by zero")
-            return lhs / rhs
-    raise TypeError(f"unknown AST node {node!r}")
-
-
-def _free_names(node: Node, out: set):
-    if isinstance(node, Var):
-        out.add(node.name)
-    elif isinstance(node, Bin):
-        _free_names(node.left, out)
-        _free_names(node.right, out)
-    elif isinstance(node, (Neg,)):
-        _free_names(node.operand, out)
-    elif isinstance(node, Pow):
-        _free_names(node.base, out)
-    elif isinstance(node, Call):
-        _free_names(node.arg, out)
-
-
 def format_ast(node: Node) -> str:
     """Render an AST back to parseable source text."""
     if isinstance(node, Num):
@@ -288,6 +121,137 @@ def format_ast(node: Node) -> str:
         rhs = format_ast(node.right)
         return f"({lhs} {node.op} {rhs})"
     raise TypeError(f"unknown AST node {node!r}")
+
+
+# ---------------------------------------------------------------------------
+# Compilation to straight-line Python
+# ---------------------------------------------------------------------------
+
+# Globals of the generated code, besides its bound constants c0, c1, ...
+_CODE_GLOBALS = {
+    "__builtins__": {},
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "tanh": math.tanh,
+    "abs": abs,
+}
+
+# Forward-mode rules for the derivative of a node: {v} is the node's value,
+# {a}/{ad} the argument's value and derivative, {l}/{ld} and {r}/{rd} those of
+# the operands, with "0.0" for the derivative of an operand free of x.
+_CALL_DERIVS = {
+    "sin": "cos({a}) * {ad}",
+    "cos": "-sin({a}) * {ad}",
+    "exp": "{v} * {ad}",
+    "tanh": "(1.0 - {v} * {v}) * {ad}",
+    # At 0 the right-hand derivative (+1) is used, by convention.
+    "abs": "(1.0 if {a} >= 0.0 else -1.0) * {ad}",
+}
+_BIN_DERIVS = {
+    "+": "{ld} + {rd}",
+    "-": "{ld} - {rd}",
+    "*": "{l} * {rd} + {ld} * {r}",
+    "/": "({ld} * {r} - {l} * {rd}) / ({r} * {r})",
+}
+
+
+def _lower(ast: Node, params: dict, ns: dict, bound: dict, dx: str | None) -> str:
+    """Return the lines of a function body computing ast at x, one per node.
+
+    Each node yields the names of its value and derivative. The derivative is
+    None for a node that does not depend on x: it is computed in plain float
+    arithmetic and enters the rules above as a constant with derivative 0.0.
+    With ``dx=None`` nothing depends on x and the body computes f alone; with
+    ``dx="1.0"`` it computes (f, f'). A parameter named like the variable
+    shadows it; any other name must be a parameter. Constants are bound in
+    ``ns``; ``bound`` keeps their names.
+    """
+    lines: list[str] = []
+
+    def let(expr: str) -> str:
+        name = f"t{len(lines)}"
+        lines.append(f"    {name} = {expr}\n")
+        return name
+
+    def const(key, value) -> str:
+        if key not in bound:
+            bound[key] = f"c{len(bound)}"
+            ns[bound[key]] = value
+        return bound[key]
+
+    def walk(node: Node) -> tuple[str, str | None]:
+        if isinstance(node, Num):
+            return const(id(node), node.value), None
+        if isinstance(node, Var):
+            if node.name in params:
+                return const(node.name, params[node.name]), None
+            if node.name != "x":
+                unbound.add(node.name)
+            return "x", dx
+        if isinstance(node, Neg):
+            v, d = walk(node.operand)
+            return let(f"-{v}"), None if d is None else let(f"-{d}")
+        if isinstance(node, Call):
+            a, ad = walk(node.arg)
+            v = let(f"{node.func}({a})")
+            if ad is None:
+                return v, None
+            return v, let(_CALL_DERIVS[node.func].format(a=a, ad=ad, v=v))
+        if isinstance(node, Pow):
+            b, bd = walk(node.base)
+            n = node.exponent
+            if bd is None:
+                return let(f"{b} ** {n}"), None
+            if n == 0:
+                return "1.0", "0.0"
+            # u^n for n > 0, then 1 / u^|n| by the quotient rule for n < 0.
+            k = abs(n)
+            v = let(f"{b} ** {k}")
+            d = let(f"{k} * {b} ** {k - 1} * {bd}")
+            if n > 0:
+                return v, d
+            return let(f"1.0 / {v}"), let(f"(0.0 * {v} - 1.0 * {d}) / ({v} * {v})")
+        if isinstance(node, Bin):
+            l, ld = walk(node.left)
+            r, rd = walk(node.right)
+            v = let(f"{l} {node.op} {r}")
+            if ld is None and rd is None:
+                return v, None
+            rule = _BIN_DERIVS[node.op]
+            return v, let(rule.format(l=l, r=r, ld=ld or "0.0", rd=rd or "0.0"))
+        raise TypeError(f"unknown AST node {node!r}")
+
+    unbound: set[str] = set()
+    v, d = walk(ast)
+    if unbound:
+        raise MapError(
+            f"unknown identifier(s) {sorted(unbound)}; bind parameters via params/--param"
+        )
+    ret = v if dx is None else f"{v}, {d or '0.0'}"
+    return "".join(lines) + f"    return {ret}\n"
+
+
+def _compile(ast: Node, params: dict) -> tuple[Callable, Callable]:
+    """Compile ast into ``f(x) -> f`` and ``fd(x) -> (f, f')``.
+
+    Constants and parameter values are bound in the functions' namespace,
+    never formatted into their text, so every float keeps its exact value.
+    """
+    ns = dict(_CODE_GLOBALS)
+    bound: dict = {}
+    src = (
+        "def f(x):\n" + _lower(ast, params, ns, bound, None)
+        + "def fd(x):\n" + _lower(ast, params, ns, bound, "1.0")
+    )
+    exec(_code(src), ns)
+    return ns.pop("f"), ns.pop("fd")
+
+
+@functools.lru_cache(maxsize=256)
+def _code(src: str):
+    # Maps of one shape (a builtin at any parameter value) share their text.
+    return compile(src, "<map>", "exec")
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +415,11 @@ class _Parser:
 # MapSpec and builtins
 # ---------------------------------------------------------------------------
 
-# name -> (parameter names, f(x, params), default domain)
+# name -> (parameter names, expression source, default domain)
 BUILTIN_MAPS = {
-    "logistic": (("r",), lambda x, p: p["r"] * x * (1 - x), (0.0, 1.0)),
-    "quadratic": (("c",), lambda x, p: x**2 + p["c"], (-2.0, 2.0)),
-    "cubic": (("b",), lambda x, p: p["b"] * x - x**3, (-2.0, 2.0)),
+    "logistic": (("r",), "r*x*(1-x)", (0.0, 1.0)),
+    "quadratic": (("c",), "x^2 + c", (-2.0, 2.0)),
+    "cubic": (("b",), "b*x - x^3", (-2.0, 2.0)),
 }
 
 _DEFAULT_EXPR_DOMAIN = (0.0, 1.0)
@@ -465,10 +429,11 @@ _DEFAULT_EXPR_DOMAIN = (0.0, 1.0)
 class MapSpec:
     """Immutable description of a scalar map; all operations on it are pure.
 
-    ``kind`` is ``"builtin"`` or ``"expression"``. Builtins carry ``name`` and
-    the bound ``params``; expressions carry the parsed ``ast`` (parameters
-    bound in ``params`` as well). ``domain`` is the closed interval searched
-    for cycles.
+    ``ast`` is the parsed expression and ``params`` binds its parameters.
+    ``kind`` and ``name`` are descriptive: ``"builtin"`` with the builtin's
+    name, or ``"expression"`` with name None. ``domain`` is the closed
+    interval searched for cycles. The AST is compiled once, at construction,
+    into the functions behind eval_map and eval_map_deriv.
     """
 
     kind: str
@@ -477,11 +442,18 @@ class MapSpec:
     params: dict[str, float] = field(default_factory=dict)
     ast: Node | None = None
     source: str = ""
+    _f: Callable = field(init=False, repr=False, compare=False)
+    _fd: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.domain
         if not (lo < hi):
             raise ValueError(f"domain requires lo < hi, got [{lo}, {hi}]")
+        if self.ast is None:
+            raise ValueError("MapSpec requires a parsed ast (see parse_map)")
+        f, fd = _compile(self.ast, self.params)
+        object.__setattr__(self, "_f", f)
+        object.__setattr__(self, "_fd", fd)
 
 
 def parse_map(
@@ -499,7 +471,7 @@ def parse_map(
     text = source.strip()
     head = text.split(":", 1)[0].strip()
     if head in BUILTIN_MAPS:
-        required, _, default_domain = BUILTIN_MAPS[head]
+        required, expr, default_domain = BUILTIN_MAPS[head]
         if ":" in text:
             for item in text.split(":", 1)[1].split(","):
                 item = item.strip()
@@ -528,52 +500,46 @@ def parse_map(
             domain=domain or default_domain,
             name=head,
             params=params,
+            ast=_Parser(expr).parse(),
             source=text,
         )
 
-    ast = _Parser(text).parse()
-    names: set = set()
-    _free_names(ast, names)
-    unknown = sorted(n for n in names if n != "x" and n not in params)
-    if unknown:
-        raise MapError(
-            f"unknown identifier(s) {unknown}; bind parameters via params/--param"
-        )
     return MapSpec(
         kind="expression",
         domain=domain or _DEFAULT_EXPR_DOMAIN,
-        ast=ast,
+        ast=_Parser(text).parse(),
         params={k: float(v) for k, v in params.items()},
         source=text,
     )
 
 
-def _eval(m: MapSpec, x):
-    if m.kind == "builtin":
-        _, fn, _ = BUILTIN_MAPS[m.name]
-        return fn(x, m.params)
-    env: dict = {"x": x}
-    env.update(m.params)
-    return _eval_node(m.ast, env)
+def _call(fn: Callable, x: float):
+    """fn(float(x)) with Python's arithmetic errors raised as map errors."""
+    if not math.isfinite(x):
+        raise MapEvalError(f"non-finite input x={x!r}")
+    try:
+        return fn(float(x))
+    except ZeroDivisionError as exc:
+        raise MapEvalError(f"at x={x!r}: {exc}") from exc
+    except (OverflowError, ValueError) as exc:
+        raise MapOverflowError(f"at x={x!r}: {exc}") from exc
 
 
 def eval_map(m: MapSpec, x: float) -> float:
-    """Evaluate f(x). Raises MapOverflowError on a non-finite result."""
-    if not math.isfinite(x):
-        raise MapEvalError(f"non-finite input x={x!r}")
-    y = _eval(m, x)
+    """Evaluate f(x).
+
+    Raises MapEvalError on a domain error such as division by zero, and
+    MapOverflowError on overflow or a non-finite result.
+    """
+    y = _call(m._f, x)
     if not math.isfinite(y):
         raise MapOverflowError(f"f({x}) is not finite")
     return float(y)
 
 
 def eval_map_deriv(m: MapSpec, x: float) -> float:
-    """Evaluate f'(x) by dual-number propagation (exact to rounding)."""
-    if not math.isfinite(x):
-        raise MapEvalError(f"non-finite input x={x!r}")
-    out = _eval(m, Dual(float(x), 1.0))
-    if not isinstance(out, Dual):  # constant expression
-        out = Dual(float(out), 0.0)
-    if not (math.isfinite(out.value) and math.isfinite(out.deriv)):
+    """Evaluate f'(x) by forward-mode differentiation (exact to rounding)."""
+    y, dy = _call(m._fd, x)
+    if not (math.isfinite(y) and math.isfinite(dy)):
         raise MapOverflowError(f"f'({x}) is not finite")
-    return out.deriv
+    return dy

@@ -14,11 +14,23 @@ import numpy as np
 
 __all__ = [
     "Polynomial",
+    "horner",
     "poly_roots",
     "sylvester_matrix",
     "resultant",
     "has_repeated_roots",
 ]
+
+
+def horner(coeffs: np.ndarray, x):
+    """Value at x of the polynomial with ascending ``coeffs``, by Horner's rule.
+
+    x may be a real or complex scalar or array; a scalar gives a scalar.
+    """
+    acc = np.zeros_like(np.asarray(x), dtype=np.result_type(x, coeffs))
+    for c in coeffs[::-1]:
+        acc = acc * x + c
+    return acc if acc.shape else acc[()]
 
 
 class Polynomial:
@@ -65,10 +77,7 @@ class Polynomial:
 
     def __call__(self, x):
         """Evaluate by Horner's rule; accepts real or complex scalars/arrays."""
-        acc = np.zeros_like(np.asarray(x), dtype=np.result_type(x, self._coeffs))
-        for c in self._coeffs[::-1]:
-            acc = acc * x + c
-        return acc if acc.shape else acc[()]
+        return horner(self._coeffs, x)
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
@@ -154,12 +163,6 @@ def _aberth(coeffs: np.ndarray, tol: float, max_sweeps: int):
     angles = 2.0 * np.pi * k / n + 0.7 + 0.12 * np.sin(3.0 * k + 1.0)
     z = radius * 0.5 * np.exp(1j * angles) * (1.0 + 0.05 * np.cos(5.0 * k))
 
-    def horner(c, x):
-        acc = np.zeros_like(x)
-        for ck in c[::-1]:
-            acc = acc * x + ck
-        return acc
-
     scale = np.sum(np.abs(coeffs))
     for _ in range(max_sweeps):
         p = horner(coeffs, z)
@@ -213,7 +216,7 @@ def poly_roots(
 
     scale = np.sum(np.abs(coeffs))
     deg = coeffs.size - 1
-    resid = np.abs(_horner_arr(coeffs, roots))
+    resid = np.abs(horner(coeffs, roots))
     bound = 1e-10 * scale * np.maximum(1.0, np.abs(roots)) ** deg
     if not converged or np.any(resid > bound):
         warnings.warn(
@@ -225,13 +228,6 @@ def poly_roots(
         roots = np.roots(coeffs[::-1])
 
     return np.concatenate([zero_roots, roots])
-
-
-def _horner_arr(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for c in coeffs[::-1]:
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------

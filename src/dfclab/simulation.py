@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import Cycle
-from .maps import MapSpec, eval_map
+from .maps import MapEvalError, MapSpec, eval_map
 from .spectrum import GainVector
 
 __all__ = ["Trajectory", "simulate", "basin_fraction", "DEFAULT_SIM_TOL"]
@@ -71,7 +71,7 @@ def simulate(
     for k in range(M - 1, M - 1 + steps):
         try:
             fx = [eval_map(m, states[k - (j - 1) * T]) for j in range(1, N + 1)]
-        except Exception:
+        except MapEvalError:
             diverged = True
             break
         new = sum(c * v for c, v in zip(coeffs, fx))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import Polynomial, poly_roots
+from .polynomials import Polynomial, horner, poly_roots
 from .spectrum import GainVector, char_poly_closed
 
 __all__ = [
@@ -100,9 +100,9 @@ def jury_stable(p: Polynomial) -> bool:
         a = -a
     n = p.degree
 
-    if _horner(a, 1.0) <= 0.0:
+    if horner(a, 1.0) <= 0.0:
         return False
-    if ((-1.0) ** n) * _horner(a, -1.0) <= 0.0:
+    if ((-1.0) ** n) * horner(a, -1.0) <= 0.0:
         return False
     if abs(a[0]) >= a[-1]:
         return False
@@ -122,13 +122,6 @@ def jury_stable(p: Polynomial) -> bool:
             return False
         row = nxt
     return True
-
-
-def _horner(coeffs: np.ndarray, x: float) -> float:
-    acc = 0.0
-    for c in coeffs[::-1]:
-        acc = acc * x + c
-    return acc
 
 
 def analyze(p: Polynomial, margin: float = SCHUR_MARGIN) -> StabilityReport:

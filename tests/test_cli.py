@@ -140,6 +140,27 @@ class TestSweep:
         assert lines[1].endswith("false")
         assert lines[3].endswith("true")
 
+    def test_rows_on_exact_grid(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--N", "3", "--T", "2", "--mu-range=-3,0", "--mu-step", "0.1"
+        )
+        assert code == 0
+        mus = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+        assert len(mus) == 31
+        assert "-2.3" in mus
+        assert mus[-1] == "0.0"
+
+    @pytest.mark.parametrize(
+        "bounds, step", [("-inf,0", "0.1"), ("-3,nan", "0.1"), ("-3,0", "inf")]
+    )
+    def test_non_finite_grid_is_usage_error(self, capsys, bounds, step):
+        code, out, err = run_cli(
+            capsys, "sweep", "--N", "3", "--T", "2", f"--mu-range={bounds}", "--mu-step", step
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestSimulate:
     def test_json_document(self, capsys):

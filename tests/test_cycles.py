@@ -186,3 +186,12 @@ class TestValidation:
     def test_cycle_consistency_enforced(self):
         with pytest.raises(ValueError):
             Cycle(period=2, points=(0.1, 0.2), multipliers=(1.0, 2.0), multiplier_product=5.0)
+
+    def test_non_map_error_propagates(self, monkeypatch):
+        # Only map evaluation errors become NaN grid nodes; a bug must not be hidden.
+        def broken(m, x):
+            raise TypeError("broken evaluator")
+
+        monkeypatch.setattr("dfclab.cycles.eval_map", broken)
+        with pytest.raises(TypeError, match="broken evaluator"):
+            find_cycles(parse_map("logistic:r=4"), 1, 1000)

@@ -1,17 +1,19 @@
-"""Tests for map parsing, evaluation, and dual-number derivatives."""
+"""Tests for map parsing, evaluation, and forward-mode derivatives."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfclab.maps import (
     Bin,
     Call,
-    Dual,
     MapError,
     MapEvalError,
     MapOverflowError,
+    MapSpec,
     MapSyntaxError,
     Neg,
     Num,
@@ -110,6 +112,15 @@ class TestEval:
         with pytest.raises(MapOverflowError):
             eval_map(m, 1e9)
 
+    def test_power_overflow_flagged(self):
+        m = parse_map("x^2", domain=(-1, 1))
+        with pytest.raises(MapOverflowError):
+            eval_map(m, 1e200)
+
+    def test_derivative_overflow_flagged(self):
+        with pytest.raises(MapOverflowError):
+            eval_map_deriv(parse_map("exp(x)"), 1000.0)
+
     def test_non_finite_input_rejected(self):
         m = parse_map("logistic:r=4")
         with pytest.raises(MapEvalError):
@@ -182,6 +193,7 @@ class TestRoundTrip:
             ast = random_ast(rng)
             text = format_ast(ast)
             m1 = parse_map(text, params={"p": 1.3})
+            m0 = MapSpec(kind="expression", domain=m1.domain, ast=ast, params={"p": 1.3})
             checked = 0
             for _ in range(100):
                 x = float(rng.uniform(-2, 2))
@@ -189,10 +201,7 @@ class TestRoundTrip:
                     y1 = eval_map(m1, x)
                 except MapError:
                     continue
-                env = {"x": x, "p": 1.3}
-                from dfclab.maps import _eval_node
-
-                y0 = float(_eval_node(ast, env))
+                y0 = eval_map(m0, x)
                 assert abs(y1 - y0) <= 1e-12 * (1.0 + abs(y0))
                 checked += 1
             if checked:
@@ -201,11 +210,8 @@ class TestRoundTrip:
 
 class TestDualRules:
     def test_product_rule(self):
-        a = Dual(2.0, 1.0)
-        b = Dual(3.0, 0.5)
-        prod = a * b
-        assert prod.value == 6.0
-        assert prod.deriv == pytest.approx(2.0 * 0.5 + 1.0 * 3.0)
+        # d/dx (2 + x)(3 + x/2) = (3 + x/2) + (2 + x)/2, which is 4 at x = 0
+        assert eval_map_deriv(parse_map("(2 + x)*(3 + 0.5*x)"), 0.0) == 4.0
 
     def test_chain_rule_on_random_expressions(self):
         # abs() kinks invalidate finite differences, so trees here are smooth;
@@ -247,3 +253,24 @@ class TestDualRules:
     def test_integer_power_derivative(self):
         m = parse_map("x^3", domain=(-2, 2))
         assert eval_map_deriv(m, 2.0) == pytest.approx(12.0, abs=1e-12)
+
+
+# Each builtin next to the plain-Python formula it must reproduce exactly.
+BUILTIN_FORMULAS = {
+    "logistic": ("r", lambda x, r: r * x * (1 - x)),
+    "quadratic": ("c", lambda x, c: x**2 + c),
+    "cubic": ("b", lambda x, b: b * x - x**3),
+}
+
+
+class TestBuiltinFormulas:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        name=st.sampled_from(sorted(BUILTIN_FORMULAS)),
+        x=st.floats(-1e3, 1e3),
+        param=st.floats(-10.0, 10.0),
+    )
+    def test_eval_matches_formula_bit_for_bit(self, name, x, param):
+        key, formula = BUILTIN_FORMULAS[name]
+        m = parse_map(f"{name}:{key}={param!r}")
+        assert eval_map(m, x).hex() == formula(x, param).hex()

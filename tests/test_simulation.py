@@ -129,6 +129,15 @@ class TestDivergence:
         assert not traj.converged
         assert len(traj.states) < 101
 
+    def test_non_map_error_propagates(self, monkeypatch, logistic4, fixed_point):
+        # Only map evaluation errors mean divergence; a bug must not be hidden.
+        def broken(m, x):
+            raise TypeError("broken evaluator")
+
+        monkeypatch.setattr("dfclab.simulation.eval_map", broken)
+        with pytest.raises(TypeError, match="broken evaluator"):
+            simulate(logistic4, GainVector([1.0]), 1, [0.3], 100, fixed_point)
+
 
 class TestBasinFraction:
     def test_stable_config_attracts_positive_fraction(self, logistic4, fixed_point):
