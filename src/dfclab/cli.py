@@ -20,15 +20,14 @@ import numpy as np
 from .cycles import find_cycles
 from .maps import MapError, MapSpec, parse_map
 from .polynomials import Polynomial, poly_roots
-from .simulation import simulate
+from .simulation import _classify, _iterate, simulate
 from .spectrum import GainVector, char_poly_closed
 from .stability import (
     SCHUR_MARGIN,
+    _min_N_and_radius,
     analyze,
     make_gains,
-    min_N_to_stabilize,
     spectral_radius,
-    stable_mu_interval,
 )
 from .verify import run_suite
 
@@ -315,9 +314,10 @@ def _cmd_simulate(args) -> int:
 
     # Target the cycle the trajectory actually approaches (deterministic:
     # first converged candidate in anchor order, else smallest final distance).
+    run = _iterate(m, gains, T, history, args.steps)
     best = None
     for cyc in candidates:
-        traj = simulate(m, gains, T, history, args.steps, cyc, args.tol)
+        traj = _classify(*run, T, cyc, args.tol)
         final_dist = (
             float(np.mean([cyc.distance_to(x) for x in traj.states[-10 * T :]]))
             if len(traj.states)
@@ -448,15 +448,14 @@ def pipeline_stabilize(
             entry["note"] = "not stabilizable by this control (mu >= 1)"
             entries.append(entry)
             continue
-        n_found = min_N_to_stabilize(T, mu, scheme, n_max)
-        if n_found is None:
+        found = _min_N_and_radius(T, mu, scheme, n_max)
+        if found is None:
             entry["stabilizable"] = False
             entry["note"] = f"no N <= {n_max} stabilizes this cycle"
             entries.append(entry)
             continue
+        n_found, radius = found
         gains = make_gains(scheme, n_found)
-        p = char_poly_closed(n_found, T, gains, mu)
-        radius = spectral_radius(p)
         M = (n_found - 1) * T + 1
         history = [cyc.points[i % T] + 1e-4 for i in range(M)]
         traj = simulate(m, gains, T, history, steps, cyc, tol)

@@ -164,8 +164,8 @@ def _aberth(coeffs: np.ndarray, tol: float, max_sweeps: int):
     z = radius * 0.5 * np.exp(1j * angles) * (1.0 + 0.05 * np.cos(5.0 * k))
 
     scale = np.sum(np.abs(coeffs))
+    p = horner(coeffs, z)
     for _ in range(max_sweeps):
-        p = horner(coeffs, z)
         dp = horner(deriv, z)
         w = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.1 + 0.1j)
         diff = z[:, None] - z[None, :]
@@ -180,7 +180,8 @@ def _aberth(coeffs: np.ndarray, tol: float, max_sweeps: int):
         # where Aberth steps stall at the cluster radius.
         small_step = np.abs(step) <= tol * (1.0 + np.abs(z))
         floor = 1e-13 * scale * np.maximum(1.0, np.abs(z)) ** n
-        at_floor = np.abs(horner(coeffs, z)) <= floor
+        p = horner(coeffs, z)  # also the next sweep's residual
+        at_floor = np.abs(p) <= floor
         if np.all(small_step | at_floor):
             return z, True
     return z, False

@@ -56,6 +56,16 @@ def simulate(
     orbit set (distance as a set; phase alignment is not required). A
     non-finite state truncates the run and flags divergence.
     """
+    states, controls, diverged = _iterate(m, a, T, init_history, steps)
+    return _classify(states, controls, diverged, T, target, tol)
+
+
+def _iterate(m: MapSpec, a: GainVector, T: int, init_history, steps: int):
+    """Run the controlled recursion: (states, controls, diverged).
+
+    The trajectory does not depend on the target orbit, so one run serves
+    every candidate that ``_classify`` tests it against.
+    """
     N = len(a)
     M = (N - 1) * T + 1
     history = [float(v) for v in init_history]
@@ -80,13 +90,25 @@ def simulate(
             break
         controls.append(new - fx[0])
         states.append(new)
+    return states, controls, diverged
 
-    states_arr = np.asarray(states)
-    controls_arr = np.asarray(controls)
 
+def _classify(
+    states: list[float],
+    controls: list[float],
+    diverged: bool,
+    T: int,
+    target: Cycle,
+    tol: float,
+) -> Trajectory:
+    """The Trajectory of an iterated run, with convergence to ``target`` tested.
+
+    A run that did not diverge holds all its steps, at least 10*T beyond
+    the history, so the final window always exists.
+    """
     converged = False
     settle: int | None = None
-    if not diverged and len(states) >= M + 10 * T:
+    if not diverged:
         dist = np.array([target.distance_to(x) for x in states])
         window = dist[-10 * T :]
         converged = bool(np.all(window <= tol))
@@ -97,8 +119,8 @@ def simulate(
             settle = s
 
     return Trajectory(
-        states=states_arr,
-        controls=controls_arr,
+        states=np.asarray(states),
+        controls=np.asarray(controls),
         converged=converged,
         settle_step=settle,
         target=target,

@@ -4,8 +4,10 @@ A controlled cycle is locally stable iff its characteristic polynomial is
 Schur stable (all roots strictly inside the unit disc). Root moduli are the
 ground truth here; the Jury table is the independent tabular cross-check.
 The module also generates the two gain schemes (uniform and the optimized
-``dk2013`` family), locates the lower stability boundary gamma for T = 1 by
-a unit-circle scan, and brackets the stable multiplier interval numerically.
+``dk2013`` family) and finds the multipliers mu at which a root touches the
+unit circle (Neimark's D-decomposition). The verdict is constant between
+such contacts, so the stable interval around mu = 0 takes one root-modulus
+probe per gap, and gamma (T = 1) is the nearest negative contact.
 """
 
 from __future__ import annotations
@@ -191,88 +193,88 @@ def make_gains(scheme: str, N: int, custom: list[float] | None = None) -> GainVe
 # ---------------------------------------------------------------------------
 
 
+def _contacts(a: GainVector, T: int, grid: int | None = None) -> np.ndarray:
+    """Sorted real multipliers at which a root of p touches the unit circle.
+
+    For real mu, p(e^{i theta}) = 0 exactly when mu = e^{iM theta} / q^T with
+    q = q(e^{i theta}), so the contacts are where that curve is real: the
+    zeros on [0, pi] (conjugate symmetry covers the rest) of
+    h = Im(e^{iM theta} (conj(q) / |q|)^T), which has no poles.
+    theta = 0 (mu = 1) and pi always count; the other zeros are grid sign
+    changes bisected to 1e-13, and tangencies: local minima of |h| refined
+    by ternary search to |h| <= 1e-10, since optimized gains can place
+    double zeros. Zeros of q itself are poles of mu, not contacts, and are
+    dropped. The grid defaults to max(2048, 16 (M + (N-1)T)) points.
+    """
+    N = len(a)
+    M = (N - 1) * T + 1
+    if grid is None:
+        grid = max(2048, 16 * (M + (N - 1) * T))
+    qc = np.asarray(a.coeffs[::-1], dtype=float)  # q, ascending
+    scale = float(np.sum(np.abs(qc)))
+
+    def curve(theta):  # (e^{iM theta} (conj(q) / |q|)^T, |q|)
+        q = horner(qc, np.exp(1j * theta))
+        mod = np.abs(q)
+        unit = np.conj(q) / np.where(mod > 0.0, mod, 1.0)
+        return np.exp(1j * M * theta) * unit**T, mod
+
+    def h(theta):
+        return curve(theta)[0].imag
+
+    theta = np.linspace(0.0, np.pi, grid + 1)
+    vals = h(theta)
+    sign = np.sign(vals)
+    zeros = [theta[[0, -1]], theta[vals == 0.0]]
+
+    # Sign changes, bisected.
+    i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    lo, hi, h_lo = theta[i], theta[i + 1], vals[i]
+    while lo.size and np.max(hi - lo) > 1e-13:
+        mid = 0.5 * (lo + hi)
+        h_mid = h(mid)
+        left = h_lo * h_mid <= 0.0
+        hi = np.where(left, mid, hi)
+        lo, h_lo = np.where(left, lo, mid), np.where(left, h_lo, h_mid)
+    zeros.append(0.5 * (lo + hi))
+
+    # Tangencies: local minima of |h| between grid values of one sign.
+    mag = np.abs(vals)
+    inner = slice(1, -1)
+    dip = (
+        (sign[:-2] == sign[inner]) & (sign[inner] == sign[2:]) & (sign[inner] != 0.0)
+        & (mag[inner] <= mag[:-2]) & (mag[inner] <= mag[2:])
+    )
+    j = 1 + np.flatnonzero(dip)
+    lo, hi = theta[j - 1], theta[j + 1]
+    while lo.size and np.max(hi - lo) > 1e-12:
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        left = np.abs(h(m1)) <= np.abs(h(m2))
+        lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
+    t = 0.5 * (lo + hi)
+    zeros.append(t[np.abs(h(t)) <= 1e-10])
+
+    u, mod = curve(np.concatenate(zeros))
+    keep = mod > 1e-9 * scale
+    with np.errstate(over="ignore"):
+        mu = u.real[keep] / mod[keep] ** T
+    return np.sort(mu[np.isfinite(mu)])
+
+
 def gamma_t1(a: GainVector, theta_grid: int = 100_000) -> float:
     """Most negative multiplier before any root first reaches the unit circle (T = 1).
 
-    A root on the unit circle at angle theta requires 1/mu =
-    sum_j a_j exp(-i j theta) to be real, so the scan locates zeros of the
-    imaginary part of that sum on (0, 2pi) and evaluates the real part
-    there; gamma = 1 / inf(real parts), or -inf when the infimum is >= 0.
-    Zeros are found by sign-change bisection plus a tangency sweep (local
-    minima of |Im| refined to machine level), since optimized gain families
-    can place double zeros where the imaginary part touches without
-    crossing. Such a tangency marks an isolated boundary contact, so gamma
-    may sit strictly inside the crossing-based interval of
-    ``stable_mu_interval``; the two agree whenever all zeros are simple
-    (uniform gains in particular).
+    The largest negative contact (``_contacts`` on theta_grid // 2 points
+    of [0, pi]), or -inf when there is none. Tangencies count: a root may
+    touch the circle and return inside, so gamma can sit strictly inside the
+    interval of ``stable_mu_interval``, which steps over such contacts; the
+    two agree when every contact is a crossing (uniform gains in particular).
     """
     if theta_grid < 10_000:
         raise ValueError("theta_grid must be at least 10^4")
-    coeffs = np.asarray(a.coeffs)
-    j = np.arange(1, len(a) + 1)
-
-    def s_imag(theta: float) -> float:
-        return float(np.sum(coeffs * np.sin(-j * theta)))
-
-    def s_real(theta: float) -> float:
-        return float(np.sum(coeffs * np.cos(j * theta)))
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, theta_grid + 1)[1:-1]
-    vals = np.sin(-np.outer(thetas, j)) @ coeffs
-    scale = float(np.sum(np.abs(coeffs)))
-
-    candidates: list[float] = []
-    for i in range(len(thetas) - 1):
-        vi, vj = vals[i], vals[i + 1]
-        if vi == 0.0:
-            candidates.append(thetas[i])
-        elif vi * vj < 0.0:
-            lo, hi = thetas[i], thetas[i + 1]
-            flo = vi
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                fm = s_imag(mid)
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            candidates.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0:
-        candidates.append(thetas[-1])
-
-    # Tangency sweep: interior local minima of |Im| that refine to ~0.
-    absvals = np.abs(vals)
-    for i in range(1, len(thetas) - 1):
-        if absvals[i] <= absvals[i - 1] and absvals[i] <= absvals[i + 1]:
-            if absvals[i] > 1e-6 * scale:
-                continue
-            lo, hi = thetas[i - 1], thetas[i + 1]
-            for _ in range(200):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                if abs(s_imag(m1)) <= abs(s_imag(m2)):
-                    hi = m2
-                else:
-                    lo = m1
-                if hi - lo <= 1e-12:
-                    break
-            t = 0.5 * (lo + hi)
-            if abs(s_imag(t)) <= 1e-10 * scale:
-                candidates.append(t)
-
-    if not candidates:
-        raise ValueError(
-            "no zero of the imaginary part found; theta = pi is always a zero "
-            "for real gains, so this indicates a grid problem"
-        )
-    inf_real = min(s_real(t) for t in candidates)
-    if inf_real >= 0.0:
-        return float("-inf")
-    return 1.0 / inf_real
-
-
-def _radius_at(N: int, T: int, a: GainVector, mu: float) -> float:
-    return spectral_radius(char_poly_closed(N, T, a, mu))
+    mu = _contacts(a, 1, grid=theta_grid // 2)
+    neg = mu[mu < 0.0]
+    return float(neg[-1]) if neg.size else float("-inf")
 
 
 def stable_mu_interval(
@@ -284,58 +286,44 @@ def stable_mu_interval(
     scheme: str = "custom",
     scan_grid: int | None = None,
 ) -> MuInterval:
-    """Bracket the stable interval of multipliers around mu = 0.
+    """The stable interval of multipliers around mu = 0.
 
-    At mu = 0 the polynomial is lambda^M, always stable. Both endpoints are
-    located by bisecting spectral_radius = 1 - margin crossings, expanding
-    downward geometrically (lo becomes -inf if no crossing above mu_floor)
-    and upward toward the hard ceiling mu = 1 from p(1) = 1 - mu. Assumes a
-    single connected stable interval containing 0; pass ``scan_grid`` to
-    verify connectivity on a grid of interior points.
+    mu = 0 gives lambda^M, always stable, and the verdict changes only at a
+    contact (``_contacts``); contacts within 1e-6 (1 + |mu|) are merged, as
+    a tangency often shows as two sign changes a hair apart. Walking out
+    from 0, one root-modulus probe per gap (its midpoint, or 2c beyond the
+    last contact c) settles it; each endpoint is the nearest contact whose
+    far side probes unstable, so tangencies inside are stepped over. ``lo``
+    is -inf when no such contact lies above ``mu_floor``; ``hi`` is 1 when
+    none lies below it (p(1) = 1 - mu). ``scan_grid`` checks that many
+    interior points, 10 ``tol`` in from the endpoints, for stability.
     """
     _ = char_poly_closed(N, T, a, 0.0)  # validates dimensions
 
     def stable(mu: float) -> bool:
-        return _radius_at(N, T, a, mu) < 1.0 - SCHUR_MARGIN
+        return spectral_radius(char_poly_closed(N, T, a, mu)) < 1.0 - SCHUR_MARGIN
 
-    # Downward expansion.
-    lo_in, lo_out = 0.0, None
-    step = -1.0
-    while step > mu_floor:
-        if stable(step):
-            lo_in = step
-        else:
-            lo_out = step
-            break
-        step *= 2.0
-    if lo_out is None:
-        lo = float("-inf")
-    else:
-        while lo_in - lo_out > tol:
-            mid = 0.5 * (lo_in + lo_out)
-            if stable(mid):
-                lo_in = mid
-            else:
-                lo_out = mid
-        lo = 0.5 * (lo_in + lo_out)
+    merged: list[float] = []
+    for c in _contacts(a, T).tolist():
+        if not merged or c - merged[-1] > 1e-6 * (1.0 + abs(c)):
+            merged.append(c)
 
-    # Upward expansion, ceiling at 1.
-    hi_in, hi_out = 0.0, 1.0
-    probe = 0.25
-    while probe < 1.0:
-        if stable(probe):
-            hi_in = probe
-            probe *= 2.0
-        else:
-            hi_out = probe
+    down = [c for c in reversed(merged) if c < 0.0]
+    lo = float("-inf")
+    for k, c in enumerate(down):
+        if c < mu_floor:
             break
-    while hi_out - hi_in > tol:
-        mid = 0.5 * (hi_in + hi_out)
-        if stable(mid):
-            hi_in = mid
-        else:
-            hi_out = mid
-    hi = 0.5 * (hi_in + hi_out)
+        probe = 0.5 * (c + down[k + 1]) if k + 1 < len(down) else 2.0 * c
+        if not stable(probe):
+            lo = c
+            break
+
+    up = [c for c in merged if 0.0 < c < 1.0 - 2e-6] + [1.0]  # 2e-6: merged with 1
+    hi = 1.0
+    for c, nxt in zip(up, up[1:]):
+        if not stable(0.5 * (c + nxt)):
+            hi = c
+            break
 
     connected = None
     if scan_grid is not None:
@@ -346,6 +334,21 @@ def stable_mu_interval(
     return MuInterval(lo=lo, hi=hi, scheme=scheme, N=N, T=T, connected=connected)
 
 
+def _min_N_and_radius(
+    T: int, mu: float, scheme: str, N_max: int
+) -> tuple[int, float] | None:
+    """Smallest stabilizing N <= N_max with the spectral radius it reached."""
+    if T < 1 or N_max < 1:
+        raise ValueError("T and N_max must be positive integers")
+    if mu >= 1.0:
+        return None
+    for N in range(1, N_max + 1):
+        radius = spectral_radius(char_poly_closed(N, T, make_gains(scheme, N), mu))
+        if radius < 1.0 - SCHUR_MARGIN:
+            return N, radius
+    return None
+
+
 def min_N_to_stabilize(
     T: int, mu: float, scheme: str = "uniform", N_max: int = 32
 ) -> int | None:
@@ -354,12 +357,5 @@ def min_N_to_stabilize(
     mu >= 1 is rejected immediately: p(1) = 1 - mu <= 0 for every valid gain
     vector, so no N can work.
     """
-    if T < 1 or N_max < 1:
-        raise ValueError("T and N_max must be positive integers")
-    if mu >= 1.0:
-        return None
-    for N in range(1, N_max + 1):
-        gains = make_gains(scheme, N)
-        if _radius_at(N, T, gains, mu) < 1.0 - SCHUR_MARGIN:
-            return N
-    return None
+    found = _min_N_and_radius(T, mu, scheme, N_max)
+    return None if found is None else found[0]

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+import dfclab.cli
+import dfclab.simulation
+import dfclab.stability
 from dfclab.cli import main
 
 
@@ -201,6 +204,23 @@ class TestSimulate:
         assert code == 1
         assert "no period-2 cycle" in err
 
+    def test_one_run_serves_every_candidate_cycle(self, capsys, monkeypatch, tmp_path):
+        # logistic r=4 has three period-4 cycles; the trajectory does not
+        # depend on the target, so it is iterated once: steps * N evaluations.
+        calls = []
+        real = dfclab.simulation.eval_map
+        monkeypatch.setattr(
+            dfclab.simulation, "eval_map", lambda m, x: calls.append(x) or real(m, x)
+        )
+        code, _, _ = run_cli(
+            capsys,
+            "simulate", "--map", "logistic:r=4", "--period", "4",
+            "--N", "2", "--init", "0.3", "--steps", "400",
+            "--out", str(tmp_path / "traj.csv"),
+        )
+        assert code == 0
+        assert len(calls) == 400 * 2
+
     def test_history_length_validated(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -258,6 +278,27 @@ class TestStabilize:
         assert entry["mu"] == pytest.approx(0.16, abs=1e-6)
         assert entry["min_N"] == 1
         assert entry["converged"] is True
+
+    def test_search_radius_is_reused(self, capsys, monkeypatch):
+        # mu = -1.9: N=1 is unstable, N=2 stable; the reported radius is the
+        # one the search computed, so two root solves in all.
+        calls = []
+        real = dfclab.stability.poly_roots
+
+        def counted(p, *args, **kwargs):
+            calls.append(p.degree)
+            return real(p, *args, **kwargs)
+
+        monkeypatch.setattr(dfclab.stability, "poly_roots", counted)
+        monkeypatch.setattr(dfclab.cli, "poly_roots", counted)
+        code, out, _ = run_cli(
+            capsys, "stabilize", "--map", "logistic:r=3.9", "--period", "1"
+        )
+        assert code == 0
+        entry = next(e for e in json.loads(out)["entries"] if e["stabilizable"])
+        assert entry["min_N"] == 2
+        assert entry["spectral_radius"] < 1.0
+        assert calls == [1, 2]
 
     def test_empty_report_when_no_cycles(self, capsys):
         code, out, _ = run_cli(

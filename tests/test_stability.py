@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfclab.polynomials import Polynomial, poly_roots
 from dfclab.spectrum import GainVector, char_poly_closed
@@ -97,7 +99,7 @@ class TestGamma:
         assert gamma_t1(gains_uniform(1)) == pytest.approx(-1.0, abs=1e-9)
 
     def test_uniform_matches_interval_lower_endpoint(self):
-        # dual route: unit-circle scan vs spectral-radius bisection
+        # nearest negative contact vs the root-probed interval endpoint
         for N in (2, 3, 4, 5):
             g = gains_uniform(N)
             scan = gamma_t1(g)
@@ -166,6 +168,50 @@ class TestStableMuInterval:
         targets = [np.exp(2j * np.pi * k / (N + 1)) for k in range(1, N + 1)]
         for r in roots:
             assert min(abs(r - t) for t in targets) < 1e-9
+
+
+def _np_radius(N, T, a, mu):
+    """Spectral radius by companion-matrix eigenvalues, independent of poly_roots."""
+    p = char_poly_closed(N, T, a, mu)
+    return float(np.max(np.abs(np.roots(p.coeffs[::-1]))))
+
+
+class TestBoundaryEngine:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(N=st.integers(1, 12), T=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_endpoints_separate_stable_from_unstable(self, N, T, seed):
+        a = random_simplex_gains(np.random.default_rng(seed), N)
+        iv = stable_mu_interval(N, T, a)
+        for x, inward in ((iv.lo, 1.0), (iv.hi, -1.0)):
+            if not math.isfinite(x):
+                continue
+            delta = 1e-5 * (1.0 + abs(x))
+            assert _np_radius(N, T, a, x + inward * delta) < 1.0
+            assert _np_radius(N, T, a, x - inward * delta) > 1.0
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(N=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_gamma_puts_a_root_on_the_circle(self, N, seed):
+        a = random_simplex_gains(np.random.default_rng(seed), N)
+        gamma = gamma_t1(a)
+        assert -math.inf < gamma < 0.0
+        assert _np_radius(N, 1, a, gamma) == pytest.approx(1.0, abs=1e-8)
+        assert _np_radius(N, 1, a, 0.5 * gamma) < 1.0
+
+    @pytest.mark.parametrize("N, tangency", [(5, -6.464), (13, -38.885)])
+    def test_interval_steps_over_dk2013_tangencies(self, N, tangency):
+        # A root touches the circle at the tangency and returns inside, so the
+        # stable interval runs on to the crossing at -cot^2(pi/(2(N+1))).
+        a = gains_dk2013(N)
+        iv = stable_mu_interval(N, 1, a, scheme="dk2013")
+        want = -1.0 / math.tan(math.pi / (2 * (N + 1))) ** 2
+        assert iv.lo == pytest.approx(want, abs=1e-6)
+        assert iv.lo < tangency
+        assert _np_radius(N, 1, a, tangency) < 1.0
+
+    def test_dk2013_gamma_is_the_tangency(self):
+        assert gamma_t1(gains_dk2013(8)) == pytest.approx(-7.29086, abs=1e-6)
+        assert gamma_t1(gains_dk2013(5)) == pytest.approx(-6.464, abs=1e-3)
 
 
 class TestMuAboveOne:
