@@ -1,10 +1,13 @@
 """Command-line interface: one executable, subcommand per operation.
 
-Reports are machine readable: JSON documents carry ``schema_version`` so
-downstream scripts can pin schemas; CSV output has a fixed header row per
-subcommand. Randomized procedures take an explicit ``--seed`` (default 0),
-and identical configuration + seed yields byte-identical output. Exit codes:
-0 success, 1 domain error, 2 usage error.
+This module only parses and checks flags, calls the library and prints the
+result; the pipeline and the choice of target cycle live in the library.
+Reports are machine readable: JSON documents start with ``schema_version``
+and ``subcommand`` so downstream scripts can pin schemas; CSV output has a
+fixed header row per subcommand. Every subcommand accepts ``--seed``
+(default 0), but only ``verify`` draws random numbers; identical
+configuration + seed yields byte-identical output. Exit codes: 0 success,
+1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,14 +22,14 @@ import numpy as np
 
 from .cycles import find_cycles
 from .maps import MapError, MapSpec, parse_map
-from .polynomials import Polynomial, poly_roots
-from .simulation import _classify, _iterate, simulate
+from .polynomials import poly_roots
+from .simulation import simulate_nearest
 from .spectrum import GainVector, char_poly_closed
 from .stability import (
     SCHUR_MARGIN,
-    _min_N_and_radius,
     analyze,
     make_gains,
+    pipeline_stabilize,
     spectral_radius,
 )
 from .verify import run_suite
@@ -94,29 +97,21 @@ def _load_map(args) -> MapSpec:
 
 
 def _gains_for(args) -> GainVector:
-    custom = None
-    if getattr(args, "gains", None):
-        custom = _parse_float_list(args.gains, "--gains")
-    if args.scheme == "custom":
-        if custom is None:
-            raise UsageError("--scheme custom requires --gains")
-        n = getattr(args, "N", None) or len(custom)
-        if len(custom) != n:
-            raise UsageError(f"--gains expects {n} values, got {len(custom)}")
-        try:
-            return GainVector(custom)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    """Gains of --scheme; without --N, custom gains set N by their count."""
+    custom = _parse_float_list(args.gains, "--gains") if args.gains else None
+    if args.scheme == "custom" and custom is None:
+        raise UsageError("--scheme custom requires --gains")
+    N = len(custom) if args.N is None else args.N
     try:
-        return make_gains(args.scheme, args.N)
+        return make_gains(args.scheme, N, custom)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _roots_doc(p: Polynomial) -> list[dict]:
+def _roots_doc(roots) -> list[dict]:
     return [
         {"re": float(r.real), "im": float(r.imag), "modulus": float(abs(r))}
-        for r in poly_roots(p)
+        for r in roots
     ]
 
 
@@ -128,8 +123,14 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args, doc: dict) -> None:
-    _emit(args, json.dumps(doc, indent=2) + "\n")
+def _json_text(args, body: dict) -> str:
+    """A JSON report: the schema header, then the subcommand's own keys."""
+    doc = {"schema_version": SCHEMA_VERSION, "subcommand": args.subcommand, **body}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _emit_json(args, body: dict) -> None:
+    _emit(args, _json_text(args, body))
 
 
 def _emit_csv(args, header: list[str], rows: list[list]) -> None:
@@ -140,6 +141,8 @@ def _emit_csv(args, header: list[str], rows: list[list]) -> None:
 
 
 def _csv_cell(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -174,16 +177,7 @@ def _cmd_cycles(args) -> int:
                 rows.append([idx, j, x, mu, c.multiplier_product])
         _emit_csv(args, ["cycle", "point_index", "x", "multiplier", "product"], rows)
     else:
-        _emit_json(
-            args,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "subcommand": "cycles",
-                "map": m.source,
-                "period": args.period,
-                "cycles": items,
-            },
-        )
+        _emit_json(args, {"map": m.source, "period": args.period, "cycles": items})
     return 0
 
 
@@ -200,22 +194,22 @@ def _cmd_charpoly(args) -> int:
         raise UsageError(str(exc)) from None
     mu = float(np.prod(mults))
     p = char_poly_closed(args.N, args.T, gains, mu)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "charpoly",
-        "N": args.N,
-        "T": args.T,
-        "gains": gains_list,
-        "multipliers": mults,
-        "mu": mu,
-        "coeffs": p.coeffs.tolist(),
-        "roots": _roots_doc(p),
-    }
     if args.format == "csv":
         rows = [[k, c] for k, c in enumerate(p.coeffs)]
         _emit_csv(args, ["degree", "coefficient"], rows)
     else:
-        _emit_json(args, doc)
+        _emit_json(
+            args,
+            {
+                "N": args.N,
+                "T": args.T,
+                "gains": gains_list,
+                "multipliers": mults,
+                "mu": mu,
+                "coeffs": p.coeffs.tolist(),
+                "roots": _roots_doc(poly_roots(p)),
+            },
+        )
     return 0
 
 
@@ -223,38 +217,28 @@ def _cmd_stability(args) -> int:
     gains = _gains_for(args)
     p = char_poly_closed(args.N, args.T, gains, args.mu)
     report = analyze(p)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "stability",
-        "N": args.N,
-        "T": args.T,
-        "scheme": args.scheme,
-        "mu": args.mu,
-        "gains": list(gains.coeffs),
-        "coeffs": p.coeffs.tolist(),
+    verdict = {
         "spectral_radius": report.spectral_radius,
         "stable": report.schur_stable,
         "jury_verdict": report.jury_verdict,
         "marginal": report.marginal,
-        "roots": [
-            {"re": r.real, "im": r.imag, "modulus": abs(r)} for r in report.roots
-        ],
     }
     if args.format == "csv":
-        rows = [
-            [
-                args.mu,
-                report.spectral_radius,
-                report.schur_stable,
-                report.jury_verdict,
-                report.marginal,
-            ]
-        ]
-        _emit_csv(
-            args, ["mu", "spectral_radius", "stable", "jury_verdict", "marginal"], rows
-        )
+        _emit_csv(args, ["mu", *verdict], [[args.mu, *verdict.values()]])
     else:
-        _emit_json(args, doc)
+        _emit_json(
+            args,
+            {
+                "N": args.N,
+                "T": args.T,
+                "scheme": args.scheme,
+                "mu": args.mu,
+                "gains": list(gains.coeffs),
+                "coeffs": p.coeffs.tolist(),
+                **verdict,
+                "roots": _roots_doc(report.roots),
+            },
+        )
     return 0
 
 
@@ -265,14 +249,7 @@ def _cmd_gains(args) -> int:
         _emit_csv(args, ["j", "a_j"], rows)
     else:
         _emit_json(
-            args,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "subcommand": "gains",
-                "scheme": args.scheme,
-                "N": args.N,
-                "gains": list(gains.coeffs),
-            },
+            args, {"scheme": args.scheme, "N": args.N, "gains": list(gains.coeffs)}
         )
     return 0
 
@@ -281,9 +258,7 @@ def _cmd_simulate(args) -> int:
     if args.period < 1:
         raise UsageError("--period must be >= 1")
     m = _load_map(args)
-    if args.scheme == "custom" and args.N is None and args.gains:
-        args.N = len(_parse_float_list(args.gains, "--gains"))
-    if args.N is None:
+    if args.N is None and not (args.scheme == "custom" and args.gains):
         raise UsageError("--N is required")
     gains = _gains_for(args)
     T = args.period
@@ -308,59 +283,33 @@ def _cmd_simulate(args) -> int:
             raise UsageError(
                 f"--cycle-index out of range (found {len(cycles)} cycles)"
             )
-        candidates = [cycles[args.cycle_index]]
-    else:
-        candidates = cycles
-
-    # Target the cycle the trajectory actually approaches (deterministic:
-    # first converged candidate in anchor order, else smallest final distance).
-    run = _iterate(m, gains, T, history, args.steps)
-    best = None
-    for cyc in candidates:
-        traj = _classify(*run, T, cyc, args.tol)
-        final_dist = (
-            float(np.mean([cyc.distance_to(x) for x in traj.states[-10 * T :]]))
-            if len(traj.states)
-            else float("inf")
-        )
-        key = (not traj.converged, final_dist)
-        if best is None or key < best[0]:
-            best = (key, cyc, traj)
-    _, target, traj = best
+        cycles = [cycles[args.cycle_index]]
+    traj = simulate_nearest(m, gains, T, history, args.steps, cycles, args.tol)
 
     summary = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "simulate",
         "map": m.source,
         "period": T,
         "scheme": args.scheme,
         "N": len(gains),
-        "target_points": list(target.points),
+        "target_points": list(traj.target.points),
         "converged": traj.converged,
         "settle_step": traj.settle_step,
         "diverged": traj.diverged,
     }
     header = ["k", "x", "u"]
-    rows = []
+    # u(k) is the control applied on the step from state k to k+1; the
+    # history rows before the last one and the final state carry none.
     n_hist = len(traj.states) - len(traj.controls)
-    for k, x in enumerate(traj.states):
-        # u(k) is the control applied on the step from state k to k+1;
-        # history rows and the final state carry none.
-        has_u = n_hist - 1 <= k < len(traj.states) - 1
-        u = float(traj.controls[k - n_hist + 1]) if has_u else ""
-        rows.append([k, float(x), u])
+    us = [None] * (n_hist - 1) + [float(u) for u in traj.controls] + [None]
+    rows = [[k, float(x), u] for k, (x, u) in enumerate(zip(traj.states, us))]
 
     if args.format == "json":
-        doc = dict(summary)
-        doc["trajectory"] = [
-            {"k": r[0], "x": r[1], "u": (None if r[2] == "" else r[2])} for r in rows
-        ]
-        _emit_json(args, doc)
+        trajectory = [dict(zip(header, r)) for r in rows]
+        _emit_json(args, {**summary, "trajectory": trajectory})
     else:
         # CSV trajectory to --out (or stdout), JSON summary to stdout.
         _emit_csv(args, header, rows)
-        summary_text = json.dumps(summary, indent=2) + "\n"
-        sys.stdout.write(summary_text)
+        sys.stdout.write(_json_text(args, summary))
     return 0
 
 
@@ -373,6 +322,7 @@ def _cmd_sweep(args) -> int:
     if float(step) <= 0:
         raise UsageError("--mu-step must be positive")
     gains = _gains_for(args)
+    header = ["mu", "spectral_radius", "stable"]
     rows = []
     # Row i is the float nearest to lo + i*step, computed exactly.
     for i in range(int((hi - lo) / step) + 1):
@@ -380,22 +330,10 @@ def _cmd_sweep(args) -> int:
         radius = spectral_radius(char_poly_closed(args.N, args.T, gains, mu))
         rows.append([mu, radius, bool(radius < 1.0 - SCHUR_MARGIN)])
     if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "subcommand": "sweep",
-                "N": args.N,
-                "T": args.T,
-                "scheme": args.scheme,
-                "rows": [
-                    {"mu": r[0], "spectral_radius": r[1], "stable": r[2]}
-                    for r in rows
-                ],
-            },
-        )
+        doc_rows = [dict(zip(header, r)) for r in rows]
+        _emit_json(args, {"N": args.N, "T": args.T, "scheme": args.scheme, "rows": doc_rows})
     else:
-        _emit_csv(args, ["mu", "spectral_radius", "stable"], rows)
+        _emit_csv(args, header, rows)
     return 0
 
 
@@ -412,67 +350,18 @@ def _cmd_verify(args) -> int:
             f"{status} {res.name}: max_err={res.max_err:.3e} "
             f"tol={res.tolerance:.1e} ({res.trials} trials)\n"
         )
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "verify",
-        "suite": args.suite,
-        "seed": args.seed,
-        "trials": args.trials,
-        "results": [r.to_dict() for r in results],
-        "all_passed": all(r.passed for r in results),
-    }
-    _emit_json(args, doc)
-    return 0 if doc["all_passed"] else 1
-
-
-def pipeline_stabilize(
-    m: MapSpec, T: int, scheme: str, n_max: int, steps: int, tol: float, grid: int
-) -> list[dict]:
-    """End-to-end pipeline: find cycles, pick N, confirm by simulation.
-
-    For each period-T cycle: compute the multiplier product, search the
-    smallest stabilizing N for the scheme, then simulate from a slightly
-    perturbed on-orbit history and report predicted vs observed stability.
-    """
-    cycles = find_cycles(m, T, grid)
-    entries = []
-    for cyc in cycles:
-        mu = cyc.multiplier_product
-        entry: dict = {
-            "points": list(cyc.points),
-            "multipliers": list(cyc.multipliers),
-            "mu": mu,
-        }
-        if mu >= 1.0:
-            entry["stabilizable"] = False
-            entry["note"] = "not stabilizable by this control (mu >= 1)"
-            entries.append(entry)
-            continue
-        found = _min_N_and_radius(T, mu, scheme, n_max)
-        if found is None:
-            entry["stabilizable"] = False
-            entry["note"] = f"no N <= {n_max} stabilizes this cycle"
-            entries.append(entry)
-            continue
-        n_found, radius = found
-        gains = make_gains(scheme, n_found)
-        M = (n_found - 1) * T + 1
-        history = [cyc.points[i % T] + 1e-4 for i in range(M)]
-        traj = simulate(m, gains, T, history, steps, cyc, tol)
-        entry.update(
-            {
-                "stabilizable": True,
-                "min_N": n_found,
-                "gains": list(gains.coeffs),
-                "spectral_radius": radius,
-                "predicted_stable": bool(radius < 1.0 - SCHUR_MARGIN),
-                "converged": traj.converged,
-                "settle_step": traj.settle_step,
-                "agreement": bool(traj.converged == (radius < 1.0 - SCHUR_MARGIN)),
-            }
-        )
-        entries.append(entry)
-    return entries
+    all_passed = all(r.passed for r in results)
+    _emit_json(
+        args,
+        {
+            "suite": args.suite,
+            "seed": args.seed,
+            "trials": args.trials,
+            "results": [r.to_dict() for r in results],
+            "all_passed": all_passed,
+        },
+    )
+    return 0 if all_passed else 1
 
 
 def _cmd_stabilize(args) -> int:
@@ -488,8 +377,6 @@ def _cmd_stabilize(args) -> int:
     _emit_json(
         args,
         {
-            "schema_version": SCHEMA_VERSION,
-            "subcommand": "stabilize",
             "map": m.source,
             "period": args.period,
             "scheme": args.scheme,
@@ -508,7 +395,7 @@ def _cmd_stabilize(args) -> int:
 def _add_common(sub, fmt_default="json"):
     sub.add_argument("--format", choices=["json", "csv"], default=fmt_default)
     sub.add_argument("--out", help="write the report to this path instead of stdout")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=0, help="random seed; only verify reads it")
 
 
 def _add_map_flags(sub):

@@ -3,11 +3,14 @@
 The controlled update is x(k+1) = sum_j a_j f(x(k - (j-1)T)); the control
 magnitude u(k) = x(k+1) - f(x(k)) is recorded per step. By construction the
 control vanishes identically when the trajectory sits on the target orbit.
+``simulate`` tests the run against one given cycle; ``simulate_nearest``
+iterates once and picks, among candidate cycles, the one the run approaches.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +19,7 @@ from .cycles import Cycle
 from .maps import MapEvalError, MapSpec, eval_map
 from .spectrum import GainVector
 
-__all__ = ["Trajectory", "simulate", "basin_fraction", "DEFAULT_SIM_TOL"]
+__all__ = ["Trajectory", "simulate", "simulate_nearest", "basin_fraction", "DEFAULT_SIM_TOL"]
 
 DEFAULT_SIM_TOL = 1e-6
 
@@ -58,6 +61,36 @@ def simulate(
     """
     states, controls, diverged = _iterate(m, a, T, init_history, steps)
     return _classify(states, controls, diverged, T, target, tol)
+
+
+def simulate_nearest(
+    m: MapSpec,
+    a: GainVector,
+    T: int,
+    init_history,
+    steps: int,
+    candidates: Sequence[Cycle],
+    tol: float = DEFAULT_SIM_TOL,
+) -> Trajectory:
+    """``simulate`` against the candidate cycle the trajectory approaches.
+
+    The recursion runs once. The result is the Trajectory of the first
+    candidate it converges to, in the given order; when there is none, of
+    the candidate with the smallest mean distance over the final 10*T
+    states (the first such on ties). Its ``target`` is the chosen cycle.
+    """
+    if not candidates:
+        raise ValueError("simulate_nearest requires at least one candidate cycle")
+    run = _iterate(m, a, T, init_history, steps)
+    best = None
+    for cyc in candidates:
+        traj = _classify(*run, T, cyc, tol)
+        # states always holds the history, so the window is never empty.
+        final_dist = float(np.mean([cyc.distance_to(x) for x in traj.states[-10 * T :]]))
+        key = (not traj.converged, final_dist)
+        if best is None or key < best[0]:
+            best = (key, traj)
+    return best[1]
 
 
 def _iterate(m: MapSpec, a: GainVector, T: int, init_history, steps: int):

@@ -8,6 +8,9 @@ The module also generates the two gain schemes (uniform and the optimized
 unit circle (Neimark's D-decomposition). The verdict is constant between
 such contacts, so the stable interval around mu = 0 takes one root-modulus
 probe per gap, and gamma (T = 1) is the nearest negative contact.
+
+``pipeline_stabilize`` runs the paper's chain on a map: each T-cycle's mu,
+the smallest N whose gains make p Schur stable, and a simulation to confirm.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cycles import find_cycles
+from .maps import MapSpec
 from .polynomials import Polynomial, horner, poly_roots
+from .simulation import simulate
 from .spectrum import GainVector, char_poly_closed
 
 __all__ = [
@@ -33,6 +39,7 @@ __all__ = [
     "gamma_t1",
     "stable_mu_interval",
     "min_N_to_stabilize",
+    "pipeline_stabilize",
 ]
 
 SCHUR_MARGIN = 1e-9
@@ -91,9 +98,10 @@ def jury_stable(p: Polynomial) -> bool:
 
     Conditions: p(1) > 0, (-1)^n p(-1) > 0, |a_0| < a_n, then the table
     reduction with |first| > |last| at every row. The leading coefficient is
-    normalized positive first (sign flips preserve roots). A near-zero table
-    pivot makes the reduction degenerate; such marginal cases are resolved by
-    the root-modulus path.
+    normalized positive first (sign flips preserve roots), and each derived
+    row is divided by its largest modulus. A near-zero table pivot makes the
+    reduction degenerate; such marginal cases are resolved by the root-modulus
+    path.
     """
     if p.degree < 1:
         raise ValueError("Jury test requires degree >= 1")
@@ -122,7 +130,7 @@ def jury_stable(p: Polynomial) -> bool:
             return spectral_radius(p) < 1.0
         if abs(nxt[0]) <= abs(nxt[-1]):
             return False
-        row = nxt
+        row = nxt / row_scale
     return True
 
 
@@ -359,3 +367,54 @@ def min_N_to_stabilize(
     """
     found = _min_N_and_radius(T, mu, scheme, N_max)
     return None if found is None else found[0]
+
+
+def pipeline_stabilize(
+    m: MapSpec, T: int, scheme: str, n_max: int, steps: int, tol: float, grid: int
+) -> list[dict]:
+    """End-to-end pipeline: find cycles, pick N, confirm by simulation.
+
+    For each period-T cycle: compute the multiplier product, search the
+    smallest stabilizing N for the scheme, then simulate from a slightly
+    perturbed on-orbit history and report predicted vs observed stability.
+    """
+    cycles = find_cycles(m, T, grid)
+    entries = []
+    for cyc in cycles:
+        mu = cyc.multiplier_product
+        entry: dict = {
+            "points": list(cyc.points),
+            "multipliers": list(cyc.multipliers),
+            "mu": mu,
+        }
+        if mu >= 1.0:
+            entry["stabilizable"] = False
+            entry["note"] = "not stabilizable by this control (mu >= 1)"
+            entries.append(entry)
+            continue
+        found = _min_N_and_radius(T, mu, scheme, n_max)
+        if found is None:
+            entry["stabilizable"] = False
+            entry["note"] = f"no N <= {n_max} stabilizes this cycle"
+            entries.append(entry)
+            continue
+        n_found, radius = found
+        gains = make_gains(scheme, n_found)
+        M = (n_found - 1) * T + 1
+        history = [cyc.points[i % T] + 1e-4 for i in range(M)]
+        traj = simulate(m, gains, T, history, steps, cyc, tol)
+        predicted = bool(radius < 1.0 - SCHUR_MARGIN)
+        entry.update(
+            {
+                "stabilizable": True,
+                "min_N": n_found,
+                "gains": list(gains.coeffs),
+                "spectral_radius": radius,
+                "predicted_stable": predicted,
+                "converged": traj.converged,
+                "settle_step": traj.settle_step,
+                "agreement": traj.converged == predicted,
+            }
+        )
+        entries.append(entry)
+    return entries

@@ -38,6 +38,8 @@ def report(name: str, ok: bool, detail: str):
 
 
 def rel_err(found: np.ndarray, expected: np.ndarray) -> float:
+    # Kept apart from verify._rel_err: a fault in a shared helper would pass
+    # both the verify suites and these acceptance checks.
     n = max(found.size, expected.size)
     f = np.zeros(n)
     e = np.zeros(n)

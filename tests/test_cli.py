@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 
 import pytest
 
 import dfclab.cli
 import dfclab.simulation
 import dfclab.stability
-from dfclab.cli import main
+from dfclab.cli import build_parser, main
+from dfclab.maps import parse_map
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +69,15 @@ class TestGains:
         doc = json.loads(out)
         assert doc["gains"] == [0.25] * 4
 
+    @pytest.mark.parametrize("n", ["0", "3"])
+    def test_custom_count_must_match_N(self, capsys, n):
+        code, out, err = run_cli(
+            capsys, "gains", "--scheme", "custom", "--N", n, "--gains", "0.5,0.5"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"expected {n} gains, got 2" in err
+
 
 class TestCharpoly:
     def test_coeffs_and_roots(self, capsys):
@@ -90,6 +101,18 @@ class TestCharpoly:
         )
         assert code == 2
         assert "--gains" in err
+
+    def test_csv_solves_no_roots(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dfclab.cli, "poly_roots", lambda p: calls.append(p))
+        code, out, _ = run_cli(
+            capsys,
+            "charpoly", "--N", "2", "--T", "1",
+            "--gains", "0.5,0.5", "--multipliers", "-2", "--format", "csv",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "degree,coefficient"
+        assert calls == []
 
 
 class TestCycles:
@@ -221,6 +244,15 @@ class TestSimulate:
         assert code == 0
         assert len(calls) == 400 * 2
 
+    def test_custom_gains_set_N_without_mutating_args(self, capsys):
+        args = build_parser().parse_args([
+            "simulate", "--map", "logistic:r=4", "--period", "1", "--scheme", "custom",
+            "--gains", "0.6,0.4", "--init", "0.3", "--steps", "100", "--format", "json",
+        ])
+        assert args.handler(args) == 0
+        assert json.loads(capsys.readouterr().out)["N"] == 2
+        assert args.N is None
+
     def test_history_length_validated(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -300,6 +332,17 @@ class TestStabilize:
         assert entry["spectral_radius"] < 1.0
         assert calls == [1, 2]
 
+    def test_library_pipeline_gives_the_cli_entries(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "stabilize", "--map", "logistic:r=4", "--period", "1", "--steps", "2000"
+        )
+        assert code == 0
+        entries = dfclab.stability.pipeline_stabilize(
+            parse_map("logistic:r=4"), 1, "uniform", 32, 2000, 1e-6, 1000
+        )
+        assert json.loads(json.dumps(entries)) == json.loads(out)["entries"]
+        assert any(e["stabilizable"] for e in entries)
+
     def test_empty_report_when_no_cycles(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -318,6 +361,27 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("argv", [
+        ["cycles", "--map", "logistic:r=4", "--period", "1"],
+        ["charpoly", "--N", "1", "--T", "1", "--gains", "1", "--multipliers", "0.5"],
+        ["stability", "--N", "2", "--T", "1", "--mu", "-1"],
+        ["gains", "--scheme", "uniform", "--N", "2"],
+        ["simulate", "--map", "logistic:r=4", "--period", "1", "--N", "2",
+         "--init", "0.3", "--steps", "20", "--format", "json"],
+        # CSV trajectory to --out, JSON summary to stdout
+        ["simulate", "--map", "logistic:r=4", "--period", "1", "--N", "2",
+         "--init", "0.3", "--steps", "20", "--out", os.devnull],
+        ["sweep", "--N", "2", "--T", "1", "--mu-range=-1,0", "--mu-step", "1",
+         "--format", "json"],
+        ["verify", "--suite", "chain", "--trials", "2"],
+        ["stabilize", "--map", "logistic:r=3.2", "--period", "1", "--steps", "100"],
+    ])
+    def test_json_header_comes_first(self, capsys, argv):
+        _, out, _ = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        assert list(doc)[:2] == ["schema_version", "subcommand"]
+        assert doc["subcommand"] == argv[0]
 
     def test_json_round_trips(self, capsys):
         for argv in (

@@ -5,7 +5,7 @@ import pytest
 
 from dfclab.cycles import find_cycles
 from dfclab.maps import parse_map
-from dfclab.simulation import basin_fraction, simulate
+from dfclab.simulation import basin_fraction, simulate, simulate_nearest
 from dfclab.spectrum import GainVector, char_poly_closed
 from dfclab.stability import gains_uniform, spectral_radius
 
@@ -164,3 +164,43 @@ class TestBasinFraction:
             logistic4, gains_uniform(2), 1, origin, samples=30, steps=500, seed=3
         )
         assert 0.0 <= frac <= 1.0
+
+
+class TestSimulateNearest:
+    @pytest.mark.parametrize("init, diverges", [(0.3, False), (2.0, True)])
+    def test_one_candidate_matches_simulate(self, fixed_point, init, diverges):
+        m = parse_map("logistic:r=4", domain=(-10.0, 10.0))
+        a = gains_uniform(3) if not diverges else GainVector([1.0])
+        history = [init] * len(a)
+        want = simulate(m, a, 1, history, 500, fixed_point)
+        got = simulate_nearest(m, a, 1, history, 500, [fixed_point])
+        assert want.diverged == diverges
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.controls.tobytes() == want.controls.tobytes()
+        assert (got.converged, got.settle_step, got.diverged) == (
+            want.converged, want.settle_step, want.diverged,
+        )
+        assert got.target is fixed_point
+
+    # Uncontrolled (N = 1), these three starts end nearest to each of the
+    # three period-4 cycles in turn.
+    @pytest.mark.parametrize("N, init", [(1, 0.1), (1, 0.2), (1, 0.6), (2, 0.3)])
+    def test_target_is_the_nearest_of_per_cycle_runs(self, logistic4, N, init):
+        # One simulate per candidate, ranked by (not converged, mean distance
+        # over the final 10*T states), first on ties.
+        cycles = find_cycles(logistic4, 4, 1000)
+        a = gains_uniform(N)
+        history = [init] * ((N - 1) * 4 + 1)
+        best = None
+        for cyc in cycles:
+            traj = simulate(logistic4, a, 4, history, 400, cyc)
+            dist = np.mean([cyc.distance_to(x) for x in traj.states[-40:]])
+            if best is None or (not traj.converged, dist) < best[0]:
+                best = ((not traj.converged, dist), cyc)
+        got = simulate_nearest(logistic4, a, 4, history, 400, cycles)
+        assert len(cycles) == 3
+        assert got.target is best[1]
+
+    def test_no_candidate_is_an_error(self, logistic4):
+        with pytest.raises(ValueError, match="candidate"):
+            simulate_nearest(logistic4, gains_uniform(1), 1, [0.3], 100, [])

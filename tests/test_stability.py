@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dfclab.polynomials import Polynomial, poly_roots
 from dfclab.spectrum import GainVector, char_poly_closed
+import dfclab.stability
 from dfclab.stability import (
     analyze,
     gains_dk2013,
@@ -54,6 +55,35 @@ class TestJury:
                 continue  # marginal band: boolean not meaningful
             assert jury_stable(p) == (radius < 1.0), f"coeffs={coeffs}"
             checked += 1
+
+    def test_stable_t2_table_needs_no_root_solve(self, monkeypatch):
+        # Radius 0.9516. Unscaled derived rows underflow into the degenerate
+        # branch, which then solves roots.
+        p = char_poly_closed(13, 2, gains_uniform(13), -1.0)
+
+        def no_roots(p):
+            raise AssertionError("Jury table fell back to a root solve")
+
+        monkeypatch.setattr(dfclab.stability, "spectral_radius", no_roots)
+        assert jury_stable(p)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        N=st.integers(1, 32),
+        T=st.integers(1, 4),
+        scheme=st.sampled_from(["uniform", "dk2013", "simplex"]),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_system_polynomials_agree_with_root_moduli(self, N, T, scheme, share, seed):
+        if scheme == "simplex":
+            a = random_simplex_gains(np.random.default_rng(seed), N)
+        else:
+            a = gains_uniform(N) if scheme == "uniform" else gains_dk2013(N)
+        mu = 0.99 - share * (0.99 + 1.5 * 2**T)
+        radius = _np_radius(N, T, a, mu)
+        assume(abs(radius - 1.0) >= 1e-6)
+        assert jury_stable(char_poly_closed(N, T, a, mu)) == (radius < 1.0)
 
 
 class TestSpectralRadius:
