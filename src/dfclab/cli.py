@@ -35,6 +35,7 @@ from .stability import (
 from .verify import run_suite
 
 SCHEMA_VERSION = 1
+GAINS_HELP = "comma-separated gains for --scheme custom (--gains=-0.5,1.5 if the first is < 0)"
 
 
 class UsageError(Exception):
@@ -146,7 +147,7 @@ def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
@@ -423,8 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("charpoly", help="closed-form characteristic polynomial and roots")
     sub.add_argument("--N", type=int, required=True)
     sub.add_argument("--T", type=int, required=True)
-    sub.add_argument("--gains", required=True, help="comma-separated a_1..a_N")
-    sub.add_argument("--multipliers", required=True, help="comma-separated mu_1..mu_T")
+    sub.add_argument("--gains", required=True,
+                     help="comma-separated a_1..a_N (--gains=-0.5,1.5 if the first is < 0)")
+    sub.add_argument("--multipliers", required=True,
+                     help="comma-separated mu_1..mu_T (--multipliers=-2,1.1 if the first is < 0)")
     _add_common(sub)
     sub.set_defaults(handler=_cmd_charpoly)
 
@@ -432,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--N", type=int, required=True)
     sub.add_argument("--T", type=int, required=True)
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
-    sub.add_argument("--gains", help="comma-separated gains (for --scheme custom)")
+    sub.add_argument("--gains", help=GAINS_HELP)
     sub.add_argument("--mu", type=float, required=True)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_stability)
@@ -440,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("gains", help="emit a gain scheme")
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], required=True)
     sub.add_argument("--N", type=int, required=True)
-    sub.add_argument("--gains", help="comma-separated gains (for --scheme custom)")
+    sub.add_argument("--gains", help=GAINS_HELP)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_gains)
 
@@ -449,9 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--period", type=int, required=True)
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
     sub.add_argument("--N", type=int)
-    sub.add_argument("--gains", help="comma-separated gains (for --scheme custom)")
+    sub.add_argument("--gains", help=GAINS_HELP)
     sub.add_argument("--init", type=float, help="constant initial history value")
-    sub.add_argument("--history", help="explicit initial history, (N-1)T+1 values")
+    sub.add_argument("--history", help="explicit initial history, (N-1)T+1 values"
+                     " (--history=-0.2,0.5 if the first is < 0)")
     sub.add_argument("--steps", type=int, required=True)
     sub.add_argument("--tol", type=float, default=1e-6)
     sub.add_argument("--grid", type=int, default=1000)
@@ -463,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--N", type=int, required=True)
     sub.add_argument("--T", type=int, required=True)
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
-    sub.add_argument("--gains", help="comma-separated gains (for --scheme custom)")
+    sub.add_argument("--gains", help=GAINS_HELP)
     sub.add_argument(
         "--mu-range", required=True,
         help="lo,hi (use --mu-range=-3,-1 when lo is negative)",

@@ -1,13 +1,14 @@
 """Schur stability tests, gain schemes, and stable-multiplier intervals.
 
 A controlled cycle is locally stable iff its characteristic polynomial is
-Schur stable (all roots strictly inside the unit disc). Root moduli are the
-ground truth here; the Jury table is the independent tabular cross-check.
-The module also generates the two gain schemes (uniform and the optimized
-``dk2013`` family) and finds the multipliers mu at which a root touches the
-unit circle (Neimark's D-decomposition). The verdict is constant between
-such contacts, so the stable interval around mu = 0 takes one root-modulus
-probe per gap, and gamma (T = 1) is the nearest negative contact.
+Schur stable (all roots strictly inside the unit disc). Every verdict comes
+from the Jury table, run on p(r lambda) for a radius below r = 1 - margin;
+roots are solved only where a radius is reported, and root moduli are the
+test oracle. The module also generates the two gain schemes (uniform and
+the optimized ``dk2013`` family) and finds the multipliers mu at which a
+root touches the unit circle (Neimark's D-decomposition). The verdict is
+constant between such contacts, so the stable interval around mu = 0 takes
+one table probe per gap, and gamma (T = 1) is the nearest negative contact.
 
 ``pipeline_stabilize`` runs the paper's chain on a map: each T-cycle's mu,
 the smallest N whose gains make p Schur stable, and a simulation to confirm.
@@ -51,7 +52,7 @@ MU_ENDPOINT_TOL = 1e-6
 class StabilityReport:
     """Verdict for one polynomial: root moduli plus the Jury cross-check.
 
-    ``schur_stable`` is spectral_radius < 1 - margin; ``marginal`` flags
+    ``schur_stable`` is spectral_radius < 1 - SCHUR_MARGIN; ``marginal`` flags
     spectral radii within 1e-6 of the unit circle, where a hard boolean is
     not meaningful.
     """
@@ -93,19 +94,20 @@ def spectral_radius(p: Polynomial) -> float:
     return float(np.max(np.abs(poly_roots(p))))
 
 
-def jury_stable(p: Polynomial) -> bool:
-    """Full Jury table test: True iff all roots lie strictly inside the unit disc.
+def jury_stable(p: Polynomial, margin: float = 0.0) -> bool:
+    """Jury table test: True iff every root has modulus below r = 1 - margin.
 
-    Conditions: p(1) > 0, (-1)^n p(-1) > 0, |a_0| < a_n, then the table
-    reduction with |first| > |last| at every row. The leading coefficient is
-    normalized positive first (sign flips preserve roots), and each derived
-    row is divided by its largest modulus. A near-zero table pivot makes the
-    reduction degenerate; such marginal cases are resolved by the root-modulus
-    path.
+    The table runs on p(r z): coefficient k times r^k (times 1.0 at margin 0).
+    Conditions: p(1) > 0, (-1)^n p(-1) > 0, |a_0| < a_n, then |first| >
+    |last| at every derived row. The leading coefficient is made positive
+    (sign flips preserve roots) and each derived row is divided by its
+    largest modulus. A near-zero pivot makes the table degenerate; that
+    marginal case falls back to spectral_radius(p) < r.
     """
     if p.degree < 1:
         raise ValueError("Jury test requires degree >= 1")
-    a = p.coeffs.copy()
+    r = 1.0 - margin
+    a = p.coeffs * r ** np.arange(p.degree + 1)
     if a[-1] < 0:
         a = -a
     n = p.degree
@@ -127,21 +129,21 @@ def jury_stable(p: Polynomial) -> bool:
         row_scale = np.max(np.abs(nxt))
         if row_scale == 0.0 or abs(nxt[0]) <= 1e-14 * row_scale:
             # Degenerate pivot: marginal table, resolved by root moduli.
-            return spectral_radius(p) < 1.0
+            return spectral_radius(p) < r
         if abs(nxt[0]) <= abs(nxt[-1]):
             return False
         row = nxt / row_scale
     return True
 
 
-def analyze(p: Polynomial, margin: float = SCHUR_MARGIN) -> StabilityReport:
-    """Build a StabilityReport from roots and the Jury table."""
+def analyze(p: Polynomial) -> StabilityReport:
+    """Build a StabilityReport from roots and the unmargined Jury table."""
     roots = poly_roots(p)
     radius = float(np.max(np.abs(roots)))
     return StabilityReport(
         polynomial=p,
         spectral_radius=radius,
-        schur_stable=radius < 1.0 - margin,
+        schur_stable=radius < 1.0 - SCHUR_MARGIN,
         jury_verdict=jury_stable(p),
         marginal=abs(radius - 1.0) <= MARGINAL_BAND,
         roots=tuple(complex(r) for r in roots),
@@ -182,7 +184,9 @@ def gains_dk2013(N: int) -> GainVector:
 
 
 def make_gains(scheme: str, N: int, custom: list[float] | None = None) -> GainVector:
-    """Gain vector for a named scheme: uniform, dk2013, or custom."""
+    """Gain vector for a named scheme: uniform, dk2013, or custom (explicit gains)."""
+    if custom is not None and scheme in ("uniform", "dk2013"):
+        raise ValueError(f"explicit gains need the custom scheme, not {scheme!r}")
     if scheme == "uniform":
         return gains_uniform(N)
     if scheme == "dk2013":
@@ -299,7 +303,7 @@ def stable_mu_interval(
     mu = 0 gives lambda^M, always stable, and the verdict changes only at a
     contact (``_contacts``); contacts within 1e-6 (1 + |mu|) are merged, as
     a tangency often shows as two sign changes a hair apart. Walking out
-    from 0, one root-modulus probe per gap (its midpoint, or 2c beyond the
+    from 0, one Jury-table probe per gap (its midpoint, or 2c beyond the
     last contact c) settles it; each endpoint is the nearest contact whose
     far side probes unstable, so tangencies inside are stepped over. ``lo``
     is -inf when no such contact lies above ``mu_floor``; ``hi`` is 1 when
@@ -309,7 +313,7 @@ def stable_mu_interval(
     _ = char_poly_closed(N, T, a, 0.0)  # validates dimensions
 
     def stable(mu: float) -> bool:
-        return spectral_radius(char_poly_closed(N, T, a, mu)) < 1.0 - SCHUR_MARGIN
+        return jury_stable(char_poly_closed(N, T, a, mu), SCHUR_MARGIN)
 
     merged: list[float] = []
     for c in _contacts(a, T).tolist():
@@ -342,31 +346,23 @@ def stable_mu_interval(
     return MuInterval(lo=lo, hi=hi, scheme=scheme, N=N, T=T, connected=connected)
 
 
-def _min_N_and_radius(
-    T: int, mu: float, scheme: str, N_max: int
-) -> tuple[int, float] | None:
-    """Smallest stabilizing N <= N_max with the spectral radius it reached."""
-    if T < 1 or N_max < 1:
-        raise ValueError("T and N_max must be positive integers")
-    if mu >= 1.0:
-        return None
-    for N in range(1, N_max + 1):
-        radius = spectral_radius(char_poly_closed(N, T, make_gains(scheme, N), mu))
-        if radius < 1.0 - SCHUR_MARGIN:
-            return N, radius
-    return None
-
-
 def min_N_to_stabilize(
     T: int, mu: float, scheme: str = "uniform", N_max: int = 32
 ) -> int | None:
     """Smallest N <= N_max whose scheme gains make the cycle stable, else None.
 
-    mu >= 1 is rejected immediately: p(1) = 1 - mu <= 0 for every valid gain
-    vector, so no N can work.
+    Each N is decided by the Jury table with ``SCHUR_MARGIN``, solving no
+    root. mu >= 1 is rejected at once: p(1) = 1 - mu <= 0 for every valid
+    gain vector, so no N can work.
     """
-    found = _min_N_and_radius(T, mu, scheme, N_max)
-    return None if found is None else found[0]
+    if T < 1 or N_max < 1:
+        raise ValueError("T and N_max must be positive integers")
+    if mu >= 1.0:
+        return None
+    for N in range(1, N_max + 1):
+        if jury_stable(char_poly_closed(N, T, make_gains(scheme, N), mu), SCHUR_MARGIN):
+            return N
+    return None
 
 
 def pipeline_stabilize(
@@ -375,8 +371,9 @@ def pipeline_stabilize(
     """End-to-end pipeline: find cycles, pick N, confirm by simulation.
 
     For each period-T cycle: compute the multiplier product, search the
-    smallest stabilizing N for the scheme, then simulate from a slightly
-    perturbed on-orbit history and report predicted vs observed stability.
+    smallest stabilizing N (``min_N_to_stabilize``), solve roots once at it,
+    then simulate from a slightly perturbed on-orbit history. The reported
+    ``predicted_stable`` is that spectral radius < 1 - ``SCHUR_MARGIN``.
     """
     cycles = find_cycles(m, T, grid)
     entries = []
@@ -387,19 +384,17 @@ def pipeline_stabilize(
             "multipliers": list(cyc.multipliers),
             "mu": mu,
         }
-        if mu >= 1.0:
+        n_found = min_N_to_stabilize(T, mu, scheme, n_max)
+        if n_found is None:
             entry["stabilizable"] = False
-            entry["note"] = "not stabilizable by this control (mu >= 1)"
+            entry["note"] = (
+                "not stabilizable by this control (mu >= 1)" if mu >= 1.0
+                else f"no N <= {n_max} stabilizes this cycle"
+            )
             entries.append(entry)
             continue
-        found = _min_N_and_radius(T, mu, scheme, n_max)
-        if found is None:
-            entry["stabilizable"] = False
-            entry["note"] = f"no N <= {n_max} stabilizes this cycle"
-            entries.append(entry)
-            continue
-        n_found, radius = found
         gains = make_gains(scheme, n_found)
+        radius = spectral_radius(char_poly_closed(n_found, T, gains, mu))
         M = (n_found - 1) * T + 1
         history = [cyc.points[i % T] + 1e-4 for i in range(M)]
         traj = simulate(m, gains, T, history, steps, cyc, tol)

@@ -78,6 +78,23 @@ class TestGains:
         assert out == ""
         assert f"expected {n} gains, got 2" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gains", "--N", "2"],
+            ["stability", "--N", "2", "--T", "1", "--mu", "-1"],
+            ["simulate", "--map", "logistic:r=4", "--period", "1", "--N", "2",
+             "--init", "0.3", "--steps", "100"],
+            ["sweep", "--N", "2", "--T", "1", "--mu-range=-1,0", "--mu-step", "0.5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_gains_with_a_named_scheme_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--scheme", "uniform", "--gains", "0.9,0.1")
+        assert code == 2
+        assert out == ""
+        assert "custom scheme" in err
+
 
 class TestCharpoly:
     def test_coeffs_and_roots(self, capsys):
@@ -113,6 +130,24 @@ class TestCharpoly:
         assert code == 0
         assert out.splitlines()[0] == "degree,coefficient"
         assert calls == []
+
+    def test_csv_cells_are_plain_floats(self, capsys):
+        argv = ["charpoly", "--N", "3", "--T", "2", "--gains", "0.5,0.3,0.2",
+                "--multipliers=-1.1,0.5"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        cells = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert cells == json.loads(out)["coeffs"]
+
+    def test_negative_list_joined_to_its_flag(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "charpoly", "--N", "2", "--T", "2", "--gains", "0.5,0.5", "--multipliers=-2,1.1",
+        )
+        assert code == 0
+        assert json.loads(out)["mu"] == pytest.approx(-2.2)
 
 
 class TestCycles:
@@ -312,8 +347,8 @@ class TestStabilize:
         assert entry["converged"] is True
 
     def test_search_radius_is_reused(self, capsys, monkeypatch):
-        # mu = -1.9: N=1 is unstable, N=2 stable; the reported radius is the
-        # one the search computed, so two root solves in all.
+        # mu = -1.9: N=1 is unstable, N=2 stable. The Jury table decides both
+        # N, so the only root solve is the one for the reported radius at N=2.
         calls = []
         real = dfclab.stability.poly_roots
 
@@ -330,7 +365,7 @@ class TestStabilize:
         entry = next(e for e in json.loads(out)["entries"] if e["stabilizable"])
         assert entry["min_N"] == 2
         assert entry["spectral_radius"] < 1.0
-        assert calls == [1, 2]
+        assert calls == [2]
 
     def test_library_pipeline_gives_the_cli_entries(self, capsys):
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from dfclab.polynomials import Polynomial, poly_roots
 from dfclab.spectrum import GainVector, char_poly_closed
 import dfclab.stability
 from dfclab.stability import (
+    SCHUR_MARGIN,
     analyze,
     gains_dk2013,
     gains_uniform,
@@ -67,6 +69,15 @@ class TestJury:
         monkeypatch.setattr(dfclab.stability, "spectral_radius", no_roots)
         assert jury_stable(p)
 
+    def test_margin_shrinks_the_disc(self):
+        # Radius 1 - 5e-10 lies inside the unit disc but not below 1 - SCHUR_MARGIN.
+        p = Polynomial([-(1 - 5e-10), 1.0])
+        assert jury_stable(p)
+        assert not jury_stable(p, SCHUR_MARGIN)
+        p = Polynomial([-(1 - 2e-9), 1.0])
+        assert jury_stable(p)
+        assert jury_stable(p, SCHUR_MARGIN)
+
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
         N=st.integers(1, 32),
@@ -83,7 +94,44 @@ class TestJury:
         mu = 0.99 - share * (0.99 + 1.5 * 2**T)
         radius = _np_radius(N, T, a, mu)
         assume(abs(radius - 1.0) >= 1e-6)
-        assert jury_stable(char_poly_closed(N, T, a, mu)) == (radius < 1.0)
+        assume(abs(radius - (1.0 - SCHUR_MARGIN)) >= 1e-6)
+        p = char_poly_closed(N, T, a, mu)
+        assert jury_stable(p) == (radius < 1.0)
+        assert jury_stable(p, SCHUR_MARGIN) == (radius < 1.0 - SCHUR_MARGIN)
+
+    # (N, T, gains, endpoint, radius minus (1 - SCHUR_MARGIN)): every case
+    # lies within 1e-8 of the margined threshold, on both sides of it.
+    NEAR_MARGIN = [
+        (1, 1, "uniform", "lo", 1e-9),
+        (2, 1, "uniform", "lo", -2e-9),
+        (5, 1, "dk2013", "lo", 3e-9),
+        (3, 2, "uniform", "lo", -4e-9),
+        (4, 3, "dk2013", "lo", 5e-9),
+        (6, 2, "simplex", "lo", -6e-9),
+        (8, 1, "uniform", "hi", -7e-9),
+        (3, 4, "uniform", "lo", -8e-9),
+        (10, 2, "dk2013", "lo", 9e-9),
+        (12, 1, "dk2013", "lo", -1e-9),
+        (4, 2, "simplex", "hi", 2e-9),
+        (7, 3, "uniform", "lo", 3e-9),
+    ]
+
+    @pytest.mark.parametrize("N, T, scheme, end, offset", NEAR_MARGIN)
+    def test_margined_verdict_near_the_threshold_matches_mpmath(self, N, T, scheme, end, offset):
+        if scheme == "simplex":
+            a = random_simplex_gains(np.random.default_rng(N), N)
+        else:
+            a = gains_uniform(N) if scheme == "uniform" else gains_dk2013(N)
+        iv = stable_mu_interval(N, T, a)
+        threshold = 1.0 - SCHUR_MARGIN
+        p = char_poly_closed(N, T, a, _mu_at_radius(N, T, a, getattr(iv, end), threshold + offset))
+        with mpmath.workdps(40):
+            roots = mpmath.polyroots(
+                [mpmath.mpf(c) for c in p.coeffs[::-1]], maxsteps=200, extraprec=200
+            )
+            gap = float(max(abs(r) for r in roots) - mpmath.mpf(threshold))
+        assert abs(gap - offset) < 1e-11
+        assert jury_stable(p, SCHUR_MARGIN) == (gap < 0.0)
 
 
 class TestSpectralRadius:
@@ -206,6 +254,18 @@ def _np_radius(N, T, a, mu):
     return float(np.max(np.abs(np.roots(p.coeffs[::-1]))))
 
 
+def _mu_at_radius(N, T, a, mu, target):
+    """Secant search, from an interval endpoint mu, for the mu where _np_radius is target."""
+    x0, x1 = mu, mu - 1e-7 * max(1.0, abs(mu))
+    f0, f1 = (_np_radius(N, T, a, x) - target for x in (x0, x1))
+    for _ in range(30):
+        if f1 == f0 or abs(f1) < 1e-14:
+            break
+        x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+        f1 = _np_radius(N, T, a, x1) - target
+    return x1
+
+
 class TestBoundaryEngine:
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(N=st.integers(1, 12), T=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -291,6 +351,17 @@ class TestMinN:
 
     def test_exhausted_search_returns_none(self):
         assert min_N_to_stabilize(1, -50.0, "uniform", 5) is None
+
+
+class TestOneVerdict:
+    def test_verdicts_solve_no_roots(self, monkeypatch):
+        def no_roots(p):
+            raise AssertionError("a stability verdict solved roots")
+
+        monkeypatch.setattr(dfclab.stability, "poly_roots", no_roots)
+        assert min_N_to_stabilize(4, -18.4, "uniform", 32) is None
+        iv = stable_mu_interval(8, 2, gains_dk2013(8))
+        assert iv.lo < 0.0 < iv.hi
 
 
 class TestAnalyze:
