@@ -36,6 +36,15 @@ from .verify import run_suite
 
 SCHEMA_VERSION = 1
 GAINS_HELP = "comma-separated gains for --scheme custom (--gains=-0.5,1.5 if the first is < 0)"
+# The least value of each integer flag, by argparse dest.
+INT_FLOORS = {
+    "period": ("--period", 1),
+    "grid": ("--grid", 100),
+    "N": ("--N", 1),
+    "T": ("--T", 1),
+    "n_max": ("--N-max", 1),
+    "trials": ("--trials", 1),
+}
 
 
 class UsageError(Exception):
@@ -97,16 +106,34 @@ def _load_map(args) -> MapSpec:
     return parse_map(args.map, params=params, domain=domain)
 
 
+def _check_int_floors(args) -> None:
+    """Every integer flag below its floor is a usage error, checked before the handler.
+
+    ``gains --N`` is left to make_gains, whose message names N against the
+    count of --gains.
+    """
+    if args.subcommand == "gains":
+        return
+    for dest, (flag, least) in INT_FLOORS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be >= {least}")
+
+
+def _make_gains(scheme: str, N: int, custom: list[float] | None) -> GainVector:
+    try:
+        return make_gains(scheme, N, custom)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _gains_for(args) -> GainVector:
     """Gains of --scheme; without --N, custom gains set N by their count."""
     custom = _parse_float_list(args.gains, "--gains") if args.gains else None
     if args.scheme == "custom" and custom is None:
         raise UsageError("--scheme custom requires --gains")
     N = len(custom) if args.N is None else args.N
-    try:
-        return make_gains(args.scheme, N, custom)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _make_gains(args.scheme, N, custom)
 
 
 def _roots_doc(roots) -> list[dict]:
@@ -157,10 +184,6 @@ def _csv_cell(v) -> str:
 
 
 def _cmd_cycles(args) -> int:
-    if args.period < 1:
-        raise UsageError("--period must be >= 1")
-    if args.grid < 100:
-        raise UsageError("--grid must be >= 100")
     m = _load_map(args)
     cycles = find_cycles(m, args.period, args.grid, orbit_tol=args.tol)
     items = [
@@ -185,14 +208,9 @@ def _cmd_cycles(args) -> int:
 def _cmd_charpoly(args) -> int:
     gains_list = _parse_float_list(args.gains, "--gains")
     mults = _parse_float_list(args.multipliers, "--multipliers")
-    if len(gains_list) != args.N:
-        raise UsageError(f"--gains expects {args.N} values, got {len(gains_list)}")
+    gains = _make_gains("custom", args.N, gains_list)
     if len(mults) != args.T:
         raise UsageError(f"--multipliers expects {args.T} values, got {len(mults)}")
-    try:
-        gains = GainVector(gains_list)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     mu = float(np.prod(mults))
     p = char_poly_closed(args.N, args.T, gains, mu)
     if args.format == "csv":
@@ -256,8 +274,6 @@ def _cmd_gains(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.period < 1:
-        raise UsageError("--period must be >= 1")
     m = _load_map(args)
     if args.N is None and not (args.scheme == "custom" and args.gains):
         raise UsageError("--N is required")
@@ -339,8 +355,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     try:
         results = run_suite(args.suite, trials=args.trials, seed=args.seed)
     except ValueError as exc:
@@ -366,10 +380,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stabilize(args) -> int:
-    if args.period < 1:
-        raise UsageError("--period must be >= 1")
-    if args.n_max < 1:
-        raise UsageError("--N-max must be >= 1")
     m = _load_map(args)
     steps = max(args.steps, 10 * args.period)
     entries = pipeline_stabilize(
@@ -504,6 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_int_floors(args)
         return args.handler(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

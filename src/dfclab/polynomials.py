@@ -1,8 +1,8 @@
 """Real-coefficient polynomials: arithmetic, root finding, resultants.
 
 Coefficients are stored in ascending degree order (``coeffs[k]`` multiplies
-``lambda**k``). Roots are computed by Aberth-Ehrlich simultaneous iteration
-with a companion-matrix fallback; repeated roots are detected through the
+``lambda**k``). Roots are the eigenvalues of the companion matrix, by
+``np.roots``, with a residual check; repeated roots are detected through the
 resultant of p and p'.
 """
 
@@ -148,87 +148,24 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _aberth(coeffs: np.ndarray, tol: float, max_sweeps: int):
-    """Aberth-Ehrlich simultaneous iteration on a monic ascending polynomial.
+def poly_roots(p: Polynomial) -> np.ndarray:
+    """All complex roots of p with multiplicity, as companion-matrix eigenvalues.
 
-    Returns (roots, converged). Initial guesses sit on a slightly perturbed
-    circle whose radius comes from the Cauchy bound.
-    """
-    n = coeffs.size - 1
-    deriv = coeffs[1:] * np.arange(1, coeffs.size)
-
-    radius = 1.0 + np.max(np.abs(coeffs[:-1]))  # Cauchy bound, coeffs monic
-    k = np.arange(n)
-    # Deterministic perturbation breaks symmetry traps (e.g. real-only polys).
-    angles = 2.0 * np.pi * k / n + 0.7 + 0.12 * np.sin(3.0 * k + 1.0)
-    z = radius * 0.5 * np.exp(1j * angles) * (1.0 + 0.05 * np.cos(5.0 * k))
-
-    scale = np.sum(np.abs(coeffs))
-    p = horner(coeffs, z)
-    for _ in range(max_sweeps):
-        dp = horner(deriv, z)
-        w = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.1 + 0.1j)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        s = np.sum(1.0 / diff, axis=1) - 1.0  # remove diagonal contribution
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0, 1e-30, denom)
-        step = w / denom
-        z = z - step
-        # A root counts as converged when its update is tiny or its residual
-        # reaches the noise floor; the latter matters for multiple roots,
-        # where Aberth steps stall at the cluster radius.
-        small_step = np.abs(step) <= tol * (1.0 + np.abs(z))
-        floor = 1e-13 * scale * np.maximum(1.0, np.abs(z)) ** n
-        p = horner(coeffs, z)  # also the next sweep's residual
-        at_floor = np.abs(p) <= floor
-        if np.all(small_step | at_floor):
-            return z, True
-    return z, False
-
-
-def poly_roots(
-    p: Polynomial, tol: float = 1e-12, max_sweeps: int = 500
-) -> np.ndarray:
-    """All complex roots of p with multiplicity.
-
-    Primary path: Aberth-Ehrlich iteration. If the iteration fails to
-    converge or the residual check fails, falls back to companion-matrix
-    eigenvalues and warns about reduced precision.
+    ``np.roots`` is backward stable (Edelman & Murakami, Math. Comp. 64,
+    1995); roots at the origin come out exactly zero. A root whose residual
+    exceeds 1e-10 * sum|c_k| * max(1, |z|)^deg raises a RuntimeWarning.
     """
     if p.degree < 1:
         raise ValueError("root finding requires degree >= 1")
-    coeffs = p.coeffs.astype(complex)
-
-    # Deflate exact roots at the origin.
-    n_zero = 0
-    while coeffs[n_zero] == 0.0 and n_zero < coeffs.size - 1:
-        n_zero += 1
-    coeffs = coeffs[n_zero:]
-    zero_roots = np.zeros(n_zero, dtype=complex)
-    if coeffs.size == 1:
-        return zero_roots
-
-    coeffs = coeffs / coeffs[-1]
-    if coeffs.size == 2:  # linear
-        return np.concatenate([zero_roots, [-coeffs[0]]])
-
-    roots, converged = _aberth(coeffs, tol, max_sweeps)
-
-    scale = np.sum(np.abs(coeffs))
-    deg = coeffs.size - 1
-    resid = np.abs(horner(coeffs, roots))
-    bound = 1e-10 * scale * np.maximum(1.0, np.abs(roots)) ** deg
-    if not converged or np.any(resid > bound):
+    roots = np.roots(p.coeffs[::-1]).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is no verdict
+        resid = np.abs(horner(p.coeffs, roots))
+        bound = 1e-10 * np.sum(np.abs(p.coeffs)) * np.maximum(1.0, np.abs(roots)) ** p.degree
+    if np.any(resid > bound):
         warnings.warn(
-            "Aberth iteration did not meet the residual target; "
-            "falling back to companion-matrix eigenvalues (reduced precision)",
-            RuntimeWarning,
-            stacklevel=2,
+            "polynomial roots miss the residual bound", RuntimeWarning, stacklevel=2
         )
-        roots = np.roots(coeffs[::-1])
-
-    return np.concatenate([zero_roots, roots])
+    return roots
 
 
 # ---------------------------------------------------------------------------

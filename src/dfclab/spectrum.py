@@ -22,6 +22,7 @@ Matrices are plain float64 numpy arrays. All functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,8 @@ class GainVector:
         vals = tuple(float(c) for c in coeffs)
         if len(vals) < 1:
             raise ValueError("gain vector needs N >= 1 entries")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"gains must be finite (got {vals!r})")
         total = sum(vals)
         if abs(total - 1.0) > GAIN_SUM_TOL:
             raise ValueError(f"gains must sum to 1 (got {total!r})")

@@ -78,22 +78,34 @@ class TestGains:
         assert out == ""
         assert f"expected {n} gains, got 2" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["gains", "--N", "2"],
-            ["stability", "--N", "2", "--T", "1", "--mu", "-1"],
-            ["simulate", "--map", "logistic:r=4", "--period", "1", "--N", "2",
-             "--init", "0.3", "--steps", "100"],
-            ["sweep", "--N", "2", "--T", "1", "--mu-range=-1,0", "--mu-step", "0.5"],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    # Subcommands that take --scheme and --gains, without either flag.
+    SCHEME_ARGVS = [
+        ["gains", "--N", "2"],
+        ["stability", "--N", "2", "--T", "1", "--mu", "-1"],
+        ["simulate", "--map", "logistic:r=4", "--period", "1", "--N", "2",
+         "--init", "0.3", "--steps", "100"],
+        ["sweep", "--N", "2", "--T", "1", "--mu-range=-1,0", "--mu-step", "0.5"],
+    ]
+
+    @pytest.mark.parametrize("argv", SCHEME_ARGVS, ids=lambda argv: argv[0])
     def test_gains_with_a_named_scheme_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--scheme", "uniform", "--gains", "0.9,0.1")
         assert code == 2
         assert out == ""
         assert "custom scheme" in err
+
+    @pytest.mark.parametrize("values", ["nan,nan", "inf,-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [*(argv + ["--scheme", "custom"] for argv in SCHEME_ARGVS),
+         ["charpoly", "--N", "2", "--T", "1", "--multipliers", "-2"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_finite_gains_are_usage_errors(self, capsys, argv, values):
+        code, out, err = run_cli(capsys, *argv, "--gains", values)
+        assert code == 2
+        assert out == ""
+        assert "gains must be finite" in err
 
 
 class TestCharpoly:
@@ -117,7 +129,7 @@ class TestCharpoly:
             "--gains", "0.5,0.5", "--multipliers", "-2",
         )
         assert code == 2
-        assert "--gains" in err
+        assert "expected 3 gains, got 2" in err
 
     def test_csv_solves_no_roots(self, capsys, monkeypatch):
         calls = []
@@ -430,6 +442,38 @@ class TestDeterminism:
 
 
 class TestUsageErrors:
+    MAP = ["--map", "logistic:r=4"]
+
+    @pytest.mark.parametrize(
+        "argv, flag, least",
+        [
+            (["cycles", *MAP, "--period", "0"], "--period", 1),
+            (["cycles", *MAP, "--period", "1", "--grid", "99"], "--grid", 100),
+            (["charpoly", "--N", "0", "--T", "1", "--gains", "1", "--multipliers", "2"], "--N", 1),
+            (["charpoly", "--N", "1", "--T", "0", "--gains", "1", "--multipliers", "2"], "--T", 1),
+            (["stability", "--N", "0", "--T", "1", "--mu", "-1"], "--N", 1),
+            (["stability", "--N", "2", "--T", "0", "--mu", "-1"], "--T", 1),
+            (["simulate", *MAP, "--period", "0", "--N", "2", "--init", "0.3",
+              "--steps", "100"], "--period", 1),
+            (["simulate", *MAP, "--period", "1", "--N", "0", "--init", "0.3",
+              "--steps", "100"], "--N", 1),
+            (["simulate", *MAP, "--period", "1", "--N", "2", "--init", "0.3",
+              "--steps", "100", "--grid", "50"], "--grid", 100),
+            (["sweep", "--N", "0", "--T", "1", "--mu-range=-1,0", "--mu-step", "0.5"], "--N", 1),
+            (["sweep", "--N", "2", "--T", "0", "--mu-range=-1,0", "--mu-step", "0.5"], "--T", 1),
+            (["verify", "--suite", "chain", "--trials", "0"], "--trials", 1),
+            (["stabilize", *MAP, "--period", "0"], "--period", 1),
+            (["stabilize", *MAP, "--period", "1", "--N-max", "0"], "--N-max", 1),
+            (["stabilize", *MAP, "--period", "1", "--grid", "50"], "--grid", 100),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else str(v).lstrip("-"),
+    )
+    def test_integer_flag_below_its_floor_exits_two(self, capsys, argv, flag, least):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: {flag} must be >= {least}\n"
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gains", "--scheme", "uniform", "--N", "2", "--frobnicate"])

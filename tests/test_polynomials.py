@@ -102,6 +102,19 @@ class TestRoots:
         with pytest.raises(ValueError):
             poly_roots(Polynomial([3.0]))
 
+    def test_real_roots_come_back_complex(self):
+        roots = poly_roots(Polynomial([0.0, -1.0, 0.0, 1.0]))  # x (x - 1) (x + 1)
+        assert roots.dtype == complex
+        assert sorted(roots.real) == pytest.approx([-1.0, 0.0, 1.0])
+        assert 0.0 in roots  # the origin root is exact
+
+    def test_residual_bound_warns(self, monkeypatch):
+        real = np.roots
+        monkeypatch.setattr(np, "roots", lambda c: real(c) + 1e-6)
+        with pytest.warns(RuntimeWarning, match="residual bound"):
+            roots = poly_roots(Polynomial.from_roots([0.5, -0.25, 2.0]))
+        assert len(roots) == 3
+
 
 class TestSylvester:
     def test_layout_quadratic_linear(self):

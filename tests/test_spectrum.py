@@ -1,5 +1,7 @@
 """Tests for Jacobian constructions and characteristic polynomials."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,13 @@ class TestGainVector:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             GainVector([])
+
+    @pytest.mark.parametrize(
+        "coeffs", [[math.nan, math.nan], [math.inf, -math.inf], [1.0, math.nan]]
+    )
+    def test_non_finite_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            GainVector(coeffs)
 
     def test_q_polynomial_order(self):
         a = GainVector([0.5, 0.3, 0.2])

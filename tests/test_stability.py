@@ -141,6 +141,37 @@ class TestSpectralRadius:
         for mu in (-3.0, 0.4, 2.0):
             assert spectral_radius(Polynomial([-mu, 1.0])) == pytest.approx(abs(mu))
 
+    # (N, T, gains, mu): system polynomials of degree <= 25. At N = 8, T = 2
+    # and tiny |mu| the 15 roots crowd near the origin.
+    MPMATH_CASES = [
+        (8, 2, "uniform", 1e-12),
+        (8, 2, "uniform", -1e-16),
+        (2, 1, "uniform", -1.5),
+        (3, 1, "dk2013", -5.0),
+        (5, 2, "uniform", -3.0),
+        (4, 3, "dk2013", -6.0),
+        (6, 4, "simplex", -10.0),
+        (13, 2, "dk2013", -2.5),
+        (9, 3, "simplex", 0.5),
+        (3, 4, "uniform", -20.0),
+        (20, 1, "uniform", -19.0),
+        (7, 4, "dk2013", -1e-6),
+    ]
+
+    @pytest.mark.parametrize("N, T, scheme, mu", MPMATH_CASES)
+    def test_system_polynomials_match_mpmath(self, N, T, scheme, mu):
+        if scheme == "simplex":
+            a = random_simplex_gains(np.random.default_rng(N), N)
+        else:
+            a = gains_uniform(N) if scheme == "uniform" else gains_dk2013(N)
+        p = char_poly_closed(N, T, a, mu)
+        with mpmath.workdps(50):
+            roots = mpmath.polyroots(
+                [mpmath.mpf(c) for c in p.coeffs[::-1]], maxsteps=200, extraprec=200
+            )
+            want = float(max(abs(r) for r in roots))
+        assert abs(spectral_radius(p) - want) <= 1e-12 * want
+
 
 class TestGainSchemes:
     def test_uniform(self):
@@ -249,7 +280,7 @@ class TestStableMuInterval:
 
 
 def _np_radius(N, T, a, mu):
-    """Spectral radius by companion-matrix eigenvalues, independent of poly_roots."""
+    """Spectral radius by ``np.roots``: independent of the Jury table, not of poly_roots."""
     p = char_poly_closed(N, T, a, mu)
     return float(np.max(np.abs(np.roots(p.coeffs[::-1]))))
 
