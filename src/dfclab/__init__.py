@@ -19,6 +19,7 @@ from .maps import (
     MapSpec,
     MapSyntaxError,
     eval_map,
+    eval_map_array,
     eval_map_deriv,
     parse_map,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "char_poly_closed",
     "char_poly_faddeev",
     "eval_map",
+    "eval_map_array",
     "eval_map_deriv",
     "find_cycles",
     "gains_dk2013",

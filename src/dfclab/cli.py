@@ -7,7 +7,8 @@ and ``subcommand`` so downstream scripts can pin schemas; CSV output has a
 fixed header row per subcommand. Every subcommand accepts ``--seed``
 (default 0), but only ``verify`` draws random numbers; identical
 configuration + seed yields byte-identical output. Exit codes: 0 success,
-1 domain error, 2 usage error.
+1 domain error, 2 usage error; a float flag that is not a finite number is
+a usage error.
 """
 
 from __future__ import annotations
@@ -66,28 +67,41 @@ def _parse_kv_pairs(pairs: list[str] | None) -> dict[str, float]:
         if "=" not in item:
             raise UsageError(f"--param expects key=val, got {item!r}")
         key, val = item.split("=", 1)
-        try:
-            out[key.strip()] = float(val)
-        except ValueError:
-            raise UsageError(f"--param {key}: bad numeric value {val!r}") from None
+        out[key.strip()] = _parse_float(val, f"--param {key.strip()}")
     return out
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated list of numbers") from None
-
-
-def _parse_exact(text: str, flag: str) -> Fraction:
-    """The exact rational value of a finite number written in a flag."""
+def _parse_float(text: str, flag: str) -> float:
+    """The value of a finite number written in a flag."""
     try:
         value = float(text)
     except ValueError:
         raise UsageError(f"{flag} expects a number, got {text!r}") from None
     if not math.isfinite(value):
         raise UsageError(f"{flag} expects a finite number, got {text!r}")
+    return value
+
+
+def _finite(flag: str):
+    """argparse type of a float flag: a UsageError for text that is not a finite number."""
+    return lambda text: _parse_float(text, flag)
+
+
+def _parse_float_list(text: str, flag: str) -> list[float]:
+    return [_parse_float(v, flag) for v in text.split(",") if v.strip() != ""]
+
+
+def _parse_gains(text: str) -> list[float]:
+    """--gains as numbers; GainVector rejects the non-finite ones by name."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise UsageError("--gains expects a comma-separated list of numbers") from None
+
+
+def _parse_exact(text: str, flag: str) -> Fraction:
+    """The exact rational value of a finite number written in a flag."""
+    _parse_float(text, flag)
     return Fraction(text.strip())
 
 
@@ -129,7 +143,7 @@ def _make_gains(scheme: str, N: int, custom: list[float] | None) -> GainVector:
 
 def _gains_for(args) -> GainVector:
     """Gains of --scheme; without --N, custom gains set N by their count."""
-    custom = _parse_float_list(args.gains, "--gains") if args.gains else None
+    custom = _parse_gains(args.gains) if args.gains else None
     if args.scheme == "custom" and custom is None:
         raise UsageError("--scheme custom requires --gains")
     N = len(custom) if args.N is None else args.N
@@ -206,7 +220,7 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    gains_list = _parse_float_list(args.gains, "--gains")
+    gains_list = _parse_gains(args.gains)
     mults = _parse_float_list(args.multipliers, "--multipliers")
     gains = _make_gains("custom", args.N, gains_list)
     if len(mults) != args.T:
@@ -427,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_flags(sub)
     sub.add_argument("--period", type=int, required=True)
     sub.add_argument("--grid", type=int, default=1000)
-    sub.add_argument("--tol", type=float, default=1e-8)
+    sub.add_argument("--tol", type=_finite("--tol"), default=1e-8)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_cycles)
 
@@ -446,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--T", type=int, required=True)
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
     sub.add_argument("--gains", help=GAINS_HELP)
-    sub.add_argument("--mu", type=float, required=True)
+    sub.add_argument("--mu", type=_finite("--mu"), required=True)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_stability)
 
@@ -463,11 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
     sub.add_argument("--N", type=int)
     sub.add_argument("--gains", help=GAINS_HELP)
-    sub.add_argument("--init", type=float, help="constant initial history value")
+    sub.add_argument("--init", type=_finite("--init"), help="constant initial history value")
     sub.add_argument("--history", help="explicit initial history, (N-1)T+1 values"
                      " (--history=-0.2,0.5 if the first is < 0)")
     sub.add_argument("--steps", type=int, required=True)
-    sub.add_argument("--tol", type=float, default=1e-6)
+    sub.add_argument("--tol", type=_finite("--tol"), default=1e-6)
     sub.add_argument("--grid", type=int, default=1000)
     sub.add_argument("--cycle-index", type=int, help="target cycle index (anchor order)")
     _add_common(sub, fmt_default="csv")
@@ -502,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--scheme", choices=["uniform", "dk2013"], default="uniform")
     sub.add_argument("--N-max", dest="n_max", type=int, default=32)
     sub.add_argument("--steps", type=int, default=5000)
-    sub.add_argument("--tol", type=float, default=1e-6)
+    sub.add_argument("--tol", type=_finite("--tol"), default=1e-6)
     sub.add_argument("--grid", type=int, default=1000)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_stabilize)
@@ -512,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # a float flag's type raises UsageError
         _check_int_floors(args)
         return args.handler(args)
     except UsageError as exc:

@@ -6,6 +6,16 @@ short Newton polish. Roots are then filtered to minimal period T, grouped
 into orbits, and deduplicated with each orbit anchored at its smallest
 point. Near-tangent cycles (multiplier close to +1) can slip through a
 sign-change scan; a denser grid is the mitigation.
+
+The scan and the bisection run on arrays: the grid is one T-fold iteration
+of ``eval_map_array``, and every sign-change bracket is bisected in
+lockstep, one array evaluation of g per halving for all brackets still
+open. Each bracket sees the midpoints, the exit on ``g(mid) == 0.0`` and the
+sign test that a bracket-by-bracket bisection would, and the array form of
+f is bit-identical to ``eval_map``, so the roots are too. A grid node whose
+f^T raises is skipped; a midpoint whose f^T raises makes find_cycles raise
+that error, as the scalar g would. The Newton polish, the minimal-period
+filter and the grouping evaluate f point by point.
 """
 
 from __future__ import annotations
@@ -13,7 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .maps import MapEvalError, MapSpec, eval_map, eval_map_deriv
+import numpy as np
+
+from .maps import MapEvalError, MapSpec, eval_map, eval_map_array, eval_map_deriv
 
 __all__ = [
     "Cycle",
@@ -61,6 +73,14 @@ class Cycle:
 def _iterate(m: MapSpec, x: float, n: int) -> float:
     for _ in range(n):
         x = eval_map(m, x)
+    return x
+
+
+def _iterate_array(m: MapSpec, x: np.ndarray, n: int) -> np.ndarray:
+    """f^n over an array, NaN where an evaluation raises."""
+    for _ in range(n):
+        x, bad = eval_map_array(m, x)
+        x[bad] = np.nan
     return x
 
 
@@ -119,26 +139,16 @@ def find_cycles(
     def g(x: float) -> float:
         return _iterate(m, x, T) - x
 
-    # Grid scan for sign changes / exact nodes.
+    # Grid scan for sign changes / exact nodes; NaN marks a node whose map errors.
     n = grid_points
-    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    gs = []
-    for x in xs:
-        try:
-            gs.append(g(x))
-        except MapEvalError:
-            gs.append(float("nan"))
-
-    roots: list[float] = []
-    for x, v in zip(xs, gs):
-        if math.isfinite(v) and abs(v) <= 1e-13 * (1.0 + abs(x)):
-            roots.append(x)
-    for i in range(n - 1):
-        va, vb = gs[i], gs[i + 1]
-        if not (math.isfinite(va) and math.isfinite(vb)):
-            continue
-        if va * vb < 0.0:
-            roots.append(_refine_root(m, g, xs[i], xs[i + 1], va, T, lo, hi))
+    xs = lo + (hi - lo) * np.arange(n) / (n - 1)
+    with np.errstate(over="ignore"):
+        gs = _iterate_array(m, xs, T) - xs
+        exact = np.abs(gs) <= 1e-13 * (1.0 + np.abs(xs))
+        ga, gb = gs[:-1], gs[1:]
+        change = np.isfinite(ga) & np.isfinite(gb) & (ga * gb < 0.0)
+    roots = xs[exact].tolist()
+    roots += _refine_roots(m, g, xs[:-1][change], xs[1:][change], ga[change], T, lo, hi)
 
     # Minimal-period filter: reject roots fixed by a proper divisor of T.
     minimal: list[float] = []
@@ -183,27 +193,47 @@ def find_cycles(
     return cycles
 
 
-def _refine_root(m, g, xa, xb, ga, T, lo, hi) -> float:
-    """Bisection to a 1e-12 bracket, then Newton polish (bisection fallback)."""
-    a, b, fa = xa, xb, ga
-    while b - a > BRACKET_WIDTH:
-        mid = 0.5 * (a + b)
-        fm = g(mid)
-        if fm == 0.0:
-            return _newton_polish(m, mid, T, lo, hi)
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    bisect_root = 0.5 * (a + b)
-    polished = _newton_polish(m, bisect_root, T, lo, hi)
-    # Keep whichever residual is smaller; Newton can stall on flat spots.
-    try:
-        if abs(g(polished)) <= abs(g(bisect_root)):
-            return polished
-    except MapEvalError:
-        pass
-    return bisect_root
+def _refine_roots(m, g, xa, xb, ga, T, lo, hi) -> list[float]:
+    """Bisect every bracket to a 1e-12 width in lockstep, then Newton polish.
+
+    Bracket i starts as [xa[i], xb[i]] with g(xa[i]) = ga[i]. A bracket whose
+    midpoint g is exactly 0.0 stops there and is polished directly. Of a
+    bracket bisected to width, the polished point is kept unless its |g|
+    exceeds that of the bracket midpoint (Newton can stall on flat spots).
+    """
+    ends = np.empty(len(xa))  # per bracket: its midpoint when it stopped
+    fm_end = np.ones(len(xa))  # g there if the bracket stopped on 0.0 or NaN
+    rows, a, b, fa = np.arange(len(xa)), xa, xb, ga
+    with np.errstate(over="ignore"):
+        while True:
+            wide = b - a > BRACKET_WIDTH
+            if not wide.all():
+                ends[rows[~wide]] = 0.5 * (a[~wide] + b[~wide])
+                rows, a, b, fa = rows[wide], a[wide], b[wide], fa[wide]
+            if not rows.size:
+                break
+            mid = 0.5 * (a + b)
+            fm = _iterate_array(m, mid, T) - mid
+            live = np.abs(fm) > 0.0  # False on g(mid) == 0.0 and on a map error
+            if not live.all():
+                ends[rows[~live]], fm_end[rows[~live]] = mid[~live], fm[~live]
+                rows, a, b, fa, mid, fm = (v[live] for v in (rows, a, b, fa, mid, fm))
+            left = fa * fm < 0.0
+            a, b, fa = np.where(left, a, mid), np.where(left, mid, b), np.where(left, fa, fm)
+    zero, failed = fm_end == 0.0, np.isnan(fm_end)
+    if failed.any():
+        x = float(ends[failed][0])
+        g(x)  # raises the map error that stopped the first such bracket
+        raise MapEvalError(f"g({x!r}) failed in the array scan only")
+
+    mids = ends.tolist()
+    polished = [_newton_polish(m, x, T, lo, hi) for x in mids]
+    with np.errstate(over="ignore"):
+        keep = zero | (
+            np.abs(_iterate_array(m, np.array(polished), T) - polished)
+            <= np.abs(_iterate_array(m, ends, T) - ends)
+        )
+    return [p if k else x for p, x, k in zip(polished, mids, keep.tolist())]
 
 
 def _newton_polish(m, x0, T, lo, hi) -> float:

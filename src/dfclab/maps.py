@@ -3,9 +3,22 @@
 Every map is an expression over the variable ``x`` with named parameters.
 The builtins (``logistic``, ``quadratic``, ``cubic``) are stored expression
 sources addressed by a designator such as ``"logistic:r=4"``. Each MapSpec
-compiles its parsed AST once into two straight-line Python functions: f
-alone, and the pair (f, f') obtained by forward-mode differentiation, so
-f'(x) is exact to rounding rather than a finite-difference approximation.
+compiles its parsed AST once into three straight-line Python functions:
+
+- f alone, behind ``eval_map``;
+- the pair (f, f') by forward-mode differentiation, behind
+  ``eval_map_deriv``, so f'(x) is exact to rounding rather than a
+  finite-difference approximation;
+- f over a numpy array, behind ``eval_map_array``, which returns the values
+  and a mask of the elements on which ``eval_map`` raises.
+
+The array form equals ``eval_map`` bit for bit wherever the mask is clear.
+``+ - * /`` and ``abs`` are correctly rounded IEEE operations in numpy as in
+Python. ``^``, exp, tanh, sin and cos are not: the scalar form gets them
+from libm (``**`` calls C ``pow``), and numpy's vectorised kernels round
+differently in the last bit, as does ``x*x`` against ``pow(x, 2)``. So the
+array form calls libm element by element too, through ``math.pow``,
+``math.exp``, ``math.tanh``, ``math.sin`` and ``math.cos``.
 
 The expression grammar supports real literals, ``x``, named parameters,
 ``+ - * /``, ``^`` with an integer-literal exponent, unary minus, and the
@@ -19,6 +32,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
+import numpy as np
+
 __all__ = [
     "MapError",
     "MapSyntaxError",
@@ -28,6 +43,7 @@ __all__ = [
     "parse_map",
     "eval_map",
     "eval_map_deriv",
+    "eval_map_array",
     "format_ast",
     "BUILTIN_MAPS",
 ]
@@ -127,7 +143,44 @@ def format_ast(node: Node) -> str:
 # Compilation to straight-line Python
 # ---------------------------------------------------------------------------
 
+
+def _elementwise(fn: Callable, nin: int) -> Callable:
+    """``fn`` of Python's math module applied element by element.
+
+    Returns the float results and the mask of the elements on which fn
+    raised, or None when none did. Errors are rare, so a call first runs
+    unguarded and is repeated with a guard round each element only when
+    some element raised.
+    """
+
+    def guarded(*args):
+        try:
+            return fn(*args)
+        except (ArithmeticError, ValueError):
+            return math.nan
+
+    plain, safe = np.frompyfunc(fn, nin, 1), np.frompyfunc(guarded, nin, 1)
+
+    def call(*args):
+        try:
+            return np.asarray(plain(*args), dtype=float), None
+        except (ArithmeticError, ValueError):
+            out = np.asarray(safe(*args), dtype=float)
+            # No call here returns NaN from a non-NaN argument without raising.
+            return out, np.isnan(out) & ~np.isnan(args[0])
+
+    return call
+
+
+def _fresh(v, x):
+    """The root value v as a new float array of x's shape (v may be x or a constant)."""
+    if isinstance(v, np.ndarray) and v.shape == x.shape and v is not x:
+        return v
+    return np.full(x.shape, v, dtype=float)
+
+
 # Globals of the generated code, besides its bound constants c0, c1, ...
+# The v-prefixed functions, divide and the rest serve the array form.
 _CODE_GLOBALS = {
     "__builtins__": {},
     "sin": math.sin,
@@ -135,6 +188,14 @@ _CODE_GLOBALS = {
     "exp": math.exp,
     "tanh": math.tanh,
     "abs": abs,
+    "vsin": _elementwise(math.sin, 1),
+    "vcos": _elementwise(math.cos, 1),
+    "vexp": _elementwise(math.exp, 1),
+    "vtanh": _elementwise(math.tanh, 1),
+    "vpow": _elementwise(math.pow, 2),
+    "divide": np.divide,
+    "isfinite": np.isfinite,
+    "fresh": _fresh,
 }
 
 # Forward-mode rules for the derivative of a node: {v} is the node's value,
@@ -156,23 +217,37 @@ _BIN_DERIVS = {
 }
 
 
-def _lower(ast: Node, params: dict, ns: dict, bound: dict, dx: str | None) -> str:
+def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
     """Return the lines of a function body computing ast at x, one per node.
 
-    Each node yields the names of its value and derivative. The derivative is
-    None for a node that does not depend on x: it is computed in plain float
-    arithmetic and enters the rules above as a constant with derivative 0.0.
-    With ``dx=None`` nothing depends on x and the body computes f alone; with
-    ``dx="1.0"`` it computes (f, f'). A parameter named like the variable
-    shadows it; any other name must be a parameter. Constants are bound in
-    ``ns``; ``bound`` keeps their names.
+    ``form`` is "f" for f alone, "fd" for the pair (f, f') and "array" for
+    f over an array x with the mask ``bad`` of the elements on which f
+    raises. Each node yields the names of its value and derivative. The
+    derivative is None for a node that does not depend on x: it is computed
+    in plain float arithmetic and enters the rules above as a constant with
+    derivative 0.0; outside "fd" no node has one. The array form spells
+    f's operations with the same rounding, and ors into ``bad`` where the
+    scalar form raises: a zero divisor, or a math-module call that raises.
+    A parameter named like the variable shadows it; any other name must be
+    a parameter. Constants are bound in ``ns``; ``bound`` keeps their names.
     """
     lines: list[str] = []
+    dx = "1.0" if form == "fd" else None
+    array = form == "array"
 
     def let(expr: str) -> str:
         name = f"t{len(lines)}"
         lines.append(f"    {name} = {expr}\n")
         return name
+
+    def flag(cond: str) -> None:
+        lines.append(f"    bad |= {cond}\n")
+
+    def libm(func: str, *args) -> str:
+        v = f"t{len(lines)}"
+        lines.append(f"    {v}, raised = v{func}({', '.join(map(str, args))})\n")
+        lines.append("    if raised is not None:\n        bad |= raised\n")
+        return v
 
     def const(key, value) -> str:
         if key not in bound:
@@ -194,6 +269,8 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, dx: str | None) -> st
             return let(f"-{v}"), None if d is None else let(f"-{d}")
         if isinstance(node, Call):
             a, ad = walk(node.arg)
+            if array and node.func != "abs":
+                return libm(node.func, a), None
             v = let(f"{node.func}({a})")
             if ad is None:
                 return v, None
@@ -201,6 +278,8 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, dx: str | None) -> st
         if isinstance(node, Pow):
             b, bd = walk(node.base)
             n = node.exponent
+            if array:
+                return libm("pow", b, n), None
             if bd is None:
                 return let(f"{b} ** {n}"), None
             if n == 0:
@@ -215,6 +294,10 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, dx: str | None) -> st
         if isinstance(node, Bin):
             l, ld = walk(node.left)
             r, rd = walk(node.right)
+            if array and node.op == "/":
+                v = let(f"divide({l}, {r})")
+                flag(f"{r} == 0.0")
+                return v, None
             v = let(f"{l} {node.op} {r}")
             if ld is None and rd is None:
                 return v, None
@@ -223,29 +306,37 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, dx: str | None) -> st
         raise TypeError(f"unknown AST node {node!r}")
 
     unbound: set[str] = set()
+    if array:
+        lines.append("    bad = ~isfinite(x)\n")
     v, d = walk(ast)
     if unbound:
         raise MapError(
             f"unknown identifier(s) {sorted(unbound)}; bind parameters via params/--param"
         )
-    ret = v if dx is None else f"{v}, {d or '0.0'}"
+    if array:
+        v = let(f"fresh({v}, x)")
+        flag(f"~isfinite({v})")
+        ret = f"{v}, bad"
+    else:
+        ret = v if dx is None else f"{v}, {d or '0.0'}"
     return "".join(lines) + f"    return {ret}\n"
 
 
-def _compile(ast: Node, params: dict) -> tuple[Callable, Callable]:
-    """Compile ast into ``f(x) -> f`` and ``fd(x) -> (f, f')``.
+def _compile(ast: Node, params: dict) -> tuple[Callable, Callable, Callable]:
+    """Compile ast into ``f(x) -> f``, ``fd(x) -> (f, f')`` and
+    ``fa(x) -> (values, bad)`` over an array x.
 
     Constants and parameter values are bound in the functions' namespace,
     never formatted into their text, so every float keeps its exact value.
     """
     ns = dict(_CODE_GLOBALS)
     bound: dict = {}
-    src = (
-        "def f(x):\n" + _lower(ast, params, ns, bound, None)
-        + "def fd(x):\n" + _lower(ast, params, ns, bound, "1.0")
+    src = "".join(
+        f"def {name}(x):\n" + _lower(ast, params, ns, bound, form)
+        for name, form in (("f", "f"), ("fd", "fd"), ("fa", "array"))
     )
     exec(_code(src), ns)
-    return ns.pop("f"), ns.pop("fd")
+    return ns.pop("f"), ns.pop("fd"), ns.pop("fa")
 
 
 @functools.lru_cache(maxsize=256)
@@ -433,7 +524,7 @@ class MapSpec:
     ``kind`` and ``name`` are descriptive: ``"builtin"`` with the builtin's
     name, or ``"expression"`` with name None. ``domain`` is the closed
     interval searched for cycles. The AST is compiled once, at construction,
-    into the functions behind eval_map and eval_map_deriv.
+    into the functions behind eval_map, eval_map_deriv and eval_map_array.
     """
 
     kind: str
@@ -444,6 +535,7 @@ class MapSpec:
     source: str = ""
     _f: Callable = field(init=False, repr=False, compare=False)
     _fd: Callable = field(init=False, repr=False, compare=False)
+    _fa: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -451,9 +543,10 @@ class MapSpec:
             raise ValueError(f"domain requires lo < hi, got [{lo}, {hi}]")
         if self.ast is None:
             raise ValueError("MapSpec requires a parsed ast (see parse_map)")
-        f, fd = _compile(self.ast, self.params)
+        f, fd, fa = _compile(self.ast, self.params)
         object.__setattr__(self, "_f", f)
         object.__setattr__(self, "_fd", fd)
+        object.__setattr__(self, "_fa", fa)
 
 
 def parse_map(
@@ -543,3 +636,16 @@ def eval_map_deriv(m: MapSpec, x: float) -> float:
     if not (math.isfinite(y) and math.isfinite(dy)):
         raise MapOverflowError(f"f'({x}) is not finite")
     return dy
+
+
+def eval_map_array(m: MapSpec, x) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate f over an array: ``(values, bad)``, both shaped like x.
+
+    ``bad`` marks exactly the elements on which eval_map raises: a
+    non-finite input, a zero divisor, an overflowing or invalid ``^``, exp,
+    sin or cos, and a non-finite result. Elsewhere ``values`` equals
+    eval_map bit for bit; on bad elements it is unspecified.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        return m._fa(x)

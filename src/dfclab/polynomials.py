@@ -2,8 +2,8 @@
 
 Coefficients are stored in ascending degree order (``coeffs[k]`` multiplies
 ``lambda**k``). Roots are the eigenvalues of the companion matrix, by
-``np.roots``, with a residual check; repeated roots are detected through the
-resultant of p and p'.
+``np.roots``, with a residual check; repeated roots are detected by
+comparing the distances between roots with their Newton inclusion radii.
 """
 
 from __future__ import annotations
@@ -201,16 +201,23 @@ def resultant(f: Polynomial, g: Polynomial) -> float:
 
 
 def has_repeated_roots(p: Polynomial, tol: float = 1e-9) -> bool:
-    """True iff p has a repeated root, via |R(p, p')| against a scale factor.
+    """True iff two roots of p cannot be told apart at coefficient precision tol.
 
-    The scale is the Hadamard-style product of coefficient norms,
-    ||p||^deg(p') * ||p'||^deg(p), making the test invariant under rescaling
-    of p. Cross-checkable against root clustering from poly_roots.
+    Each root z from poly_roots gets the radius
+    deg(p) * (|p(z)| + tol * sum_k |c_k| |z|^k) / |p'(z)|: Newton's
+    inclusion disc, which holds a root of p, widened so it also holds a root
+    of every polynomial whose coefficients differ from p's by a relative tol
+    (to first order). Pairwise disjoint discs hold one root each, so p has
+    deg(p) distinct roots; two discs that meet report a repeated root. The
+    test is invariant under rescaling p and never overflows at large degree
+    while the roots stay within |z|^deg < 1e308.
     """
     if p.degree < 2:
         return False
-    dp = p.derivative()
-    scale = np.linalg.norm(p.coeffs) ** dp.degree * np.linalg.norm(dp.coeffs) ** p.degree
-    if scale == 0.0:
-        return True
-    return bool(abs(resultant(p, dp)) <= tol * scale)
+    z = poly_roots(p)
+    with np.errstate(all="ignore"):  # p'(z) = 0 gives an infinite radius
+        slack = np.abs(p(z)) + tol * horner(np.abs(p.coeffs), np.abs(z))
+        radius = p.degree * slack / np.abs(p.derivative()(z))
+    apart = np.abs(z[:, None] - z[None, :]) > radius[:, None] + radius[None, :]
+    np.fill_diagonal(apart, True)
+    return not bool(apart.all())

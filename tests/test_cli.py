@@ -276,7 +276,9 @@ class TestSimulate:
 
     def test_one_run_serves_every_candidate_cycle(self, capsys, monkeypatch, tmp_path):
         # logistic r=4 has three period-4 cycles; the trajectory does not
-        # depend on the target, so it is iterated once: steps * N evaluations.
+        # depend on the target, so it is iterated once. f is evaluated once
+        # per state: the (N-1)T+1 = 5 history states and all but the last of
+        # the 400 states the steps add.
         calls = []
         real = dfclab.simulation.eval_map
         monkeypatch.setattr(
@@ -289,7 +291,7 @@ class TestSimulate:
             "--out", str(tmp_path / "traj.csv"),
         )
         assert code == 0
-        assert len(calls) == 400 * 2
+        assert len(calls) == 5 + 399
 
     def test_custom_gains_set_N_without_mutating_args(self, capsys):
         args = build_parser().parse_args([
@@ -473,6 +475,40 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err == f"usage error: {flag} must be >= {least}\n"
+
+    # "V" stands for the value under test.
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["stability", "--N", "2", "--T", "1", "--mu=V"], "--mu"),
+            (["charpoly", "--N", "2", "--T", "1", "--gains", "0.5,0.5", "--multipliers=V"],
+             "--multipliers"),
+            (["charpoly", "--N", "2", "--T", "2", "--gains", "0.5,0.5", "--multipliers=-2,V"],
+             "--multipliers"),
+            (["simulate", *MAP, "--period", "1", "--N", "2", "--init=V", "--steps", "100",
+              "--format", "json"], "--init"),
+            (["simulate", *MAP, "--period", "1", "--N", "2", "--history=0.3,V", "--steps", "100"],
+             "--history"),
+            (["simulate", *MAP, "--period", "1", "--N", "2", "--init", "0.3", "--steps", "100",
+              "--tol=V"], "--tol"),
+            (["cycles", *MAP, "--period", "1", "--tol=V"], "--tol"),
+            (["stabilize", *MAP, "--period", "1", "--tol=V"], "--tol"),
+            (["cycles", "--map", "r*x*(1-x)", "--param=r=V", "--period", "1"], "--param r"),
+            (["cycles", *MAP, "--period", "1", "--domain=0,V"], "--domain"),
+        ],
+        ids=lambda v: "-".join(v[:1] + [a for a in v if "V" in a]) if isinstance(v, list) else v,
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_flag_exits_two(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, *(a.replace("V", value) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: {flag} expects a finite number, got {value!r}\n"
+
+    def test_float_flag_that_is_no_number_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "stability", "--N", "2", "--T", "1", "--mu", "abc")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --mu expects a number, got 'abc'\n"
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

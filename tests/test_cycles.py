@@ -6,25 +6,29 @@ import numpy as np
 import pytest
 
 from dfclab.cycles import Cycle, find_cycles, multiplier_of
-from dfclab.maps import eval_map, parse_map
+from dfclab.maps import MapEvalError, eval_map, parse_map
 
 
 def brute_force_roots(m, T, n_grid=200_000):
     """Independent oracle: dense-grid sign scan of f^T(x) - x with bisection only.
 
     Stays deliberately dumber than find_cycles (no Newton, no polish) so the
-    two paths share no code beyond eval_map.
+    two paths share no code beyond eval_map. A node where the map errors
+    reads NaN and brackets no root.
     """
 
     def g(x):
         y = x
-        for _ in range(T):
-            y = eval_map(m, y)
+        try:
+            for _ in range(T):
+                y = eval_map(m, y)
+        except MapEvalError:
+            return math.nan
         return y - x
 
     lo, hi = m.domain
-    xs = np.linspace(lo, hi, n_grid)
-    gs = np.array([g(x) for x in xs])
+    xs = np.linspace(lo, hi, n_grid).tolist()
+    gs = [g(x) for x in xs]
     roots = [float(x) for x, v in zip(xs, gs) if v == 0.0]
     for i in range(n_grid - 1):
         if gs[i] * gs[i + 1] < 0.0:
@@ -195,3 +199,66 @@ class TestValidation:
         monkeypatch.setattr("dfclab.cycles.eval_map", broken)
         with pytest.raises(TypeError, match="broken evaluator"):
             find_cycles(parse_map("logistic:r=4"), 1, 1000)
+
+
+def minimal_period_points(m, T, n_grid):
+    """The oracle's roots, merged within 1e-6, of minimal period T.
+
+    A sign change of f^T(x) - x across a pole of f^T is not a root: points
+    that f^T does not return within 1e-6 are dropped.
+    """
+    merged = []
+    for x in brute_force_roots(m, T, n_grid):
+        if not merged or x - merged[-1] > 1e-6:
+            merged.append(x)
+
+    def returns_after(x, d):
+        y = x
+        for _ in range(d):
+            y = eval_map(m, y)
+        return abs(y - x) <= 1e-6
+
+    return [
+        x for x in merged
+        if returns_after(x, T) and not any(returns_after(x, d) for d in range(1, T) if T % d == 0)
+    ]
+
+
+class TestDomainErrors:
+    # The pole at 0 is node 500 of the 1001-node grid (and node 10000 of the
+    # oracle's). exp(x^2) - 2 overflows in f^2 on about 40% of its grid.
+    # (At T = 3 the pole maps have orbits that find_cycles reports twice.)
+    @pytest.mark.parametrize(
+        "source, domain, T, count",
+        [
+            ("0.3/x - 1.6*x", (-1.0, 1.0), 1, 2),
+            ("0.3/x - 1.6*x", (-1.0, 1.0), 2, 1),
+            ("2.5*x - 0.02/x - 3*x^3", (-1.0, 1.0), 1, 4),
+            ("2.5*x - 0.02/x - 3*x^3", (-1.0, 1.0), 2, 5),
+            ("exp(x^2) - 2", (-3.0, 3.0), 1, 2),
+            ("exp(x^2) - 2", (-3.0, 3.0), 2, 1),
+            ("exp(x^2) - 2", (-3.0, 3.0), 3, 0),
+        ],
+    )
+    def test_error_nodes_are_skipped(self, source, domain, T, count):
+        m = parse_map(source, domain=domain)
+        cycles = find_cycles(m, T, 1001)
+        assert len(cycles) == count
+        found = sorted(p for c in cycles for p in c.points)
+        want = minimal_period_points(m, T, 20_001)
+        assert len(found) == len(want)
+        assert all(abs(p - q) < 1e-7 for p, q in zip(found, want))
+
+    def test_grid_nodes_with_errors_exist(self):
+        pole = parse_map("0.3/x - 1.6*x", domain=(-1.0, 1.0))
+        with pytest.raises(MapEvalError):
+            eval_map(pole, -1.0 + 2.0 * 500 / 1000)
+        overflow = parse_map("exp(x^2) - 2", domain=(-3.0, 3.0))
+        with pytest.raises(MapEvalError):
+            eval_map(overflow, eval_map(overflow, 3.0))
+
+    def test_midpoint_error_propagates(self):
+        # A bisection midpoint lands on the pole at 0: the map error is raised.
+        m = parse_map("abs(x) - 1/x", domain=(-2.0, 2.0))
+        with pytest.raises(MapEvalError, match="at x=0.0"):
+            find_cycles(m, 2, 100)

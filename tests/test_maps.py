@@ -1,6 +1,7 @@
 """Tests for map parsing, evaluation, and forward-mode derivatives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dfclab.maps import (
     Pow,
     Var,
     eval_map,
+    eval_map_array,
     eval_map_deriv,
     format_ast,
     parse_map,
@@ -274,3 +276,63 @@ class TestBuiltinFormulas:
         key, formula = BUILTIN_FORMULAS[name]
         m = parse_map(f"{name}:{key}={param!r}")
         assert eval_map(m, x).hex() == formula(x, param).hex()
+
+
+# Values that reach each error of the scalar form: zero divisors (x = p,
+# signed zeros), overflow of * and ^ (1e200), exp overflow (710), sin/cos of
+# an infinity, NaN, and numbers whose powers underflow.
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1.3, 1e-200, -1e-200,
+                  1e200, -1e200, 710.0, -710.0, math.inf, -math.inf, math.nan]
+_FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+_LEAVES = st.one_of(
+    st.builds(Num, _FLOATS.filter(math.isfinite)), st.just(Var("x")), st.just(Var("p"))
+)
+ASTS = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.builds(Bin, st.sampled_from("+-*/"), kids, kids),
+        st.builds(Neg, kids),
+        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "tanh", "abs"]), kids),
+        st.builds(Pow, kids, st.integers(-4, 4)),
+    ),
+    max_leaves=8,
+)
+
+
+class TestArrayForm:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(
+        ast=ASTS,
+        p=st.sampled_from([1.3, 0.0, -2.5, 1e200]),
+        xs=st.lists(_FLOATS, min_size=1, max_size=12),
+    )
+    def test_equals_eval_map_bit_for_bit_and_flags_its_errors(self, ast, p, xs):
+        m = MapSpec(kind="expression", domain=(0.0, 1.0), ast=ast, params={"p": p})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, bad = eval_map_array(m, np.array(xs))
+        assert values.shape == bad.shape == (len(xs),)
+        for x, v, b in zip(xs, values.tolist(), bad.tolist()):
+            try:
+                want = eval_map(m, x)
+            except MapEvalError:
+                assert b, f"{format_ast(ast)} raises at x={x!r} but is not flagged"
+                continue
+            assert not b, f"{format_ast(ast)} flagged at x={x!r} but returns {want!r}"
+            assert v.hex() == want.hex(), f"{format_ast(ast)} at x={x!r}"
+
+    def test_builtins_on_a_grid(self):
+        xs = np.linspace(-3.0, 3.0, 2001)
+        for source in ("logistic:r=3.9", "quadratic:c=-1.3", "cubic:b=2.8"):
+            m = parse_map(source)
+            values, bad = eval_map_array(m, xs)
+            assert not bad.any()
+            assert values.tolist() == [eval_map(m, x) for x in xs.tolist()]
+
+    def test_root_is_a_new_array(self):
+        xs = np.array([0.25, 0.5])
+        for source, want in (("x", [0.25, 0.5]), ("2", [2.0, 2.0])):
+            values, bad = eval_map_array(parse_map(source), xs)
+            assert values is not xs and values.tolist() == want
+            values[0] = 9.0
+            assert xs.tolist() == [0.25, 0.5]

@@ -10,6 +10,8 @@ from dfclab.polynomials import (
     resultant,
     sylvester_matrix,
 )
+from dfclab.spectrum import char_poly_closed
+from dfclab.stability import gains_uniform
 
 
 class TestArithmetic:
@@ -178,6 +180,27 @@ class TestRepeatedRoots:
         assert has_repeated_roots(p) == has_repeated_roots(q) is True
         r = Polynomial([1e-6, 1e-6, 1e-6])
         assert not has_repeated_roots(r)
+
+    @pytest.mark.parametrize("tol", [1e-9, 3e-16])
+    def test_system_polynomial_with_distinct_roots(self, tol):
+        # N=8, T=2, mu=-1.5: degree 15, closest roots 0.286 apart.
+        p = char_poly_closed(8, 2, gains_uniform(8), -1.5)
+        assert not has_repeated_roots(p, tol=tol)
+
+    def test_evenly_spaced_roots_are_distinct(self):
+        assert not has_repeated_roots(Polynomial.from_roots(np.linspace(-0.95, 0.95, 6)))
+
+    @pytest.mark.parametrize("N, T, N_cofactor", [(125, 2, 124), (249, 1, 247)])
+    def test_degree_249(self, N, T, N_cofactor):
+        # Distinct roots about 0.024 apart; a resultant scale overflows here.
+        p = char_poly_closed(N, T, gains_uniform(N), -1.5)
+        assert p.degree == 249
+        assert not has_repeated_roots(p, tol=3e-16)
+        # A double root at 0.3 on a degree-247 system polynomial is found.
+        s = char_poly_closed(N_cofactor, T, gains_uniform(N_cofactor), -1.5)
+        lin = Polynomial([-0.3, 1.0])
+        assert (s * lin * lin).degree == 249
+        assert has_repeated_roots(s * lin * lin, tol=3e-16)
 
     def test_agrees_with_root_clustering_on_random_draws(self):
         # Unit-scale version of the acceptance check: random-coefficient

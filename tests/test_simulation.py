@@ -1,11 +1,13 @@
 """Tests for the controlled-dynamics simulator and basin sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
-from dfclab.cycles import find_cycles
-from dfclab.maps import parse_map
-from dfclab.simulation import basin_fraction, simulate, simulate_nearest
+from dfclab.cycles import Cycle, find_cycles
+from dfclab.maps import MapEvalError, eval_map, parse_map
+from dfclab.simulation import _iterate, basin_fraction, simulate, simulate_nearest
 from dfclab.spectrum import GainVector, char_poly_closed
 from dfclab.stability import gains_uniform, spectral_radius
 
@@ -204,3 +206,122 @@ class TestSimulateNearest:
     def test_no_candidate_is_an_error(self, logistic4):
         with pytest.raises(ValueError, match="candidate"):
             simulate_nearest(logistic4, gains_uniform(1), 1, [0.3], 100, [])
+
+
+# (map, domain, T, N, index of the target among find_cycles' orbits). Some
+# samples of each converge; the logistic map at r = 4.5 and cubic maps
+# overflow, and near the pole of the last map the run leaves for infinity.
+BASIN_CASES = [
+    ("logistic:r=3.9", None, 1, 2, 1),
+    ("logistic:r=4.5", None, 1, 1, 1),
+    ("logistic:r=4.5", None, 1, 3, 1),
+    ("cubic:b=2.8", None, 1, 3, 2),
+    ("cubic:b=2.8", None, 1, 3, 0),
+    ("logistic:r=3.5", None, 2, 2, 0),
+    ("0.01/x + 3.2*x*(1-x)", (-0.3, 1.0), 1, 2, 0),
+    ("0.01/x + 3.2*x*(1-x)", (-0.3, 1.0), 1, 1, 0),
+]
+
+
+class TestBasinFractionIsTheShareOfSimulations:
+    @pytest.mark.parametrize("source, domain, T, N, index", BASIN_CASES)
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_equals_per_sample_simulate(self, source, domain, T, N, index, seed):
+        m = parse_map(source, domain=domain)
+        target = find_cycles(m, T)[index]
+        a, samples, steps = gains_uniform(N), 40, 300
+        draws = np.random.default_rng(seed).uniform(*m.domain, samples)
+        M = (N - 1) * T + 1
+        runs = [simulate(m, a, T, [v] * M, steps, target) for v in draws.tolist()]
+        want = sum(r.converged for r in runs) / samples
+        assert basin_fraction(m, a, T, target, samples, steps, seed=seed) == want
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_state_on_the_pole(self, N):
+        # Iterates of 2x(1-x) land exactly on 0.5, the pole of the tanh term:
+        # f raises there although the rest of its formula stays finite.
+        m = parse_map("2*x*(1-x) + 1e-300*tanh(1/(x - 0.5))")
+        target = Cycle(1, (0.5,), (0.0,), 0.0)
+        a = gains_uniform(N)
+        draws = np.random.default_rng(0).uniform(*m.domain, 40)
+        runs = [simulate(m, a, 1, [v] * N, 300, target) for v in draws.tolist()]
+        assert any(r.diverged for r in runs) and any(r.converged for r in runs)
+        want = sum(r.converged for r in runs) / 40
+        assert basin_fraction(m, a, 1, target, 40, 300, seed=0) == want
+
+    def test_sum_that_overflows(self):
+        # f stays finite but 2 f(x(k)) - f(x(k-1)) overflows on the first step.
+        m = parse_map("1.5e308*tanh(x)", domain=(0.5, 1.0))
+        a = GainVector([2.0, -1.0])
+        target = Cycle(1, (0.7,), (0.0,), 0.0)
+        assert simulate(m, a, 1, [0.7, 0.7], 50, target).diverged
+        assert basin_fraction(m, a, 1, target, 10, 50) == 0.0
+
+    def test_cases_cover_convergence_and_divergence(self):
+        converged = diverged = 0
+        for source, domain, T, N, index in BASIN_CASES:
+            m = parse_map(source, domain=domain)
+            target = find_cycles(m, T)[index]
+            M = (N - 1) * T + 1
+            for v in np.random.default_rng(0).uniform(*m.domain, 40).tolist():
+                run = simulate(m, gains_uniform(N), T, [v] * M, 300, target)
+                converged += run.converged
+                diverged += run.diverged
+        assert converged > 40 and diverged > 10
+
+    def test_steps_floor(self, logistic4, fixed_point):
+        with pytest.raises(ValueError, match="10\\*T"):
+            basin_fraction(logistic4, gains_uniform(2), 1, fixed_point, 10, 9)
+
+
+def reference_run(m, a, T, history, steps):
+    """The controlled recursion as written: all N terms of f at every step."""
+    states, controls = list(history), []
+    for k in range(len(history) - 1, len(history) - 1 + steps):
+        try:
+            fx = [eval_map(m, states[k - j * T]) for j in range(len(a))]
+        except MapEvalError:
+            return states, controls, True
+        new = 0.0
+        for c, v in zip(a.coeffs, fx):
+            new = new + c * v
+        if not math.isfinite(new):
+            return states, controls, True
+        controls.append(new - fx[0])
+        states.append(new)
+    return states, controls, False
+
+
+class TestIterateStoresFOncePerState:
+    @pytest.mark.parametrize(
+        "source, domain",
+        [("logistic:r=3.9", None), ("cubic:b=2.8", None), ("1/x - x", (-1.0, 1.0)),
+         ("exp(2*x) - 1.5", (-1.0, 1.0))],
+    )
+    @pytest.mark.parametrize("N, T", [(1, 1), (2, 1), (3, 2), (4, 3), (6, 1)])
+    def test_equals_the_reference_loop(self, source, domain, N, T):
+        m = parse_map(source, domain=domain)
+        rng = np.random.default_rng(N * 10 + T)
+        M = (N - 1) * T + 1
+        for trial in range(6):
+            rest = rng.uniform(-0.6, 0.6, N - 1).tolist()
+            a = GainVector([1.0 - sum(rest), *rest])
+            history = rng.uniform(-1.5, 1.5, M).tolist()
+            got = _iterate(m, a, T, history, 40 * T)
+            want = reference_run(m, a, T, history, 40 * T)
+            assert [x.hex() for x in got[0]] == [x.hex() for x in want[0]]
+            assert [u.hex() for u in got[1]] == [u.hex() for u in want[1]]
+            assert got[2] == want[2]
+
+    @pytest.mark.parametrize("pole_at", range(5))
+    def test_history_whose_f_raises(self, pole_at):
+        # N = 3, T = 2: history state i is first read on step i % 2, so a pole
+        # at an odd index ends the run one state later than one at an even index.
+        m = parse_map("1/x - x", domain=(-1.0, 1.0))
+        a = GainVector([0.5, 0.3, 0.2])
+        history = [0.3, -0.4, 0.5, 0.7, -0.2]
+        history[pole_at] = 0.0
+        got = _iterate(m, a, 2, history, 20)
+        want = reference_run(m, a, 2, history, 20)
+        assert got == want
+        assert got[2] and len(got[0]) == 5 + pole_at % 2
