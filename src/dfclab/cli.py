@@ -7,8 +7,8 @@ and ``subcommand`` so downstream scripts can pin schemas; CSV output has a
 fixed header row per subcommand. Every subcommand accepts ``--seed``
 (default 0), but only ``verify`` draws random numbers; identical
 configuration + seed yields byte-identical output. Exit codes: 0 success,
-1 domain error, 2 usage error; a float flag that is not a finite number is
-a usage error.
+1 domain error, 2 usage error; a float flag that is not a finite number and
+an integer flag below its floor are usage errors.
 """
 
 from __future__ import annotations
@@ -37,16 +37,6 @@ from .verify import run_suite
 
 SCHEMA_VERSION = 1
 GAINS_HELP = "comma-separated gains for --scheme custom (--gains=-0.5,1.5 if the first is < 0)"
-# The least value of each integer flag, by argparse dest.
-INT_FLOORS = {
-    "period": ("--period", 1),
-    "grid": ("--grid", 100),
-    "N": ("--N", 1),
-    "T": ("--T", 1),
-    "n_max": ("--N-max", 1),
-    "trials": ("--trials", 1),
-}
-
 
 class UsageError(Exception):
     """Invalid flag value; reported with exit status 2."""
@@ -87,6 +77,19 @@ def _finite(flag: str):
     return lambda text: _parse_float(text, flag)
 
 
+def _at_least(flag: str, least: int):
+    """argparse type of an integer flag: a UsageError for a value below its floor."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def _parse_float_list(text: str, flag: str) -> list[float]:
     return [_parse_float(v, flag) for v in text.split(",") if v.strip() != ""]
 
@@ -118,20 +121,6 @@ def _load_map(args) -> MapSpec:
     params = _parse_kv_pairs(getattr(args, "param", None))
     domain = _parse_domain(getattr(args, "domain", None))
     return parse_map(args.map, params=params, domain=domain)
-
-
-def _check_int_floors(args) -> None:
-    """Every integer flag below its floor is a usage error, checked before the handler.
-
-    ``gains --N`` is left to make_gains, whose message names N against the
-    count of --gains.
-    """
-    if args.subcommand == "gains":
-        return
-    for dest, (flag, least) in INT_FLOORS.items():
-        value = getattr(args, dest, None)
-        if value is not None and value < least:
-            raise UsageError(f"{flag} must be >= {least}")
 
 
 def _make_gains(scheme: str, N: int, custom: list[float] | None) -> GainVector:
@@ -199,7 +188,7 @@ def _csv_cell(v) -> str:
 
 def _cmd_cycles(args) -> int:
     m = _load_map(args)
-    cycles = find_cycles(m, args.period, args.grid, orbit_tol=args.tol)
+    cycles = find_cycles(m, args.period, args.grid)
     items = [
         {
             "points": list(c.points),
@@ -439,15 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("cycles", help="detect period-T orbits of a map")
     _add_map_flags(sub)
-    sub.add_argument("--period", type=int, required=True)
-    sub.add_argument("--grid", type=int, default=1000)
-    sub.add_argument("--tol", type=_finite("--tol"), default=1e-8)
+    sub.add_argument("--period", type=_at_least("--period", 1), required=True)
+    sub.add_argument("--grid", type=_at_least("--grid", 100), default=1000)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_cycles)
 
     sub = subs.add_parser("charpoly", help="closed-form characteristic polynomial and roots")
-    sub.add_argument("--N", type=int, required=True)
-    sub.add_argument("--T", type=int, required=True)
+    sub.add_argument("--N", type=_at_least("--N", 1), required=True)
+    sub.add_argument("--T", type=_at_least("--T", 1), required=True)
     sub.add_argument("--gains", required=True,
                      help="comma-separated a_1..a_N (--gains=-0.5,1.5 if the first is < 0)")
     sub.add_argument("--multipliers", required=True,
@@ -456,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_charpoly)
 
     sub = subs.add_parser("stability", help="Schur stability report for one mu")
-    sub.add_argument("--N", type=int, required=True)
-    sub.add_argument("--T", type=int, required=True)
+    sub.add_argument("--N", type=_at_least("--N", 1), required=True)
+    sub.add_argument("--T", type=_at_least("--T", 1), required=True)
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
     sub.add_argument("--gains", help=GAINS_HELP)
     sub.add_argument("--mu", type=_finite("--mu"), required=True)
@@ -473,23 +461,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("simulate", help="run the controlled dynamics")
     _add_map_flags(sub)
-    sub.add_argument("--period", type=int, required=True)
+    sub.add_argument("--period", type=_at_least("--period", 1), required=True)
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
-    sub.add_argument("--N", type=int)
+    sub.add_argument("--N", type=_at_least("--N", 1))
     sub.add_argument("--gains", help=GAINS_HELP)
     sub.add_argument("--init", type=_finite("--init"), help="constant initial history value")
     sub.add_argument("--history", help="explicit initial history, (N-1)T+1 values"
                      " (--history=-0.2,0.5 if the first is < 0)")
     sub.add_argument("--steps", type=int, required=True)
     sub.add_argument("--tol", type=_finite("--tol"), default=1e-6)
-    sub.add_argument("--grid", type=int, default=1000)
+    sub.add_argument("--grid", type=_at_least("--grid", 100), default=1000)
     sub.add_argument("--cycle-index", type=int, help="target cycle index (anchor order)")
     _add_common(sub, fmt_default="csv")
     sub.set_defaults(handler=_cmd_simulate)
 
     sub = subs.add_parser("sweep", help="spectral radius over a mu range")
-    sub.add_argument("--N", type=int, required=True)
-    sub.add_argument("--T", type=int, required=True)
+    sub.add_argument("--N", type=_at_least("--N", 1), required=True)
+    sub.add_argument("--T", type=_at_least("--T", 1), required=True)
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
     sub.add_argument("--gains", help=GAINS_HELP)
     sub.add_argument(
@@ -506,18 +494,18 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["lemma1", "chain", "rotation", "morgul", "all"],
         default="all",
     )
-    sub.add_argument("--trials", type=int, default=100)
+    sub.add_argument("--trials", type=_at_least("--trials", 1), default=100)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_verify)
 
     sub = subs.add_parser("stabilize", help="cycle -> gains -> simulation pipeline")
     _add_map_flags(sub)
-    sub.add_argument("--period", type=int, required=True)
+    sub.add_argument("--period", type=_at_least("--period", 1), required=True)
     sub.add_argument("--scheme", choices=["uniform", "dk2013"], default="uniform")
-    sub.add_argument("--N-max", dest="n_max", type=int, default=32)
+    sub.add_argument("--N-max", dest="n_max", type=_at_least("--N-max", 1), default=32)
     sub.add_argument("--steps", type=int, default=5000)
     sub.add_argument("--tol", type=_finite("--tol"), default=1e-6)
-    sub.add_argument("--grid", type=int, default=1000)
+    sub.add_argument("--grid", type=_at_least("--grid", 100), default=1000)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_stabilize)
 
@@ -527,8 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)  # a float flag's type raises UsageError
-        _check_int_floors(args)
+        args = parser.parse_args(argv)  # a flag's type raises UsageError
         return args.handler(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -7,15 +7,14 @@ into orbits, and deduplicated with each orbit anchored at its smallest
 point. Near-tangent cycles (multiplier close to +1) can slip through a
 sign-change scan; a denser grid is the mitigation.
 
-The scan and the bisection run on arrays: the grid is one T-fold iteration
-of ``eval_map_array``, and every sign-change bracket is bisected in
-lockstep, one array evaluation of g per halving for all brackets still
-open. Each bracket sees the midpoints, the exit on ``g(mid) == 0.0`` and the
-sign test that a bracket-by-bracket bisection would, and the array form of
-f is bit-identical to ``eval_map``, so the roots are too. A grid node whose
-f^T raises is skipped; a midpoint whose f^T raises makes find_cycles raise
-that error, as the scalar g would. The Newton polish, the minimal-period
-filter and the grouping evaluate f point by point.
+The scan, the bisection, the minimal-period filter and each root's forward
+orbit run on arrays through ``eval_map_array``, which is bit-identical to
+``eval_map``; every sign-change bracket is bisected in lockstep by
+``bisect_brackets``. One error policy holds throughout: a point whose f^T
+raises a map error is skipped, be it a grid node, a bisection midpoint
+(its bracket is dropped) or a root whose orbit cannot be evaluated. The
+Newton polish and the reported orbit evaluate f point by point, and a
+candidate whose orbit does not close to ``CLOSURE_RTOL`` is skipped.
 """
 
 from __future__ import annotations
@@ -29,13 +28,14 @@ from .maps import MapEvalError, MapSpec, eval_map, eval_map_array, eval_map_deri
 
 __all__ = [
     "Cycle",
+    "bisect_brackets",
     "find_cycles",
     "multiplier_of",
     "ORBIT_TOL",
     "PERIOD_TOL",
 ]
 
-ORBIT_TOL = 1e-8  # orbit membership / grouping
+ORBIT_TOL = 1e-8  # two orbits whose anchors lie this close are one
 PERIOD_TOL = 1e-8  # minimal-period rejection
 CLOSURE_RTOL = 1e-10  # cycle closure, relative to 1 + |x|
 BRACKET_WIDTH = 1e-12
@@ -70,12 +70,6 @@ class Cycle:
         return min(abs(x - p) for p in self.points)
 
 
-def _iterate(m: MapSpec, x: float, n: int) -> float:
-    for _ in range(n):
-        x = eval_map(m, x)
-    return x
-
-
 def _iterate_array(m: MapSpec, x: np.ndarray, n: int) -> np.ndarray:
     """f^n over an array, NaN where an evaluation raises."""
     for _ in range(n):
@@ -91,6 +85,37 @@ def _g_and_slope(m: MapSpec, x: float, T: int) -> tuple[float, float]:
         slope *= eval_map_deriv(m, val)
         val = eval_map(m, val)
     return val - x, slope - 1.0
+
+
+def bisect_brackets(g, a, b, ga, width: float) -> np.ndarray:
+    """Bisect every bracket [a[i], b[i]] of a sign change of g in lockstep.
+
+    g maps an array of points to their values, NaN where g is undefined;
+    ga[i] = g(a[i]) is nonzero and g(b[i]) has the other sign. Each halving
+    is one call of g on the midpoints of the brackets still wider than
+    width. A bracket stops at a midpoint where g is exactly 0.0, is dropped
+    at a midpoint where g is NaN, and otherwise ends at the midpoint of its
+    last bracket, within width / 2 of a sign change. The points come back
+    in bracket order.
+    """
+    a, b, ga = (np.asarray(v, dtype=float) for v in (a, b, ga))
+    ends = np.empty(a.size)  # per bracket: where it stopped, NaN if dropped
+    rows = np.arange(a.size)
+    while True:
+        wide = b - a > width
+        if not wide.all():
+            ends[rows[~wide]] = 0.5 * (a[~wide] + b[~wide])
+            rows, a, b, ga = rows[wide], a[wide], b[wide], ga[wide]
+        if not rows.size:
+            return ends[~np.isnan(ends)]
+        mid = 0.5 * (a + b)
+        gm = g(mid)
+        live = np.abs(gm) > 0.0  # False on g(mid) == 0.0 and on NaN
+        if not live.all():
+            ends[rows[~live]] = np.where(gm[~live] == 0.0, mid[~live], np.nan)
+            rows, a, b, ga, mid, gm = (v[live] for v in (rows, a, b, ga, mid, gm))
+        left = (ga < 0.0) != (gm < 0.0)
+        a, b, ga = np.where(left, a, mid), np.where(left, mid, b), np.where(left, ga, gm)
 
 
 def multiplier_of(
@@ -116,18 +141,16 @@ def multiplier_of(
     return mus, math.prod(mus)
 
 
-def find_cycles(
-    m: MapSpec,
-    period: int,
-    grid_points: int = 1000,
-    orbit_tol: float = ORBIT_TOL,
-    period_tol: float = PERIOD_TOL,
-) -> list[Cycle]:
+def find_cycles(m: MapSpec, period: int, grid_points: int = 1000) -> list[Cycle]:
     """All minimal-period-`period` orbits of m found on its domain.
 
     An empty result is valid (no cycles of that period in the domain).
     Orbits are reported once each, anchored at their smallest point and
-    sorted by anchor.
+    sorted by anchor. A point where f^T raises a map error is skipped, never
+    raised: a grid node, a bisection midpoint, a root's orbit. A root is of
+    minimal period T unless f^d returns it within ``PERIOD_TOL`` for a
+    proper divisor d of T; two orbits are one when their anchors lie within
+    ``ORBIT_TOL``; an orbit is reported only if it closes to ``CLOSURE_RTOL``.
     """
     if period < 1:
         raise ValueError("period must be a positive integer")
@@ -136,104 +159,60 @@ def find_cycles(
     lo, hi = m.domain
     T = period
 
-    def g(x: float) -> float:
-        return _iterate(m, x, T) - x
+    def g(x: np.ndarray) -> np.ndarray:
+        return _iterate_array(m, x, T) - x
 
     # Grid scan for sign changes / exact nodes; NaN marks a node whose map errors.
     n = grid_points
     xs = lo + (hi - lo) * np.arange(n) / (n - 1)
     with np.errstate(over="ignore"):
-        gs = _iterate_array(m, xs, T) - xs
+        gs = g(xs)
         exact = np.abs(gs) <= 1e-13 * (1.0 + np.abs(xs))
         ga, gb = gs[:-1], gs[1:]
         change = np.isfinite(ga) & np.isfinite(gb) & (ga * gb < 0.0)
-    roots = xs[exact].tolist()
-    roots += _refine_roots(m, g, xs[:-1][change], xs[1:][change], ga[change], T, lo, hi)
+        ends = bisect_brackets(g, xs[:-1][change], xs[1:][change], ga[change], BRACKET_WIDTH)
+        # Newton polish, kept unless it raises |g| above the bisection's (it
+        # can stall on flat spots).
+        polished = np.array([_newton_polish(m, x, T, lo, hi) for x in ends.tolist()])
+        better = np.abs(g(polished)) <= np.abs(g(ends))
+        roots = np.concatenate([xs[exact], np.where(better, polished, ends)])
 
-    # Minimal-period filter: reject roots fixed by a proper divisor of T.
-    minimal: list[float] = []
-    for r in roots:
-        is_minimal = True
+        # Each root's orbit, one row per step; drop roots fixed by a proper
+        # divisor of T and roots whose orbit meets a map error.
+        orbit = np.empty((T, roots.size))
+        orbit[0] = roots
+        for k in range(1, T):
+            orbit[k] = _iterate_array(m, orbit[k - 1], 1)
+        minimal = np.isfinite(orbit).all(axis=0)
         for d in range(1, T):
-            if T % d == 0 and abs(_iterate(m, r, d) - r) <= period_tol:
-                is_minimal = False
-                break
-        if is_minimal:
-            minimal.append(r)
+            if T % d == 0:
+                minimal &= ~(np.abs(orbit[d] - roots) <= PERIOD_TOL)
 
     # Group roots into orbits and anchor each at its smallest point.
     cycles: list[Cycle] = []
-    anchors: list[float] = []
-    for r in minimal:
-        orbit = [r]
-        for _ in range(T - 1):
-            orbit.append(eval_map(m, orbit[-1]))
-        anchor = min(orbit)
-        if any(abs(anchor - a) <= orbit_tol for a in anchors):
+    for anchor in orbit.min(axis=0)[minimal].tolist():
+        if any(abs(anchor - c.points[0]) <= ORBIT_TOL for c in cycles):
             continue
-        # Re-polish the anchor so the reported orbit closes tightly.
-        anchor = _newton_polish(m, anchor, T, lo, hi)
-        pts = [anchor]
-        for _ in range(T - 1):
-            pts.append(eval_map(m, pts[-1]))
-        closure_ok = all(
-            abs(eval_map(m, pts[j]) - pts[(j + 1) % T])
-            <= CLOSURE_RTOL * (1.0 + abs(pts[j]))
-            for j in range(T)
-        )
-        if not closure_ok:
+        # Re-polish the anchor so the reported orbit closes tightly. Newton
+        # may land on another point of the orbit, or of an orbit already
+        # reported, so the polished orbit is anchored and compared again.
+        pts = [_newton_polish(m, anchor, T, lo, hi)]
+        try:
+            for _ in range(T - 1):
+                pts.append(eval_map(m, pts[-1]))
+            k = pts.index(min(pts))
+            pts = pts[k:] + pts[:k]
+            mus, prod = multiplier_of(m, pts, CLOSURE_RTOL)
+        except (MapEvalError, ValueError):  # the orbit errs or does not close
             continue
-        anchors.append(anchor)
-        mus, prod = multiplier_of(m, pts, orbit_tol)
+        if any(abs(pts[0] - c.points[0]) <= ORBIT_TOL for c in cycles):
+            continue
         cycles.append(
             Cycle(period=T, points=tuple(pts), multipliers=mus, multiplier_product=prod)
         )
 
     cycles.sort(key=lambda c: c.points[0])
     return cycles
-
-
-def _refine_roots(m, g, xa, xb, ga, T, lo, hi) -> list[float]:
-    """Bisect every bracket to a 1e-12 width in lockstep, then Newton polish.
-
-    Bracket i starts as [xa[i], xb[i]] with g(xa[i]) = ga[i]. A bracket whose
-    midpoint g is exactly 0.0 stops there and is polished directly. Of a
-    bracket bisected to width, the polished point is kept unless its |g|
-    exceeds that of the bracket midpoint (Newton can stall on flat spots).
-    """
-    ends = np.empty(len(xa))  # per bracket: its midpoint when it stopped
-    fm_end = np.ones(len(xa))  # g there if the bracket stopped on 0.0 or NaN
-    rows, a, b, fa = np.arange(len(xa)), xa, xb, ga
-    with np.errstate(over="ignore"):
-        while True:
-            wide = b - a > BRACKET_WIDTH
-            if not wide.all():
-                ends[rows[~wide]] = 0.5 * (a[~wide] + b[~wide])
-                rows, a, b, fa = rows[wide], a[wide], b[wide], fa[wide]
-            if not rows.size:
-                break
-            mid = 0.5 * (a + b)
-            fm = _iterate_array(m, mid, T) - mid
-            live = np.abs(fm) > 0.0  # False on g(mid) == 0.0 and on a map error
-            if not live.all():
-                ends[rows[~live]], fm_end[rows[~live]] = mid[~live], fm[~live]
-                rows, a, b, fa, mid, fm = (v[live] for v in (rows, a, b, fa, mid, fm))
-            left = fa * fm < 0.0
-            a, b, fa = np.where(left, a, mid), np.where(left, mid, b), np.where(left, fa, fm)
-    zero, failed = fm_end == 0.0, np.isnan(fm_end)
-    if failed.any():
-        x = float(ends[failed][0])
-        g(x)  # raises the map error that stopped the first such bracket
-        raise MapEvalError(f"g({x!r}) failed in the array scan only")
-
-    mids = ends.tolist()
-    polished = [_newton_polish(m, x, T, lo, hi) for x in mids]
-    with np.errstate(over="ignore"):
-        keep = zero | (
-            np.abs(_iterate_array(m, np.array(polished), T) - polished)
-            <= np.abs(_iterate_array(m, ends, T) - ends)
-        )
-    return [p if k else x for p, x, k in zip(polished, mids, keep.tolist())]
 
 
 def _newton_polish(m, x0, T, lo, hi) -> float:

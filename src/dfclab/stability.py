@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import find_cycles
+from .cycles import bisect_brackets, find_cycles
 from .maps import MapSpec
 from .polynomials import Polynomial, horner, poly_roots
 from .simulation import simulate
@@ -213,7 +213,8 @@ def _contacts(a: GainVector, T: int, grid: int | None = None) -> np.ndarray:
     zeros on [0, pi] (conjugate symmetry covers the rest) of
     h = Im(e^{iM theta} (conj(q) / |q|)^T), which has no poles.
     theta = 0 (mu = 1) and pi always count; the other zeros are grid sign
-    changes bisected to 1e-13, and tangencies: local minima of |h| refined
+    changes bisected to 1e-13 by ``bisect_brackets`` (a midpoint where h is
+    exactly 0.0 is taken as is), and tangencies: local minima of |h| refined
     by ternary search to |h| <= 1e-10, since optimized gains can place
     double zeros. Zeros of q itself are poles of mu, not contacts, and are
     dropped. The grid defaults to max(2048, 16 (M + (N-1)T)) points.
@@ -241,14 +242,7 @@ def _contacts(a: GainVector, T: int, grid: int | None = None) -> np.ndarray:
 
     # Sign changes, bisected.
     i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-    lo, hi, h_lo = theta[i], theta[i + 1], vals[i]
-    while lo.size and np.max(hi - lo) > 1e-13:
-        mid = 0.5 * (lo + hi)
-        h_mid = h(mid)
-        left = h_lo * h_mid <= 0.0
-        hi = np.where(left, mid, hi)
-        lo, h_lo = np.where(left, lo, mid), np.where(left, h_lo, h_mid)
-    zeros.append(0.5 * (lo + hi))
+    zeros.append(bisect_brackets(h, theta[i], theta[i + 1], vals[i], 1e-13))
 
     # Tangencies: local minima of |h| between grid values of one sign.
     mag = np.abs(vals)

@@ -191,6 +191,14 @@ class TestCycles:
         doc = json.loads(out)
         assert len(doc["cycles"]) == 2
 
+    def test_midpoint_on_a_pole_is_skipped(self, capsys):
+        # 0.5 is the midpoint of two nodes of the default grid and a pole of f.
+        code, out, err = run_cli(
+            capsys, "cycles", "--map", "2/(x - 0.5) + 0.5*x", "--domain", "0,1", "--period", "1"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["cycles"] == []
+
     def test_grid_floor_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "cycles", "--map", "logistic:r=4", "--period", "1", "--grid", "10"
@@ -491,7 +499,6 @@ class TestUsageErrors:
              "--history"),
             (["simulate", *MAP, "--period", "1", "--N", "2", "--init", "0.3", "--steps", "100",
               "--tol=V"], "--tol"),
-            (["cycles", *MAP, "--period", "1", "--tol=V"], "--tol"),
             (["stabilize", *MAP, "--period", "1", "--tol=V"], "--tol"),
             (["cycles", "--map", "r*x*(1-x)", "--param=r=V", "--period", "1"], "--param r"),
             (["cycles", *MAP, "--period", "1", "--domain=0,V"], "--domain"),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dfclab.cycles import Cycle, find_cycles, multiplier_of
+from dfclab.cycles import Cycle, bisect_brackets, find_cycles, multiplier_of
 from dfclab.maps import MapEvalError, eval_map, parse_map
 
 
@@ -227,12 +227,12 @@ def minimal_period_points(m, T, n_grid):
 class TestDomainErrors:
     # The pole at 0 is node 500 of the 1001-node grid (and node 10000 of the
     # oracle's). exp(x^2) - 2 overflows in f^2 on about 40% of its grid.
-    # (At T = 3 the pole maps have orbits that find_cycles reports twice.)
     @pytest.mark.parametrize(
         "source, domain, T, count",
         [
             ("0.3/x - 1.6*x", (-1.0, 1.0), 1, 2),
             ("0.3/x - 1.6*x", (-1.0, 1.0), 2, 1),
+            ("0.3/x - 1.6*x", (-1.0, 1.0), 3, 2),
             ("2.5*x - 0.02/x - 3*x^3", (-1.0, 1.0), 1, 4),
             ("2.5*x - 0.02/x - 3*x^3", (-1.0, 1.0), 2, 5),
             ("exp(x^2) - 2", (-3.0, 3.0), 1, 2),
@@ -257,8 +257,52 @@ class TestDomainErrors:
         with pytest.raises(MapEvalError):
             eval_map(overflow, eval_map(overflow, 3.0))
 
-    def test_midpoint_error_propagates(self):
-        # A bisection midpoint lands on the pole at 0: the map error is raised.
+    def test_midpoint_error_drops_its_bracket(self):
+        # A bisection midpoint lands on the pole at 0: that bracket is dropped,
+        # as a grid node where the map errs is skipped.
         m = parse_map("abs(x) - 1/x", domain=(-2.0, 2.0))
-        with pytest.raises(MapEvalError, match="at x=0.0"):
-            find_cycles(m, 2, 100)
+        found = sorted(p for c in find_cycles(m, 2, 100) for p in c.points)
+        assert found == minimal_period_points(m, 2, 20_001) == []
+
+
+class TestBisectBrackets:
+    def test_exact_zero_stops_at_the_midpoint(self):
+        calls = []
+
+        def g(x):
+            calls.append(x.copy())
+            return x - 0.5
+
+        got = bisect_brackets(g, [0.0], [1.0], [-0.5], 1e-12)
+        assert got.tolist() == [0.5]
+        assert len(calls) == 1
+
+    def test_nan_midpoint_drops_only_its_bracket(self):
+        def g(x):
+            with np.errstate(divide="ignore"):
+                return np.where(x == 0.0, np.nan, 1.0 / x - 0.5 * np.sign(x) - x)
+
+        a, b = np.array([-1.0, 0.5, -2.0]), np.array([1.0, 2.0, -0.5])
+        assert np.all(g(a) * g(b) < 0.0)
+        got = bisect_brackets(g, a, b, g(a), 1e-12)
+        # [-1, 1] meets the pole at its first midpoint; the others keep their
+        # roots, in bracket order.
+        want = [(-0.5 + math.sqrt(4.25)) / 2, (0.5 - math.sqrt(4.25)) / 2]
+        assert got.tolist() == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("width", [1e-12, 1e-6, 1e-3])
+    def test_every_point_is_within_width_of_a_sign_change(self, width):
+        rng = np.random.default_rng(3)
+        c = rng.uniform(-3.0, 3.0, 6)
+
+        def g(x):
+            return np.polynomial.polynomial.polyval(x, c) * np.cos(3.0 * x)
+
+        xs = np.linspace(-4.0, 4.0, 401)
+        gs = g(xs)
+        i = np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
+        got = bisect_brackets(g, xs[i], xs[i + 1], gs[i], width)
+        assert got.size == i.size
+        assert np.all((xs[i] <= got) & (got <= xs[i + 1]))
+        left, right = g(got - width / 2), g(got + width / 2)
+        assert np.all((g(got) == 0.0) | (left * right <= 0.0))
