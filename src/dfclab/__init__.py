@@ -27,6 +27,7 @@ from .polynomials import (
     Polynomial,
     has_repeated_roots,
     poly_roots,
+    poly_roots_stack,
     resultant,
     sylvester_matrix,
 )
@@ -51,6 +52,7 @@ from .stability import (
     jury_stable,
     make_gains,
     min_N_to_stabilize,
+    spectral_radii,
     spectral_radius,
     stable_mu_interval,
 )
@@ -91,8 +93,10 @@ __all__ = [
     "multiplier_of",
     "parse_map",
     "poly_roots",
+    "poly_roots_stack",
     "resultant",
     "simulate",
+    "spectral_radii",
     "spectral_radius",
     "stable_mu_interval",
     "step_jacobian",

@@ -31,7 +31,7 @@ from .stability import (
     analyze,
     make_gains,
     pipeline_stabilize,
-    spectral_radius,
+    spectral_radii,
 )
 from .verify import run_suite
 
@@ -334,6 +334,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    """Spectral radius per mu row; one stacked root solve serves every row."""
     bounds = [_parse_exact(v, "--mu-range") for v in args.mu_range.split(",") if v.strip()]
     if len(bounds) != 2 or not bounds[0] <= bounds[1]:
         raise UsageError("--mu-range expects lo,hi with lo <= hi")
@@ -343,12 +344,10 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--mu-step must be positive")
     gains = _gains_for(args)
     header = ["mu", "spectral_radius", "stable"]
-    rows = []
     # Row i is the float nearest to lo + i*step, computed exactly.
-    for i in range(int((hi - lo) / step) + 1):
-        mu = float(lo + i * step)
-        radius = spectral_radius(char_poly_closed(args.N, args.T, gains, mu))
-        rows.append([mu, radius, bool(radius < 1.0 - SCHUR_MARGIN)])
+    mus = [float(lo + i * step) for i in range(int((hi - lo) / step) + 1)]
+    radii = spectral_radii(args.N, args.T, gains, mus).tolist()
+    rows = [[mu, r, r < 1.0 - SCHUR_MARGIN] for mu, r in zip(mus, radii)]
     if args.format == "json":
         doc_rows = [dict(zip(header, r)) for r in rows]
         _emit_json(args, {"N": args.N, "T": args.T, "scheme": args.scheme, "rows": doc_rows})
@@ -475,7 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub, fmt_default="csv")
     sub.set_defaults(handler=_cmd_simulate)
 
-    sub = subs.add_parser("sweep", help="spectral radius over a mu range")
+    sub = subs.add_parser(
+        "sweep", help="spectral radius over a mu range, all rows from one stacked root solve"
+    )
     sub.add_argument("--N", type=_at_least("--N", 1), required=True)
     sub.add_argument("--T", type=_at_least("--T", 1), required=True)
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")

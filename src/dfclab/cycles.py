@@ -13,8 +13,9 @@ orbit run on arrays through ``eval_map_array``, which is bit-identical to
 ``bisect_brackets``. One error policy holds throughout: a point whose f^T
 raises a map error is skipped, be it a grid node, a bisection midpoint
 (its bracket is dropped) or a root whose orbit cannot be evaluated. The
-Newton polish and the reported orbit evaluate f point by point, and a
-candidate whose orbit does not close to ``CLOSURE_RTOL`` is skipped.
+Newton polish and the reported orbit evaluate f point by point; a
+candidate whose polished orbit has a lower period (Newton can land on one)
+or does not close to ``CLOSURE_RTOL`` is skipped.
 """
 
 from __future__ import annotations
@@ -147,10 +148,11 @@ def find_cycles(m: MapSpec, period: int, grid_points: int = 1000) -> list[Cycle]
     An empty result is valid (no cycles of that period in the domain).
     Orbits are reported once each, anchored at their smallest point and
     sorted by anchor. A point where f^T raises a map error is skipped, never
-    raised: a grid node, a bisection midpoint, a root's orbit. A root is of
-    minimal period T unless f^d returns it within ``PERIOD_TOL`` for a
-    proper divisor d of T; two orbits are one when their anchors lie within
-    ``ORBIT_TOL``; an orbit is reported only if it closes to ``CLOSURE_RTOL``.
+    raised: a grid node, a bisection midpoint, a root's orbit. A root, and
+    again its Newton-polished orbit, is of minimal period T unless f^d
+    returns it within ``PERIOD_TOL`` for a proper divisor d of T; two
+    orbits are one when their anchors lie within ``ORBIT_TOL``; an orbit is
+    reported only if it closes to ``CLOSURE_RTOL``.
     """
     if period < 1:
         raise ValueError("period must be a positive integer")
@@ -194,12 +196,15 @@ def find_cycles(m: MapSpec, period: int, grid_points: int = 1000) -> list[Cycle]
         if any(abs(anchor - c.points[0]) <= ORBIT_TOL for c in cycles):
             continue
         # Re-polish the anchor so the reported orbit closes tightly. Newton
-        # may land on another point of the orbit, or of an orbit already
-        # reported, so the polished orbit is anchored and compared again.
+        # may land on another point of the orbit, on an orbit already
+        # reported or on one of lower period, so the polished orbit is
+        # filtered, anchored and compared again.
         pts = [_newton_polish(m, anchor, T, lo, hi)]
         try:
             for _ in range(T - 1):
                 pts.append(eval_map(m, pts[-1]))
+            if any(abs(pts[d] - pts[0]) <= PERIOD_TOL for d in range(1, T) if T % d == 0):
+                continue
             k = pts.index(min(pts))
             pts = pts[k:] + pts[:k]
             mus, prod = multiplier_of(m, pts, CLOSURE_RTOL)

@@ -1,9 +1,10 @@
 """Real-coefficient polynomials: arithmetic, root finding, resultants.
 
 Coefficients are stored in ascending degree order (``coeffs[k]`` multiplies
-``lambda**k``). Roots are the eigenvalues of the companion matrix, by
-``np.roots``, with a residual check; repeated roots are detected by
-comparing the distances between roots with their Newton inclusion radii.
+``lambda**k``). Roots are the eigenvalues of the companion matrix, built as
+``numpy.roots`` builds it and solved for a whole stack of rows of one degree
+in one eigenvalue call, with a residual check; repeated roots are detected
+by comparing the distances between roots with their Newton inclusion radii.
 """
 
 from __future__ import annotations
@@ -16,16 +17,24 @@ __all__ = [
     "Polynomial",
     "horner",
     "poly_roots",
+    "poly_roots_stack",
+    "STACK_BYTES",
     "sylvester_matrix",
     "resultant",
     "has_repeated_roots",
 ]
+
+# Companion matrices of one stacked eigenvalue call take at most this many
+# bytes; a longer stack is solved in chunks of this size.
+STACK_BYTES = 1 << 24
 
 
 def horner(coeffs: np.ndarray, x):
     """Value at x of the polynomial with ascending ``coeffs``, by Horner's rule.
 
     x may be a real or complex scalar or array; a scalar gives a scalar.
+    Axes of ``coeffs`` after the first broadcast against x: ``coeffs`` of
+    shape (deg + 1, k) holds k polynomials, one per column of x.
     """
     acc = np.zeros_like(np.asarray(x), dtype=np.result_type(x, coeffs))
     for c in coeffs[::-1]:
@@ -151,19 +160,65 @@ class Polynomial:
 def poly_roots(p: Polynomial) -> np.ndarray:
     """All complex roots of p with multiplicity, as companion-matrix eigenvalues.
 
-    ``np.roots`` is backward stable (Edelman & Murakami, Math. Comp. 64,
-    1995); roots at the origin come out exactly zero. A root whose residual
-    exceeds 1e-10 * sum|c_k| * max(1, |z|)^deg raises a RuntimeWarning.
+    ``poly_roots_stack`` on the stack of one row ``p.coeffs``.
     """
     if p.degree < 1:
         raise ValueError("root finding requires degree >= 1")
-    roots = np.roots(p.coeffs[::-1]).astype(complex)
+    return _checked_roots(p.coeffs[None, :])[0]
+
+
+def poly_roots_stack(rows) -> np.ndarray:
+    """Roots of every ascending coefficient row of a 2-D stack, one row of roots each.
+
+    The rows share one degree: every leading coefficient (last column) is
+    nonzero. Each row's roots are the eigenvalues of its companion matrix,
+    built as ``numpy.roots`` builds it (A[0, :] = -p[1:] / p[0] over the
+    descending coefficients, ones on the subdiagonal), so they equal
+    ``numpy.roots`` bit for bit and in its order; companion eigenvalues are
+    backward stable (Edelman & Murakami, Math. Comp. 64, 1995). As in
+    ``numpy.roots``, a row whose k lowest coefficients are exactly zero gets k
+    exact zero roots, last, and a companion matrix of size degree - k.
+    Companion matrices of one size go to ``np.linalg.eigvals`` as one stack,
+    cut into chunks of at most ``STACK_BYTES``. A root whose residual exceeds
+    1e-10 * sum|c_k| * max(1, |z|)^deg, in any row, raises one RuntimeWarning.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise ValueError("root finding requires a 2-D stack of rows of degree >= 1")
+    if np.any(rows[:, -1] == 0.0):
+        raise ValueError("every row needs a nonzero leading coefficient")
+    return _checked_roots(rows)
+
+
+def _checked_roots(rows: np.ndarray) -> np.ndarray:
+    """Companion-matrix roots of a stack of rows, with the residual check."""
+    n_rows, deg = rows.shape[0], rows.shape[1] - 1
+    roots = np.zeros((n_rows, deg), dtype=complex)
+    low_zeros = np.argmax(rows != 0.0, axis=1)  # leading coefficients are nonzero
+    for k in set(low_zeros.tolist()):
+        n = deg - k  # companion size
+        if n == 0:  # c * lambda^deg: every root is 0
+            continue
+        sel = np.flatnonzero(low_zeros == k)
+        per_chunk = max(1, STACK_BYTES // (8 * n * n))
+        for start in range(0, sel.size, per_chunk):
+            r = sel[start : start + per_chunk]
+            desc = rows[r, k:][:, ::-1]
+            A = np.zeros((r.size, n, n))
+            A[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+            A.reshape(r.size, n * n)[:, n :: n + 1] = 1.0  # the subdiagonal
+            w = np.linalg.eigvals(A)
+            if w.dtype == complex:  # numpy.roots gives a real array for a row of real roots
+                real = (w.imag == 0.0).all(axis=1)
+                w[real] = w[real].real
+            roots[r, :n] = w
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is no verdict
-        resid = np.abs(horner(p.coeffs, roots))
-        bound = 1e-10 * np.sum(np.abs(p.coeffs)) * np.maximum(1.0, np.abs(roots)) ** p.degree
-    if np.any(resid > bound):
+        z = roots.T  # one column per row, so each coefficient broadcasts along it
+        resid = np.abs(horner(rows.T, z))
+        bound = 1e-10 * np.abs(rows).sum(axis=1) * np.maximum(1.0, np.abs(z)) ** deg
+    if (resid > bound).any():
         warnings.warn(
-            "polynomial roots miss the residual bound", RuntimeWarning, stacklevel=2
+            "polynomial roots miss the residual bound", RuntimeWarning, stacklevel=3
         )
     return roots
 

@@ -16,7 +16,11 @@ runs all its samples as one array, one ``eval_map_array`` call per step;
 samples leave the array as they diverge. For a single run the array's
 per-step overhead dominates: 3,000 steps of logistic:r=3.9 with N = 2 took
 about 60 ms as a batch of one against 5 ms in the scalar loop (2-core Xeon,
-numpy 2.4), so single runs stay scalar.
+numpy 2.4), so single runs stay scalar. Only that recursion is scalar: the
+convergence test is one array pass, every state's distance to the orbit as
+min |x - p| over the orbit's points (the IEEE subtraction and abs of
+``Cycle.distance_to``, so the distances are the same), and
+``simulate_nearest`` ranks its candidates from those same distances.
 """
 
 from __future__ import annotations
@@ -72,7 +76,8 @@ def simulate(
     non-finite state truncates the run and flags divergence.
     """
     states, controls, diverged = _iterate(m, a, T, init_history, steps)
-    return _classify(states, controls, diverged, T, target, tol)
+    states = np.asarray(states)
+    return _classify(states, controls, diverged, T, target, tol, _distances(states, target))
 
 
 def simulate_nearest(
@@ -86,20 +91,21 @@ def simulate_nearest(
 ) -> Trajectory:
     """``simulate`` against the candidate cycle the trajectory approaches.
 
-    The recursion runs once. The result is the Trajectory of the first
-    candidate it converges to, in the given order; when there is none, of
-    the candidate with the smallest mean distance over the final 10*T
-    states (the first such on ties). Its ``target`` is the chosen cycle.
+    The recursion runs once. Candidates are ranked by (not converged, mean
+    distance over the final 10*T states), so a candidate the run converges
+    to comes first; the result is the Trajectory of the first in rank, the
+    earliest in the given order on ties. Its ``target`` is the chosen cycle.
     """
     if not candidates:
         raise ValueError("simulate_nearest requires at least one candidate cycle")
-    run = _iterate(m, a, T, init_history, steps)
+    states, controls, diverged = _iterate(m, a, T, init_history, steps)
+    states = np.asarray(states)
     best = None
     for cyc in candidates:
-        traj = _classify(*run, T, cyc, tol)
+        dist = _distances(states, cyc)
+        traj = _classify(states, controls, diverged, T, cyc, tol, dist)
         # states always holds the history, so the window is never empty.
-        final_dist = float(np.mean([cyc.distance_to(x) for x in traj.states[-10 * T :]]))
-        key = (not traj.converged, final_dist)
+        key = (not traj.converged, float(np.mean(dist[-10 * T :])))
         if best is None or key < best[0]:
             best = (key, traj)
     return best[1]
@@ -144,33 +150,38 @@ def _iterate(m: MapSpec, a: GainVector, T: int, init_history, steps: int):
     return states, controls, diverged
 
 
+def _distances(states: np.ndarray, target: Cycle) -> np.ndarray:
+    """Each state's distance to the orbit as a set, ``Cycle.distance_to`` as one array."""
+    return np.min(np.abs(states[:, None] - np.asarray(target.points)), axis=1)
+
+
 def _classify(
-    states: list[float],
+    states: np.ndarray,
     controls: list[float],
     diverged: bool,
     T: int,
     target: Cycle,
     tol: float,
+    dist: np.ndarray,
 ) -> Trajectory:
     """The Trajectory of an iterated run, with convergence to ``target`` tested.
 
-    A run that did not diverge holds all its steps, at least 10*T beyond
-    the history, so the final window always exists.
+    ``dist`` holds each state's distance to the target orbit. A run that did
+    not diverge holds all its steps, at least 10*T beyond the history, so
+    the final window always exists; it settles one past the last state
+    outside the tol band.
     """
     converged = False
     settle: int | None = None
     if not diverged:
-        dist = np.array([target.distance_to(x) for x in states])
-        window = dist[-10 * T :]
-        converged = bool(np.all(window <= tol))
-        if converged:
-            s = len(states)
-            while s > 0 and dist[s - 1] <= tol:
-                s -= 1
-            settle = s
+        outside = np.flatnonzero(~(dist <= tol))
+        settle = int(outside[-1]) + 1 if outside.size else 0
+        converged = settle <= dist.size - 10 * T
+        if not converged:
+            settle = None
 
     return Trajectory(
-        states=np.asarray(states),
+        states=states,
         controls=np.asarray(controls),
         converged=converged,
         settle_step=settle,

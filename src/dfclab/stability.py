@@ -23,7 +23,7 @@ import numpy as np
 
 from .cycles import bisect_brackets, find_cycles
 from .maps import MapSpec
-from .polynomials import Polynomial, horner, poly_roots
+from .polynomials import Polynomial, horner, poly_roots, poly_roots_stack
 from .simulation import simulate
 from .spectrum import GainVector, char_poly_closed
 
@@ -33,6 +33,7 @@ __all__ = [
     "SCHUR_MARGIN",
     "jury_stable",
     "spectral_radius",
+    "spectral_radii",
     "analyze",
     "gains_uniform",
     "gains_dk2013",
@@ -45,7 +46,6 @@ __all__ = [
 
 SCHUR_MARGIN = 1e-9
 MARGINAL_BAND = 1e-6
-MU_ENDPOINT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,6 @@ class MuInterval:
 
     ``lo`` may be -inf when no lower crossing was found within the search
     range; ``hi`` never exceeds 1 (p(1) = 1 - mu forces instability beyond).
-    ``connected`` records the optional grid check that the interior is
-    entirely stable (None when not scanned).
     """
 
     lo: float
@@ -80,7 +78,6 @@ class MuInterval:
     scheme: str
     N: int
     T: int
-    connected: bool | None = None
 
     def __post_init__(self):
         if not (self.lo < self.hi):
@@ -92,6 +89,21 @@ class MuInterval:
 def spectral_radius(p: Polynomial) -> float:
     """Max root modulus of p."""
     return float(np.max(np.abs(poly_roots(p))))
+
+
+def spectral_radii(N: int, T: int, a: GainVector, mus) -> np.ndarray:
+    """Spectral radius of ``char_poly_closed(N, T, a, mu)`` for every mu in mus.
+
+    p is affine in mu, so every row is lambda^M - mu q^T from one q^T, by
+    the same multiply and subtract as ``char_poly_closed`` (bit-identical
+    coefficients), and all rows are solved by one ``poly_roots_stack`` call.
+    """
+    e_M = char_poly_closed(N, T, a, 0.0).coeffs  # validates dimensions
+    qT = np.zeros_like(e_M)
+    q_pow = (a.q_polynomial() ** T).coeffs
+    qT[: q_pow.size] = q_pow
+    rows = e_M - np.asarray(mus, dtype=float).reshape(-1, 1) * qT
+    return np.max(np.abs(poly_roots_stack(rows)), axis=1)
 
 
 def jury_stable(p: Polynomial, margin: float = 0.0) -> bool:
@@ -284,13 +296,7 @@ def gamma_t1(a: GainVector, theta_grid: int = 100_000) -> float:
 
 
 def stable_mu_interval(
-    N: int,
-    T: int,
-    a: GainVector,
-    tol: float = MU_ENDPOINT_TOL,
-    mu_floor: float = -1e6,
-    scheme: str = "custom",
-    scan_grid: int | None = None,
+    N: int, T: int, a: GainVector, mu_floor: float = -1e6, scheme: str = "custom"
 ) -> MuInterval:
     """The stable interval of multipliers around mu = 0.
 
@@ -301,8 +307,7 @@ def stable_mu_interval(
     last contact c) settles it; each endpoint is the nearest contact whose
     far side probes unstable, so tangencies inside are stepped over. ``lo``
     is -inf when no such contact lies above ``mu_floor``; ``hi`` is 1 when
-    none lies below it (p(1) = 1 - mu). ``scan_grid`` checks that many
-    interior points, 10 ``tol`` in from the endpoints, for stability.
+    none lies below it (p(1) = 1 - mu).
     """
     _ = char_poly_closed(N, T, a, 0.0)  # validates dimensions
 
@@ -331,13 +336,7 @@ def stable_mu_interval(
             hi = c
             break
 
-    connected = None
-    if scan_grid is not None:
-        lo_eff = lo if math.isfinite(lo) else mu_floor
-        mus = np.linspace(lo_eff + 10 * tol, hi - 10 * tol, scan_grid)
-        connected = all(stable(float(m)) for m in mus)
-
-    return MuInterval(lo=lo, hi=hi, scheme=scheme, N=N, T=T, connected=connected)
+    return MuInterval(lo=lo, hi=hi, scheme=scheme, N=N, T=T)
 
 
 def min_N_to_stabilize(

@@ -2,7 +2,9 @@
 
 import json
 import os
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import dfclab.cli
@@ -10,6 +12,7 @@ import dfclab.simulation
 import dfclab.stability
 from dfclab.cli import build_parser, main
 from dfclab.maps import parse_map
+from dfclab.spectrum import char_poly_closed
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +233,40 @@ class TestSweep:
         assert len(mus) == 31
         assert "-2.3" in mus
         assert mus[-1] == "0.0"
+
+    def test_csv_equals_the_per_row_loop(self, capsys):
+        # 300 rows, N = 5, T = 2, dk2013: the stacked solve prints the bytes
+        # of one char_poly_closed and one np.roots per row.
+        code, out, _ = run_cli(
+            capsys, "sweep", "--N", "5", "--T", "2", "--scheme", "dk2013",
+            "--mu-range=-3.2,0.5375", "--mu-step", "0.0125",
+        )
+        assert code == 0
+        gains = dfclab.stability.gains_dk2013(5)
+        lines = ["mu,spectral_radius,stable"]
+        for i in range(300):
+            mu = float(Fraction("-3.2") + i * Fraction("0.0125"))
+            p = char_poly_closed(5, 2, gains, mu)
+            radius = float(np.max(np.abs(np.roots(p.coeffs[::-1]).astype(complex))))
+            stable = "true" if radius < 1.0 - dfclab.stability.SCHUR_MARGIN else "false"
+            lines.append(f"{mu!r},{radius!r},{stable}")
+        assert out == "\n".join(lines) + "\n"
+
+    def test_solves_all_rows_in_one_stack(self, capsys, monkeypatch):
+        calls = []
+        real = dfclab.stability.poly_roots_stack
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(dfclab.stability, "poly_roots_stack", counted)
+        monkeypatch.setattr(dfclab.stability, "poly_roots", None)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--N", "3", "--T", "2", "--mu-range=-3,0", "--mu-step", "0.1"
+        )
+        assert code == 0
+        assert calls == [31]
 
     @pytest.mark.parametrize(
         "bounds, step", [("-inf,0", "0.1"), ("-3,nan", "0.1"), ("-3,0", "inf")]

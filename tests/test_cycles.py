@@ -249,6 +249,24 @@ class TestDomainErrors:
         assert len(found) == len(want)
         assert all(abs(p - q) < 1e-7 for p, q in zip(found, want))
 
+    @pytest.mark.parametrize(
+        "source, T, grid, count, lower",
+        [
+            # the fixed point; the 2-cycle and both 3-cycles; the fixed point
+            ("0.3/x - 1.6*x", 3, 1000, 2, (-0.339683,)),
+            ("0.3/x - 1.6*x", 6, 1000, 8, (-0.707107, -0.628765, -0.528898)),
+            ("2.5*x - 0.02/x - 3*x^3", 3, 1001, 8, (-0.117086,)),
+        ],
+    )
+    def test_polished_orbit_of_lower_period_is_dropped(self, source, T, grid, count, lower):
+        # The Newton polish of an anchor can land on an orbit of lower period,
+        # so the divisor test runs again on the polished orbit.
+        cycles = find_cycles(parse_map(source, domain=(-1.0, 1.0)), T, grid)
+        assert len(cycles) == count
+        for c in cycles:
+            assert all(abs(c.points[d] - c.points[0]) > 1e-8 for d in range(1, T) if T % d == 0)
+        assert not any(abs(c.points[0] - x) < 1e-5 for c in cycles for x in lower)
+
     def test_grid_nodes_with_errors_exist(self):
         pole = parse_map("0.3/x - 1.6*x", domain=(-1.0, 1.0))
         with pytest.raises(MapEvalError):

@@ -1,12 +1,19 @@
 """Tests for polynomial arithmetic, root finding, and resultants."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dfclab.polynomials
 from dfclab.polynomials import (
     Polynomial,
     has_repeated_roots,
     poly_roots,
+    poly_roots_stack,
     resultant,
     sylvester_matrix,
 )
@@ -111,11 +118,89 @@ class TestRoots:
         assert 0.0 in roots  # the origin root is exact
 
     def test_residual_bound_warns(self, monkeypatch):
-        real = np.roots
-        monkeypatch.setattr(np, "roots", lambda c: real(c) + 1e-6)
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda A: real(A) + 1e-6)
         with pytest.warns(RuntimeWarning, match="residual bound"):
             roots = poly_roots(Polynomial.from_roots([0.5, -0.25, 2.0]))
         assert len(roots) == 3
+
+
+def _np_roots(row):
+    """One ascending row's roots by ``np.roots``, as complex."""
+    return np.roots(row[::-1]).astype(complex)
+
+
+@st.composite
+def root_stacks(draw):
+    """Rows of one degree 1-125, some with their low-order coefficients zeroed.
+
+    Zeroing all but the leading coefficient gives the mu = 0 row lambda^deg.
+    """
+    deg = draw(st.integers(1, 125))
+    n_rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((n_rows, deg + 1))
+    for r in range(n_rows):
+        rows[r, : min(deg, draw(st.sampled_from([0, 0, 1, 2, deg // 2, deg])))] = 0.0
+    return rows
+
+
+class TestRootsStack:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=root_stacks(), budget=st.sampled_from([1, 3000, 1 << 24]))
+    def test_equals_np_roots_per_row(self, rows, budget):
+        # A budget of 1 byte solves every row as its own chunk, 3000 bytes
+        # cuts a small-degree stack into chunks of several rows.
+        with mock.patch.object(dfclab.polynomials, "STACK_BYTES", budget):
+            got = poly_roots_stack(rows)
+        assert got.dtype == complex and got.shape == (rows.shape[0], rows.shape[1] - 1)
+        for r, row in enumerate(rows):
+            assert got[r].tobytes() == _np_roots(row).tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 1 << 24])  # one chunk per row, or one in all
+    @pytest.mark.parametrize("N, T", [(1, 1), (1, 3), (2, 1), (5, 2), (4, 3)])
+    def test_char_poly_rows(self, N, T, budget):
+        # Stacks of closed-form rows, mu = 0 (lambda^M) among them.
+        a = gains_uniform(N)
+        rows = np.array(
+            [char_poly_closed(N, T, a, mu).coeffs for mu in (-3.0, -0.5, 0.0, 0.7, 2.0)]
+        )
+        with mock.patch.object(dfclab.polynomials, "STACK_BYTES", budget):
+            got = poly_roots_stack(rows)
+        for r, row in enumerate(rows):
+            assert got[r].tobytes() == _np_roots(row).tobytes()
+        assert np.all(got[2] == 0.0)
+
+    def test_single_polynomial_is_a_stack_of_one(self):
+        p = char_poly_closed(3, 2, gains_uniform(3), -1.3)
+        assert poly_roots(p).tobytes() == poly_roots_stack(p.coeffs[None, :])[0].tobytes()
+        assert poly_roots(p).tobytes() == _np_roots(p.coeffs).tobytes()
+
+    def test_one_bad_row_warns_once(self, monkeypatch):
+        real = np.linalg.eigvals
+
+        def second_matrix_off(A):
+            w = real(A).astype(complex)
+            w[1] += 1e-6
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvals", second_matrix_off)
+        rows = np.array([Polynomial.from_roots(z).coeffs for z in
+                         ([0.5, -0.25, 2.0], [0.1, 0.2, 0.3], [-1.0, 0.4, 0.9])])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            poly_roots_stack(rows)
+        assert [str(w.message) for w in caught] == ["polynomial roots miss the residual bound"]
+        assert all(w.category is RuntimeWarning for w in caught)
+
+    def test_rejects_rows_of_unequal_degree(self):
+        with pytest.raises(ValueError, match="leading coefficient"):
+            poly_roots_stack([[1.0, 2.0, 1.0], [1.0, 2.0, 0.0]])
+        with pytest.raises(ValueError, match="degree >= 1"):
+            poly_roots_stack([[1.0], [2.0]])
+
+    def test_empty_stack(self):
+        assert poly_roots_stack(np.empty((0, 4))).shape == (0, 3)
 
 
 class TestSylvester:

@@ -7,7 +7,14 @@ import pytest
 
 from dfclab.cycles import Cycle, find_cycles
 from dfclab.maps import MapEvalError, eval_map, parse_map
-from dfclab.simulation import _iterate, basin_fraction, simulate, simulate_nearest
+from dfclab.simulation import (
+    _classify,
+    _distances,
+    _iterate,
+    basin_fraction,
+    simulate,
+    simulate_nearest,
+)
 from dfclab.spectrum import GainVector, char_poly_closed
 from dfclab.stability import gains_uniform, spectral_radius
 
@@ -221,6 +228,83 @@ BASIN_CASES = [
     ("0.01/x + 3.2*x*(1-x)", (-0.3, 1.0), 1, 2, 0),
     ("0.01/x + 3.2*x*(1-x)", (-0.3, 1.0), 1, 1, 0),
 ]
+
+
+def _classified(states, T, target, diverged=False, tol=1e-6):
+    xs = np.asarray(states, dtype=float)
+    return _classify(xs, [], diverged, T, target, tol, _distances(xs, target))
+
+
+class TestArrayConvergenceCheck:
+    def test_distances_equal_distance_to(self):
+        cyc = Cycle(3, (-0.3, 0.1, 0.7), (1.0, 1.0, 1.0), 1.0)
+        xs = np.random.default_rng(3).uniform(-1.0, 1.0, 500)
+        want = [cyc.distance_to(float(x)) for x in xs]
+        assert _distances(xs, cyc).tolist() == want
+
+    def test_settles_at_the_last_reentry(self):
+        # In the band at 0-1, out at 2, in at 3-4, out at 5, in from 6 on.
+        cyc = Cycle(2, (0.2, 0.6), (1.0, 1.0), 1.0)
+        states = [0.2, 0.6, 0.3, 0.6, 0.2, 0.6 + 2e-6] + [0.2, 0.6] * 10
+        traj = _classified(states, 2, cyc)
+        assert traj.converged and traj.settle_step == 6
+
+    def test_inside_from_state_zero(self):
+        cyc = Cycle(1, (0.75,), (-2.0,), -2.0)
+        traj = _classified([0.75 + 1e-7] * 12, 1, cyc)
+        assert traj.converged and traj.settle_step == 0
+
+    def test_band_edge_is_inside(self):
+        cyc = Cycle(1, (0.5,), (0.5,), 0.5)
+        traj = _classified([0.5 + 1.0, 0.5 + 0.25] + [0.5] * 10, 1, cyc, tol=0.25)
+        assert traj.settle_step == 1
+
+    def test_left_in_the_final_window_does_not_converge(self):
+        cyc = Cycle(1, (0.75,), (-2.0,), -2.0)
+        states = [0.75] * 20
+        states[-10] = 0.8
+        traj = _classified(states, 1, cyc)
+        assert not traj.converged and traj.settle_step is None
+        states[-10], states[-11] = 0.75, 0.8
+        assert _classified(states, 1, cyc).settle_step == 10
+
+    def test_diverged_run(self):
+        cyc = Cycle(1, (0.75,), (-2.0,), -2.0)
+        traj = _classified([0.75] * 3, 1, cyc, diverged=True)
+        assert not traj.converged and traj.settle_step is None and traj.diverged
+
+
+def _nearest_by_scalar_code(m, a, T, history, steps, candidates, tol=1e-6):
+    """The candidate index simulate_nearest must pick, ranked in scalar Python."""
+    states = [float(x) for x in simulate(m, a, T, history, steps, candidates[0]).states]
+    best = None
+    for i, cyc in enumerate(candidates):
+        dist = [cyc.distance_to(x) for x in states]
+        converged = all(d <= tol for d in dist[-10 * T :])
+        key = (not converged, float(np.mean(dist[-10 * T :])))
+        if best is None or key < best[0]:
+            best = (key, i)
+    return best[1]
+
+
+class TestSimulateNearestOnNearTies:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("N, init", [(1, 0.3), (2, 0.74)])
+    def test_same_pick_as_scalar_code(self, logistic4, seed, N, init):
+        # Candidates one or a few ulps apart, duplicates among them: the mean
+        # distances tie or differ in their last bits.
+        rng = np.random.default_rng(seed)
+        base = 0.75 if N == 2 else float(rng.uniform(0.2, 0.8))
+        points = [base]
+        for _ in range(7):
+            points.append(float(np.nextafter(points[-1], 2.0 if rng.random() < 0.5 else -2.0)))
+        points = [points[i] for i in rng.integers(0, len(points), 8)]
+        candidates = [Cycle(1, (p,), (-2.0,), -2.0) for p in points]
+        a = gains_uniform(N)
+        history = [init] * N  # (N - 1) T + 1 states at T = 1
+        want = _nearest_by_scalar_code(logistic4, a, 1, history, 300, candidates)
+        got = simulate_nearest(logistic4, a, 1, history, 300, candidates)
+        assert got.target is candidates[want]
 
 
 class TestBasinFractionIsTheShareOfSimulations:

@@ -254,9 +254,18 @@ class TestStableMuInterval:
             radius = spectral_radius(char_poly_closed(2, 2, g, mu))
             assert (radius < 1.0) == expect_stable
 
-    def test_connectivity_scan(self):
-        iv = stable_mu_interval(3, 1, gains_uniform(3), scheme="uniform", scan_grid=40)
-        assert iv.connected is True
+    @pytest.mark.parametrize("scheme", ["uniform", "dk2013"])
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("N", [2, 4, 7])
+    def test_interior_root_moduli_below_one(self, N, T, scheme):
+        # Every root modulus on a dense grid strictly inside the interval is
+        # below 1, tangencies stepped over by the interval included.
+        a = gains_uniform(N) if scheme == "uniform" else gains_dk2013(N)
+        iv = stable_mu_interval(N, T, a, scheme=scheme)
+        assert math.isfinite(iv.lo)
+        for k in range(1, 201):
+            mu = iv.lo + (iv.hi - iv.lo) * k / 201
+            assert spectral_radius(char_poly_closed(N, T, a, mu)) < 1.0
 
     def test_uniform_boundary_exactness(self):
         for N in range(1, 9):
