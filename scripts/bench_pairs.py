@@ -6,7 +6,9 @@ change in odd ones, so a drift of the host's speed falls on both sides. The
 summary has, per workload and end-to-end metric, every run's value, each
 side's median and quartiles, and the number of pairs the change won (all
 the metrics are lower-better), plus each run's operations attempted and
-failed. Run it from anywhere:
+failed. Each workload also gets verdicts (see ``judge``) against the bounds
+of the parent checkout's ``BENCHMARK.json``, which is read, never written.
+Run it from anywhere:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload pipeline boundary dynamics --seed 91 --pairs 10 --seconds 25 \\
@@ -63,6 +65,49 @@ def summarize(results: dict[str, list[dict]]) -> dict:
     }
 
 
+def load_bounds(benchmark: Path) -> dict[str, float]:
+    """Each end-to-end metric's bound from a ``BENCHMARK.json``: the share of
+    the parent's median by which the change may be worse."""
+    doc = json.loads(benchmark.read_text())
+    return {m["name"]: m["bound"] for m in doc["end_to_end"]}
+
+
+def judge(summary: dict, bounds: dict[str, float]) -> dict[str, str]:
+    """Verdicts on one workload's summary, per metric that has a bound.
+
+    With p and c the parent's and the change's median and iqr the parent's
+    quartile distance, a metric is
+    - "gain" when the change won at least 9 of 10 pairs and p - c > iqr;
+    - "regression" when (c - p) / p exceeds the bound;
+    - "unresolved" when either side's quartile distance, over p, exceeds
+      the bound, unless every change run is lower than every parent run;
+    - "unchanged" otherwise.
+    ``failed_share`` is "larger" when the change failed a larger share of
+    its attempted operations than the parent, else "no larger".
+    """
+    out = {}
+    for name, m in summary["metrics"].items():
+        if name not in bounds:
+            continue
+        par, chg = m["parent"], m["change"]
+        p, c = par["median"], chg["median"]
+        spread = max(s["q3"] - s["q1"] for s in (par, chg))
+        if 10 * m["change_lower_in_pairs"] >= 9 * summary["pairs"] and p - c > par["q3"] - par["q1"]:
+            out[name] = "gain"
+        elif c - p > bounds[name] * p:
+            out[name] = "regression"
+        elif spread > bounds[name] * p and not max(chg["runs"]) < min(par["runs"]):
+            out[name] = "unresolved"
+        else:
+            out[name] = "unchanged"
+    shares = {}
+    for side, runs in summary["attempted_failed"].items():
+        attempted = sum(a for a, _ in runs)
+        shares[side] = sum(f for _, f in runs) / attempted if attempted else 0.0
+    out["failed_share"] = "larger" if shares["change"] > shares["parent"] else "no larger"
+    return out
+
+
 def _commit(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
@@ -91,6 +136,7 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bounds = load_bounds(checkouts["parent"] / "BENCHMARK.json")
 
     doc = {
         "what": "perfbench end-to-end metrics, parent commit against this change, "
@@ -110,7 +156,8 @@ def main(argv=None) -> int:
                 results[side].append(res)
                 sys.stderr.write(f"{workload} pair {pair} {side}: "
                                  f"time_s {res['metrics']['time_s']['value']:.4f}\n")
-        doc["workloads"][workload] = {"seed": seed, **summarize(results)}
+        summary = summarize(results)
+        doc["workloads"][workload] = {"seed": seed, **summary, "verdicts": judge(summary, bounds)}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")  # keep finished workloads
     return 0
 

@@ -9,14 +9,21 @@ fixed header row per subcommand. Every subcommand accepts ``--seed``
 configuration + seed yields byte-identical output. Exit codes: 0 success,
 1 domain error, 2 usage error; a float flag that is not a finite number and
 an integer flag below its floor are usage errors.
+
+``main`` parses with one parser per process, built by its first call and
+reused by every later one, so a process that runs many commands (a test
+suite, a notebook, a benchmark) pays for the parser once; importing the
+module builds none. ``build_parser`` returns a new parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +44,8 @@ from .verify import run_suite
 
 SCHEMA_VERSION = 1
 GAINS_HELP = "comma-separated gains for --scheme custom (--gains=-0.5,1.5 if the first is < 0)"
+# The most rows one sweep may have; a longer grid is a usage error.
+MAX_SWEEP_ROWS = 10**7
 
 class UsageError(Exception):
     """Invalid flag value; reported with exit status 2."""
@@ -164,11 +173,24 @@ def _emit_json(args, body: dict) -> None:
     _emit(args, _json_text(args, body))
 
 
-def _emit_csv(args, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+def _emit_csv(args, header: list[str], columns: list[Sequence]) -> None:
+    """A CSV report from columns of equal length. Each column is formatted
+    in one pass, then the rows are joined into the report at once."""
+    cells = [_csv_column(col) for col in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     _emit(args, "\n".join(lines) + "\n")
+
+
+def _csv_column(values: Sequence) -> list[str]:
+    """``_csv_cell`` of every value, without a call per cell for the column
+    types the reports print: floats and ints with blanks, or bools."""
+    kinds = set(map(type, values))
+    if kinds <= {float, int, type(None)}:
+        # For exactly these types repr(v) is _csv_cell(v).
+        return ["" if v is None else repr(v) for v in values]
+    if kinds == {bool}:
+        return ["true" if v else "false" for v in values]
+    return list(map(_csv_cell, values))
 
 
 def _csv_cell(v) -> str:
@@ -198,11 +220,12 @@ def _cmd_cycles(args) -> int:
         for c in cycles
     ]
     if args.format == "csv":
-        rows = []
-        for idx, c in enumerate(cycles):
-            for j, (x, mu) in enumerate(zip(c.points, c.multipliers)):
-                rows.append([idx, j, x, mu, c.multiplier_product])
-        _emit_csv(args, ["cycle", "point_index", "x", "multiplier", "product"], rows)
+        columns = [[idx for idx, c in enumerate(cycles) for _ in c.points],
+                   [j for c in cycles for j in range(len(c.points))],
+                   [x for c in cycles for x in c.points],
+                   [mu for c in cycles for mu in c.multipliers],
+                   [c.multiplier_product for c in cycles for _ in c.points]]
+        _emit_csv(args, ["cycle", "point_index", "x", "multiplier", "product"], columns)
     else:
         _emit_json(args, {"map": m.source, "period": args.period, "cycles": items})
     return 0
@@ -217,8 +240,7 @@ def _cmd_charpoly(args) -> int:
     mu = float(np.prod(mults))
     p = char_poly_closed(args.N, args.T, gains, mu)
     if args.format == "csv":
-        rows = [[k, c] for k, c in enumerate(p.coeffs)]
-        _emit_csv(args, ["degree", "coefficient"], rows)
+        _emit_csv(args, ["degree", "coefficient"], [range(len(p.coeffs)), p.coeffs.tolist()])
     else:
         _emit_json(
             args,
@@ -246,7 +268,7 @@ def _cmd_stability(args) -> int:
         "marginal": report.marginal,
     }
     if args.format == "csv":
-        _emit_csv(args, ["mu", *verdict], [[args.mu, *verdict.values()]])
+        _emit_csv(args, ["mu", *verdict], [[v] for v in (args.mu, *verdict.values())])
     else:
         _emit_json(
             args,
@@ -267,8 +289,7 @@ def _cmd_stability(args) -> int:
 def _cmd_gains(args) -> int:
     gains = _gains_for(args)
     if args.format == "csv":
-        rows = [[j + 1, a] for j, a in enumerate(gains.coeffs)]
-        _emit_csv(args, ["j", "a_j"], rows)
+        _emit_csv(args, ["j", "a_j"], [range(1, len(gains) + 1), list(gains.coeffs)])
     else:
         _emit_json(
             args, {"scheme": args.scheme, "N": args.N, "gains": list(gains.coeffs)}
@@ -320,15 +341,15 @@ def _cmd_simulate(args) -> int:
     # u(k) is the control applied on the step from state k to k+1; the
     # history rows before the last one and the final state carry none.
     n_hist = len(traj.states) - len(traj.controls)
-    us = [None] * (n_hist - 1) + [float(u) for u in traj.controls] + [None]
-    rows = [[k, float(x), u] for k, (x, u) in enumerate(zip(traj.states, us))]
+    us = [None] * (n_hist - 1) + traj.controls.tolist() + [None]
+    columns = [range(len(traj.states)), traj.states.tolist(), us]
 
     if args.format == "json":
-        trajectory = [dict(zip(header, r)) for r in rows]
+        trajectory = [dict(zip(header, r)) for r in zip(*columns)]
         _emit_json(args, {**summary, "trajectory": trajectory})
     else:
         # CSV trajectory to --out (or stdout), JSON summary to stdout.
-        _emit_csv(args, header, rows)
+        _emit_csv(args, header, columns)
         sys.stdout.write(_json_text(args, summary))
     return 0
 
@@ -342,17 +363,20 @@ def _cmd_sweep(args) -> int:
     step = _parse_exact(args.mu_step, "--mu-step")
     if float(step) <= 0:
         raise UsageError("--mu-step must be positive")
+    n_rows = int((hi - lo) / step) + 1
+    if n_rows > MAX_SWEEP_ROWS:
+        raise UsageError(f"--mu-range and --mu-step give more than {MAX_SWEEP_ROWS} rows")
     gains = _gains_for(args)
     header = ["mu", "spectral_radius", "stable"]
     # Row i is the float nearest to lo + i*step, computed exactly.
-    mus = [float(lo + i * step) for i in range(int((hi - lo) / step) + 1)]
-    radii = spectral_radii(args.N, args.T, gains, mus).tolist()
-    rows = [[mu, r, r < 1.0 - SCHUR_MARGIN] for mu, r in zip(mus, radii)]
+    mus = [float(lo + i * step) for i in range(n_rows)]
+    radii = spectral_radii(args.N, args.T, gains, mus)
+    columns = [mus, radii.tolist(), (radii < 1.0 - SCHUR_MARGIN).tolist()]
     if args.format == "json":
-        doc_rows = [dict(zip(header, r)) for r in rows]
+        doc_rows = [dict(zip(header, r)) for r in zip(*columns)]
         _emit_json(args, {"N": args.N, "T": args.T, "scheme": args.scheme, "rows": doc_rows})
     else:
-        _emit_csv(args, header, rows)
+        _emit_csv(args, header, columns)
     return 0
 
 
@@ -382,10 +406,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stabilize(args) -> int:
+    if args.steps < 10 * args.period:
+        raise UsageError(f"--steps must be at least 10*T = {10 * args.period}")
     m = _load_map(args)
-    steps = max(args.steps, 10 * args.period)
     entries = pipeline_stabilize(
-        m, args.period, args.scheme, args.n_max, steps, args.tol, args.grid
+        m, args.period, args.scheme, args.n_max, args.steps, args.tol, args.grid
     )
     _emit_json(
         args,
@@ -485,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mu-range", required=True,
         help="lo,hi (use --mu-range=-3,-1 when lo is negative)",
     )
-    sub.add_argument("--mu-step", required=True, help="grid spacing; rows are lo + i*step")
+    sub.add_argument("--mu-step", required=True,
+                     help=f"grid spacing; rows are lo + i*step, at most {MAX_SWEEP_ROWS} of them")
     _add_common(sub, fmt_default="csv")
     sub.set_defaults(handler=_cmd_sweep)
 
@@ -513,10 +539,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call in this process shares: argparse keeps
+    no state between parses, so one parser serves every command."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)  # a flag's type raises UsageError
+        args = _parser().parse_args(argv)  # a flag's type raises UsageError
         return args.handler(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

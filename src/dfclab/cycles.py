@@ -153,6 +153,11 @@ def find_cycles(m: MapSpec, period: int, grid_points: int = 1000) -> list[Cycle]
     returns it within ``PERIOD_TOL`` for a proper divisor d of T; two
     orbits are one when their anchors lie within ``ORBIT_TOL``; an orbit is
     reported only if it closes to ``CLOSURE_RTOL``.
+
+    An orbit may leave the domain. It is reported when one of its points is
+    a root found on the domain; its other points may lie outside. The Newton
+    re-polish of the anchor never steps outside the domain, so an anchor
+    that lies outside it is reported as the orbit's iteration gave it.
     """
     if period < 1:
         raise ValueError("period must be a positive integer")

@@ -1,11 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dfclab.cli
 import dfclab.simulation
@@ -15,10 +23,26 @@ from dfclab.maps import parse_map
 from dfclab.spectrum import char_poly_closed
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def env_with_src():
+    """The environment of a child interpreter that imports dfclab from this tree."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_fresh_process(*argv):
+    """Exit code, stdout and stderr of one command in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "dfclab.cli", *argv], capture_output=True,
+                          text=True, env=env_with_src(), timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestStability:
@@ -267,6 +291,32 @@ class TestSweep:
         )
         assert code == 0
         assert calls == [31]
+
+    def test_row_count_over_the_limit_exits_two_at_once(self):
+        # 10**300 rows: the count is checked before a single row is built.
+        # The command runs in a child process, timed there; a command that
+        # builds its rows first fails by the child's timeout, never hangs.
+        script = """
+import time, dfclab.cli
+start = time.perf_counter()
+code = dfclab.cli.main(["sweep", "--N", "2", "--T", "1", "--mu-range=0,1", "--mu-step", "1e-300"])
+print(code, time.perf_counter() - start)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env_with_src(), timeout=10)
+        code, seconds = proc.stdout.split()
+        assert code == "2"
+        assert float(seconds) < 1.0
+        assert proc.stderr == "usage error: --mu-range and --mu-step give more than 10000000 rows\n"
+
+    def test_row_count_at_the_limit_is_accepted(self, monkeypatch, capsys):
+        # Three rows, -1, -0.5 and 0, with the limit lowered to three.
+        monkeypatch.setattr(dfclab.cli, "MAX_SWEEP_ROWS", 3)
+        argv = ["sweep", "--N", "2", "--T", "1", "--mu-range=-1,0", "--mu-step"]
+        code, out, _ = run_cli(capsys, *argv, "0.5")
+        assert code == 0
+        assert len(out.splitlines()) == 4
+        assert run_cli(capsys, *argv, "0.3")[0] == 2  # four rows
 
     @pytest.mark.parametrize(
         "bounds, step", [("-inf,0", "0.1"), ("-3,nan", "0.1"), ("-3,0", "inf")]
@@ -549,6 +599,20 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"usage error: {flag} expects a finite number, got {value!r}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", *MAP, "--period", "1", "--N", "2", "--init", "0.3"],
+            ["stabilize", *MAP, "--period", "1"],
+        ],
+        ids=lambda v: v[0],
+    )
+    @pytest.mark.parametrize("steps", ["9", "3", "-5"])
+    def test_steps_below_ten_periods_exits_two(self, capsys, argv, steps):
+        code, out, err = run_cli(capsys, *argv, "--steps", steps)
+        assert (code, out) == (2, "")
+        assert err == "usage error: --steps must be at least 10*T = 10\n"
+
     def test_float_flag_that_is_no_number_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "stability", "--N", "2", "--T", "1", "--mu", "abc")
         assert (code, out) == (2, "")
@@ -572,3 +636,134 @@ class TestUsageErrors:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["gains"] == pytest.approx([1 / 3] * 3)
+
+
+def per_cell_csv(header, rows):
+    """The CSV writer that formatted every cell by its own call, kept as
+    the reference for the column-wise one."""
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            return repr(float(v))
+        return str(v)
+
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def column_csv(header, columns):
+    """What the CLI's CSV writer prints for these columns."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        dfclab.cli._emit_csv(argparse.Namespace(out=None), header, columns)
+    return buf.getvalue()
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300]))
+CELLS = {
+    "float": FLOATS,
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "float or blank": st.one_of(st.none(), FLOATS),
+    "bool or blank": st.one_of(st.none(), st.booleans()),
+    "numpy": st.one_of(st.builds(np.float64, FLOATS), st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+                       st.builds(np.bool_, st.booleans())),
+    "any": st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, st.text(max_size=3)),
+}
+
+
+class TestCsvWriter:
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data(), n_rows=st.integers(0, 40),
+           kinds=st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
+    def test_columns_print_the_bytes_of_the_per_cell_writer(self, data, n_rows, kinds):
+        columns = [data.draw(st.lists(CELLS[k], min_size=n_rows, max_size=n_rows)) for k in kinds]
+        header = [f"c{j}" for j in range(len(kinds))]
+        rows = [[col[i] for col in columns] for i in range(n_rows)]
+        assert column_csv(header, columns) == per_cell_csv(header, rows)
+
+    def test_zero_rows_print_the_header_only(self):
+        assert column_csv(["a", "b"], [[], []]) == "a,b\n" == per_cell_csv(["a", "b"], [])
+
+
+class TestOneParserPerProcess:
+    def test_main_builds_the_parser_once_and_import_builds_none(self):
+        # Counts every ArgumentParser made (the parser and its subparsers)
+        # after the import and after each of several commands.
+        script = """
+import argparse, contextlib, io
+made = [0]
+init = argparse.ArgumentParser.__init__
+def counted(self, *a, **k):
+    made[0] += 1
+    init(self, *a, **k)
+argparse.ArgumentParser.__init__ = counted
+import dfclab.cli
+counts = [made[0]]
+for argv in (["gains", "--scheme", "uniform", "--N", "2"],
+             ["stability", "--N", "2", "--T", "1", "--mu", "-1"],
+             ["gains", "--scheme", "uniform", "--N", "0"]) * 4:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        dfclab.cli.main(argv)
+    counts.append(made[0])
+print(counts)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env_with_src(), timeout=120, check=True)
+        counts = json.loads(proc.stdout)
+        assert counts[0] == 0
+        assert counts[1] > 0
+        assert counts[1:] == [counts[1]] * 12
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_param_lists_do_not_carry_over(self, capsys):
+        argv = ["cycles", "--map", "r*x*(1-x)", "--period", "1", "--format", "csv"]
+        run_cli(capsys, *argv, "--param", "r=4")
+        for extra in (["--param", "r=3.2"], []):
+            assert run_cli(capsys, *argv, *extra) == run_fresh_process(*argv, *extra)
+
+    # Each subcommand with its --format default.
+    DEFAULTS = [
+        (["cycles", "--map", "logistic:r=4", "--period", "2"], "json"),
+        (["charpoly", "--N", "2", "--T", "1", "--gains", "0.5,0.5", "--multipliers", "-2"], "json"),
+        (["stability", "--N", "2", "--T", "1", "--mu", "-1"], "json"),
+        (["gains", "--scheme", "dk2013", "--N", "3"], "json"),
+        (["simulate", "--map", "logistic:r=4", "--period", "1", "--N", "2", "--init", "0.3",
+          "--steps", "20"], "csv"),
+        (["sweep", "--N", "2", "--T", "1", "--mu-range=-1,0", "--mu-step", "0.5"], "csv"),
+        (["verify", "--suite", "chain", "--trials", "2"], "json"),
+        (["stabilize", "--map", "logistic:r=3.2", "--period", "1", "--steps", "100"], "json"),
+    ]
+
+    @pytest.mark.parametrize("argv, default", DEFAULTS, ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_format_default_survives_a_call_that_sets_it(self, capsys, argv, default):
+        other = {"json": "csv", "csv": "json"}[default]
+        run_cli(capsys, *argv, "--format", other)
+        code, out, err = run_cli(capsys, *argv)
+        args = build_parser().parse_args(argv)
+        assert args.format == default
+        assert args.handler(args) == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("bad", [
+        ["sweep", "--N", "0", "--T", "1", "--mu-range=-1,0", "--mu-step", "0.5"],
+        ["sweep", "--N", "2", "--T", "1", "--mu-range=0,1", "--mu-step", "0"],
+        ["sweep", "--N", "2", "--T", "1", "--frobnicate"],
+    ], ids=["flag-type", "handler", "argparse"])
+    def test_valid_call_after_a_usage_error_prints_fresh_process_bytes(self, capsys, bad):
+        try:
+            assert run_cli(capsys, *bad)[0] == 2
+        except SystemExit as exc:  # argparse's own usage errors exit
+            assert exc.code == 2
+        capsys.readouterr()
+        good = ["sweep", "--N", "2", "--T", "1", "--mu-range=-1,0", "--mu-step", "0.5",
+                "--scheme", "dk2013"]
+        assert run_cli(capsys, *good) == run_fresh_process(*good)

@@ -283,6 +283,22 @@ class TestDomainErrors:
         assert found == minimal_period_points(m, 2, 20_001) == []
 
 
+class TestOrbitsLeavingTheDomain:
+    # Two period-3 orbits of this map pass through -1.05507 and 1.05507,
+    # outside (-1, 1); their other points are roots the scan finds inside.
+    SOURCE = "2.5*x - 0.02/x - 3*x^3"
+
+    @pytest.mark.parametrize("grid", [1000, 1001, 4000])
+    def test_reported_with_the_points_of_a_wider_scan(self, grid):
+        found = find_cycles(parse_map(self.SOURCE, domain=(-1.0, 1.0)), 3, grid)
+        wide = find_cycles(parse_map(self.SOURCE, domain=(-1.2, 1.2)), 3, grid)
+        leaving = [c for c in found if any(abs(x) > 1.0 for x in c.points)]
+        assert [round(max(c.points, key=abs), 5) for c in leaving] == [-1.05507, 1.05507]
+        for c in leaving:
+            match = min(wide, key=lambda w: abs(w.points[0] - c.points[0]))
+            assert np.allclose(match.points, c.points, rtol=0.0, atol=1e-12)
+
+
 class TestBisectBrackets:
     def test_exact_zero_stops_at_the_midpoint(self):
         calls = []
