@@ -21,6 +21,7 @@ from .maps import (
     eval_map,
     eval_map_array,
     eval_map_deriv,
+    eval_map_deriv_array,
     parse_map,
 )
 from .polynomials import (
@@ -79,6 +80,7 @@ __all__ = [
     "eval_map",
     "eval_map_array",
     "eval_map_deriv",
+    "eval_map_deriv_array",
     "find_cycles",
     "gains_dk2013",
     "gains_uniform",

@@ -7,8 +7,9 @@ and ``subcommand`` so downstream scripts can pin schemas; CSV output has a
 fixed header row per subcommand. Every subcommand accepts ``--seed``
 (default 0), but only ``verify`` draws random numbers; identical
 configuration + seed yields byte-identical output. Exit codes: 0 success,
-1 domain error, 2 usage error; a float flag that is not a finite number and
-an integer flag below its floor are usage errors.
+1 domain error, 2 usage error; a float flag that is not a finite number, a
+tolerance that is not positive and an integer flag below its floor are
+usage errors.
 
 ``main`` parses with one parser per process, built by its first call and
 reused by every later one, so a process that runs many commands (a test
@@ -84,6 +85,18 @@ def _parse_float(text: str, flag: str) -> float:
 def _finite(flag: str):
     """argparse type of a float flag: a UsageError for text that is not a finite number."""
     return lambda text: _parse_float(text, flag)
+
+
+def _positive(flag: str):
+    """argparse type of a tolerance flag: a UsageError unless it is a finite number > 0."""
+
+    def parse(text: str) -> float:
+        value = _parse_float(text, flag)
+        if not value > 0.0:
+            raise UsageError(f"{flag} must be > 0")
+        return value
+
+    return parse
 
 
 def _at_least(flag: str, least: int):
@@ -368,8 +381,11 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"--mu-range and --mu-step give more than {MAX_SWEEP_ROWS} rows")
     gains = _gains_for(args)
     header = ["mu", "spectral_radius", "stable"]
-    # Row i is the float nearest to lo + i*step, computed exactly.
-    mus = [float(lo + i * step) for i in range(n_rows)]
+    # Row i is the float nearest to lo + i*step: exact integers over one
+    # common denominator, as int / int rounds correctly.
+    den = math.lcm(lo.denominator, step.denominator)
+    a, b = int(lo * den), int(step * den)
+    mus = [(a + i * b) / den for i in range(n_rows)]
     radii = spectral_radii(args.N, args.T, gains, mus)
     columns = [mus, radii.tolist(), (radii < 1.0 - SCHUR_MARGIN).tolist()]
     if args.format == "json":
@@ -493,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--history", help="explicit initial history, (N-1)T+1 values"
                      " (--history=-0.2,0.5 if the first is < 0)")
     sub.add_argument("--steps", type=int, required=True)
-    sub.add_argument("--tol", type=_finite("--tol"), default=1e-6)
+    sub.add_argument("--tol", type=_positive("--tol"), default=1e-6)
     sub.add_argument("--grid", type=_at_least("--grid", 100), default=1000)
     sub.add_argument("--cycle-index", type=int, help="target cycle index (anchor order)")
     _add_common(sub, fmt_default="csv")
@@ -531,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--scheme", choices=["uniform", "dk2013"], default="uniform")
     sub.add_argument("--N-max", dest="n_max", type=_at_least("--N-max", 1), default=32)
     sub.add_argument("--steps", type=int, default=5000)
-    sub.add_argument("--tol", type=_finite("--tol"), default=1e-6)
+    sub.add_argument("--tol", type=_positive("--tol"), default=1e-6)
     sub.add_argument("--grid", type=_at_least("--grid", 100), default=1000)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_stabilize)

@@ -7,13 +7,14 @@ into orbits, and deduplicated with each orbit anchored at its smallest
 point. Near-tangent cycles (multiplier close to +1) can slip through a
 sign-change scan; a denser grid is the mitigation.
 
-The scan, the bisection, the minimal-period filter and each root's forward
-orbit run on arrays through ``eval_map_array``, which is bit-identical to
-``eval_map``; every sign-change bracket is bisected in lockstep by
-``bisect_brackets``. One error policy holds throughout: a point whose f^T
-raises a map error is skipped, be it a grid node, a bisection midpoint
-(its bracket is dropped) or a root whose orbit cannot be evaluated. The
-Newton polish and the reported orbit evaluate f point by point; a
+Every stage runs on arrays: the scan, the lockstep bisection of every
+sign-change bracket (``bisect_brackets``), the minimal-period filter and
+each root's orbit through ``eval_map_array``, which is bit-identical to
+``eval_map``; the Newton polish of every root, then of every anchor, in
+lockstep, the closure check and the multipliers through
+``eval_map_deriv_array``. One error policy holds throughout: a point whose
+f^T raises a map error is skipped, be it a grid node, a bisection midpoint
+(its bracket is dropped) or a root whose orbit cannot be evaluated. A
 candidate whose polished orbit has a lower period (Newton can land on one)
 or does not close to ``CLOSURE_RTOL`` is skipped.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import MapEvalError, MapSpec, eval_map, eval_map_array, eval_map_deriv
+from .maps import MapOverflowError, MapSpec, eval_map, eval_map_array, eval_map_deriv_array
 
 __all__ = [
     "Cycle",
@@ -79,15 +80,6 @@ def _iterate_array(m: MapSpec, x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _g_and_slope(m: MapSpec, x: float, T: int) -> tuple[float, float]:
-    """g(x) = f^T(x) - x and g'(x) via the chain rule along the path."""
-    val, slope = x, 1.0
-    for _ in range(T):
-        slope *= eval_map_deriv(m, val)
-        val = eval_map(m, val)
-    return val - x, slope - 1.0
-
-
 def bisect_brackets(g, a, b, ga, width: float) -> np.ndarray:
     """Bisect every bracket [a[i], b[i]] of a sign change of g in lockstep.
 
@@ -125,20 +117,21 @@ def multiplier_of(
     """Multipliers f'(x_j) along a verified orbit and their product.
 
     Rejects point sequences that fail the orbit property
-    |f(x_j) - x_{(j+1) mod T}| <= orbit_tol * (1 + |x_j|).
+    |f(x_j) - x_{(j+1) mod T}| <= orbit_tol * (1 + |x_j|), and raises
+    a map error where f or f' errs at a point.
     """
-    pts = [float(p) for p in points]
-    if not pts:
+    pts = np.asarray(points, dtype=float).reshape(-1, 1)
+    if not pts.size:
         raise ValueError("empty point sequence")
-    T = len(pts)
-    for j, x in enumerate(pts):
-        nxt = pts[(j + 1) % T]
-        if abs(eval_map(m, x) - nxt) > orbit_tol * (1.0 + abs(x)):
-            raise ValueError(
-                f"points do not form an orbit: |f(x_{j}) - x_{(j + 1) % T}| "
-                f"exceeds {orbit_tol}"
-            )
-    mus = tuple(eval_map_deriv(m, x) for x in pts)
+    mus, err, gap = _multipliers(m, pts, orbit_tol)
+    if err[0]:
+        for x in pts[:, 0].tolist():
+            eval_map(m, x)  # raises the map's own error where f errs
+        raise MapOverflowError(f"f' is not finite at a point of {pts[:, 0].tolist()}")
+    if gap[0]:
+        raise ValueError(f"points do not form an orbit: some |f(x_j) - x_(j+1)| "
+                         f"exceeds {orbit_tol} (1 + |x_j|)")
+    mus = tuple(mus[:, 0].tolist())
     return mus, math.prod(mus)
 
 
@@ -180,66 +173,87 @@ def find_cycles(m: MapSpec, period: int, grid_points: int = 1000) -> list[Cycle]
         ends = bisect_brackets(g, xs[:-1][change], xs[1:][change], ga[change], BRACKET_WIDTH)
         # Newton polish, kept unless it raises |g| above the bisection's (it
         # can stall on flat spots).
-        polished = np.array([_newton_polish(m, x, T, lo, hi) for x in ends.tolist()])
+        polished = _newton_polish(m, ends, T, lo, hi)
         better = np.abs(g(polished)) <= np.abs(g(ends))
         roots = np.concatenate([xs[exact], np.where(better, polished, ends)])
+        orbits, minimal = _minimal_orbits(m, roots, T)
+        anchors = orbits.min(axis=0)[minimal]
 
-        # Each root's orbit, one row per step; drop roots fixed by a proper
-        # divisor of T and roots whose orbit meets a map error.
-        orbit = np.empty((T, roots.size))
-        orbit[0] = roots
-        for k in range(1, T):
-            orbit[k] = _iterate_array(m, orbit[k - 1], 1)
-        minimal = np.isfinite(orbit).all(axis=0)
-        for d in range(1, T):
-            if T % d == 0:
-                minimal &= ~(np.abs(orbit[d] - roots) <= PERIOD_TOL)
-
-    # Group roots into orbits and anchor each at its smallest point.
-    cycles: list[Cycle] = []
-    for anchor in orbit.min(axis=0)[minimal].tolist():
-        if any(abs(anchor - c.points[0]) <= ORBIT_TOL for c in cycles):
-            continue
-        # Re-polish the anchor so the reported orbit closes tightly. Newton
+        # Re-polish each anchor so the reported orbit closes tightly. Newton
         # may land on another point of the orbit, on an orbit already
         # reported or on one of lower period, so the polished orbit is
-        # filtered, anchored and compared again.
-        pts = [_newton_polish(m, anchor, T, lo, hi)]
-        try:
-            for _ in range(T - 1):
-                pts.append(eval_map(m, pts[-1]))
-            if any(abs(pts[d] - pts[0]) <= PERIOD_TOL for d in range(1, T) if T % d == 0):
-                continue
-            k = pts.index(min(pts))
-            pts = pts[k:] + pts[:k]
-            mus, prod = multiplier_of(m, pts, CLOSURE_RTOL)
-        except (MapEvalError, ValueError):  # the orbit errs or does not close
-            continue
-        if any(abs(pts[0] - c.points[0]) <= ORBIT_TOL for c in cycles):
+        # filtered, anchored at its smallest point and compared again.
+        orbits, keep = _minimal_orbits(m, _newton_polish(m, anchors, T, lo, hi), T)
+        rotated = (orbits.argmin(axis=0) + np.arange(T)[:, None]) % T
+        orbits = orbits[rotated, np.arange(anchors.size)]
+        mus, err, gap = _multipliers(m, orbits, CLOSURE_RTOL)
+        keep &= ~(err | gap)
+
+    cycles: list[Cycle] = []
+    for anchor, pts, mu, ok in zip(anchors.tolist(), orbits.T.tolist(), mus.T.tolist(), keep):
+        if not ok or any(
+            abs(x - c.points[0]) <= ORBIT_TOL for x in (anchor, pts[0]) for c in cycles
+        ):
             continue
         cycles.append(
-            Cycle(period=T, points=tuple(pts), multipliers=mus, multiplier_product=prod)
+            Cycle(period=T, points=tuple(pts), multipliers=tuple(mu),
+                  multiplier_product=math.prod(mu))
         )
 
     cycles.sort(key=lambda c: c.points[0])
     return cycles
 
 
-def _newton_polish(m, x0, T, lo, hi) -> float:
+def _minimal_orbits(m: MapSpec, starts: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit of each start, one column per start and one row per step,
+    and the mask of the starts whose orbit meets no map error and that no
+    proper divisor d of T returns within ``PERIOD_TOL``."""
+    orbits = np.empty((T, starts.size))
+    orbits[0] = starts
+    for k in range(1, T):
+        orbits[k] = _iterate_array(m, orbits[k - 1], 1)
+    minimal = np.isfinite(orbits).all(axis=0)
+    for d in range(1, T):
+        if T % d == 0:
+            minimal &= ~(np.abs(orbits[d] - starts) <= PERIOD_TOL)
+    return orbits, minimal
+
+
+def _multipliers(m: MapSpec, orbits: np.ndarray, tol: float):
+    """f' at every point of orbits (one orbit per column), the mask of the
+    columns where f or f' errs, and the mask of the columns with a gap
+    |f(x_j) - x_(j+1 mod T)| above tol * (1 + |x_j|)."""
+    fx, mus, bad = eval_map_deriv_array(m, orbits)
+    nxt = orbits[(np.arange(len(orbits)) + 1) % len(orbits)]
+    gap = np.abs(fx - nxt) > tol * (1.0 + np.abs(orbits))
+    return mus, bad.any(axis=0), gap.any(axis=0)
+
+
+@np.errstate(all="ignore")  # an error's values are unspecified
+def _newton_polish(m: MapSpec, x0: np.ndarray, T: int, lo: float, hi: float) -> np.ndarray:
+    """Newton on g = f^T - x from every point of x0 in lockstep.
+
+    A point stops where g' is 0, after a step below 1e-15 (1 + |x|), or after
+    ``NEWTON_MAX_ITER`` steps; it returns to its start if f or f' errs along
+    its path or a step leaves the domain (with a small slack).
+    """
     slack = 1e-9 * (1.0 + abs(hi - lo))
-    x = x0
+    x = np.array(x0, dtype=float)
+    live = np.arange(x.size)  # the points still stepping
     for _ in range(NEWTON_MAX_ITER):
-        try:
-            val, slope = _g_and_slope(m, x, T)
-        except MapEvalError:
-            return x0
-        if slope == 0.0:
+        if not live.size:
             break
-        step = val / slope
-        nxt = x - step
-        if not (lo - slack <= nxt <= hi + slack):
-            return x0
-        x = nxt
-        if abs(step) <= 1e-15 * (1.0 + abs(x)):
-            break
+        val = start = x[live]
+        slope, err = 1.0, False
+        for _ in range(T):
+            val, d, bad = eval_map_deriv_array(m, val)
+            slope, err = slope * d, err | bad
+        slope = slope - 1.0
+        # A zero slope takes a zero step, which stops the point where it is.
+        step = np.divide(val - start, slope, out=np.zeros(live.size), where=slope != 0.0)
+        nxt = start - step
+        nxt[err] = np.nan
+        inside = (lo - slack <= nxt) & (nxt <= hi + slack)
+        x[live] = np.where(inside, nxt, x0[live])
+        live = live[inside & (np.abs(step) > 1e-15 * (1.0 + np.abs(nxt)))]
     return x

@@ -5,20 +5,21 @@ The builtins (``logistic``, ``quadratic``, ``cubic``) are stored expression
 sources addressed by a designator such as ``"logistic:r=4"``. Each MapSpec
 compiles its parsed AST once into three straight-line Python functions:
 
-- f alone, behind ``eval_map``;
-- the pair (f, f') by forward-mode differentiation, behind
-  ``eval_map_deriv``, so f'(x) is exact to rounding rather than a
-  finite-difference approximation;
+- f at a float, behind ``eval_map``;
 - f over a numpy array, behind ``eval_map_array``, which returns the values
-  and a mask of the elements on which ``eval_map`` raises.
+  and a mask of the elements on which ``eval_map`` raises;
+- f and f' over a numpy array, behind ``eval_map_deriv_array`` (and
+  ``eval_map_deriv``, a call on one element), with f' exact to rounding by
+  forward-mode differentiation rather than a finite-difference estimate.
 
-The array form equals ``eval_map`` bit for bit wherever the mask is clear.
+The array forms equal ``eval_map`` bit for bit wherever their mask is clear.
 ``+ - * /`` and ``abs`` are correctly rounded IEEE operations in numpy as in
 Python. ``^``, exp, tanh, sin and cos are not: the scalar form gets them
 from libm (``**`` calls C ``pow``), and numpy's vectorised kernels round
 differently in the last bit, as does ``x*x`` against ``pow(x, 2)``. So the
-array form calls libm element by element too, through ``math.pow``,
-``math.exp``, ``math.tanh``, ``math.sin`` and ``math.cos``.
+array forms call libm element by element too, through ``math.pow``,
+``math.exp``, ``math.tanh``, ``math.sin`` and ``math.cos``. The derivative
+of u^n is n u^(n-1) u' for every integer n.
 
 The expression grammar supports real literals, ``x``, named parameters,
 ``+ - * /``, ``^`` with an integer-literal exponent, unary minus, and the
@@ -44,6 +45,7 @@ __all__ = [
     "eval_map",
     "eval_map_deriv",
     "eval_map_array",
+    "eval_map_deriv_array",
     "format_ast",
     "BUILTIN_MAPS",
 ]
@@ -180,7 +182,7 @@ def _fresh(v, x):
 
 
 # Globals of the generated code, besides its bound constants c0, c1, ...
-# The v-prefixed functions, divide and the rest serve the array form.
+# The v-prefixed functions, divide and the rest serve the array forms.
 _CODE_GLOBALS = {
     "__builtins__": {},
     "sin": math.sin,
@@ -194,46 +196,49 @@ _CODE_GLOBALS = {
     "vtanh": _elementwise(math.tanh, 1),
     "vpow": _elementwise(math.pow, 2),
     "divide": np.divide,
+    "where": np.where,
     "isfinite": np.isfinite,
     "fresh": _fresh,
 }
 
 # Forward-mode rules for the derivative of a node: {v} is the node's value,
-# {a}/{ad} the argument's value and derivative, {l}/{ld} and {r}/{rd} those of
-# the operands, with "0.0" for the derivative of an operand free of x.
+# {a}/{ad} the argument's value and derivative, {g} the named libm call on
+# {a}, {l}/{ld} and {r}/{rd} those of the operands, with "0.0" for the
+# derivative of an operand free of x.
 _CALL_DERIVS = {
-    "sin": "cos({a}) * {ad}",
-    "cos": "-sin({a}) * {ad}",
-    "exp": "{v} * {ad}",
-    "tanh": "(1.0 - {v} * {v}) * {ad}",
+    "sin": ("cos", "{g} * {ad}"),
+    "cos": ("sin", "-{g} * {ad}"),
+    "exp": (None, "{v} * {ad}"),
+    "tanh": (None, "(1.0 - {v} * {v}) * {ad}"),
     # At 0 the right-hand derivative (+1) is used, by convention.
-    "abs": "(1.0 if {a} >= 0.0 else -1.0) * {ad}",
+    "abs": (None, "where({a} >= 0.0, 1.0, -1.0) * {ad}"),
 }
 _BIN_DERIVS = {
     "+": "{ld} + {rd}",
     "-": "{ld} - {rd}",
     "*": "{l} * {rd} + {ld} * {r}",
-    "/": "({ld} * {r} - {l} * {rd}) / ({r} * {r})",
+    "/": "divide({ld} * {r} - {l} * {rd}, {r} * {r})",
 }
 
 
 def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
     """Return the lines of a function body computing ast at x, one per node.
 
-    ``form`` is "f" for f alone, "fd" for the pair (f, f') and "array" for
-    f over an array x with the mask ``bad`` of the elements on which f
-    raises. Each node yields the names of its value and derivative. The
-    derivative is None for a node that does not depend on x: it is computed
-    in plain float arithmetic and enters the rules above as a constant with
-    derivative 0.0; outside "fd" no node has one. The array form spells
-    f's operations with the same rounding, and ors into ``bad`` where the
-    scalar form raises: a zero divisor, or a math-module call that raises.
-    A parameter named like the variable shadows it; any other name must be
-    a parameter. Constants are bound in ``ns``; ``bound`` keeps their names.
+    ``form`` is "f" for f at a float x, "fa" for f over an array x with the
+    mask ``bad`` of the elements on which f raises, and "fda" for f and f'
+    over an array x with the mask of the elements on which either is not
+    finite. Each node yields the names of its value and derivative. The
+    derivative is None for a node that does not depend on x: it enters the
+    rules above as a constant with derivative 0.0; outside "fda" no node has
+    one. The array forms spell f's operations with the same rounding, and
+    or into ``bad`` where the scalar form raises: a zero divisor, or a
+    math-module call that raises. A parameter named like the variable
+    shadows it; any other name must be a parameter. Constants are bound in
+    ``ns``; ``bound`` keeps their names.
     """
     lines: list[str] = []
-    dx = "1.0" if form == "fd" else None
-    array = form == "array"
+    dx = "1.0" if form == "fda" else None
+    array = form != "f"
 
     def let(expr: str) -> str:
         name = f"t{len(lines)}"
@@ -244,6 +249,8 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
         lines.append(f"    bad |= {cond}\n")
 
     def libm(func: str, *args) -> str:
+        if not array:
+            return let(f"{func}({', '.join(map(str, args))})")
         v = f"t{len(lines)}"
         lines.append(f"    {v}, raised = v{func}({', '.join(map(str, args))})\n")
         lines.append("    if raised is not None:\n        bad |= raised\n")
@@ -269,36 +276,29 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
             return let(f"-{v}"), None if d is None else let(f"-{d}")
         if isinstance(node, Call):
             a, ad = walk(node.arg)
-            if array and node.func != "abs":
-                return libm(node.func, a), None
-            v = let(f"{node.func}({a})")
+            v = let(f"abs({a})") if node.func == "abs" else libm(node.func, a)
             if ad is None:
                 return v, None
-            return v, let(_CALL_DERIVS[node.func].format(a=a, ad=ad, v=v))
+            g, rule = _CALL_DERIVS[node.func]
+            g = libm(g, a) if g else None
+            return v, let(rule.format(a=a, ad=ad, v=v, g=g))
         if isinstance(node, Pow):
             b, bd = walk(node.base)
             n = node.exponent
-            if array:
-                return libm("pow", b, n), None
+            v = libm("pow", b, n) if array else let(f"{b} ** {n}")
             if bd is None:
-                return let(f"{b} ** {n}"), None
-            if n == 0:
-                return "1.0", "0.0"
-            # u^n for n > 0, then 1 / u^|n| by the quotient rule for n < 0.
-            k = abs(n)
-            v = let(f"{b} ** {k}")
-            d = let(f"{k} * {b} ** {k - 1} * {bd}")
-            if n > 0:
-                return v, d
-            return let(f"1.0 / {v}"), let(f"(0.0 * {v} - 1.0 * {d}) / ({v} * {v})")
+                return v, None
+            if n == 0:  # u^-1 would raise at u = 0
+                return v, "0.0"
+            return v, let(f"{n} * {libm('pow', b, n - 1)} * {bd}")
         if isinstance(node, Bin):
             l, ld = walk(node.left)
             r, rd = walk(node.right)
             if array and node.op == "/":
                 v = let(f"divide({l}, {r})")
                 flag(f"{r} == 0.0")
-                return v, None
-            v = let(f"{l} {node.op} {r}")
+            else:
+                v = let(f"{l} {node.op} {r}")
             if ld is None and rd is None:
                 return v, None
             rule = _BIN_DERIVS[node.op]
@@ -313,30 +313,29 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
         raise MapError(
             f"unknown identifier(s) {sorted(unbound)}; bind parameters via params/--param"
         )
-    if array:
-        v = let(f"fresh({v}, x)")
-        flag(f"~isfinite({v})")
-        ret = f"{v}, bad"
-    else:
-        ret = v if dx is None else f"{v}, {d or '0.0'}"
-    return "".join(lines) + f"    return {ret}\n"
+    if not array:
+        return "".join(lines) + f"    return {v}\n"
+    ret = [let(f"fresh({v}, x)")]
+    if dx is not None:
+        ret.append(let(f"fresh({d or '0.0'}, x)"))
+    for name in ret:
+        flag(f"~isfinite({name})")
+    return "".join(lines) + f"    return {', '.join(ret)}, bad\n"
 
 
 def _compile(ast: Node, params: dict) -> tuple[Callable, Callable, Callable]:
-    """Compile ast into ``f(x) -> f``, ``fd(x) -> (f, f')`` and
-    ``fa(x) -> (values, bad)`` over an array x.
+    """Compile ast into ``f(x) -> f`` at a float x, and over an array x into
+    ``fa(x) -> (values, bad)`` and ``fda(x) -> (values, derivatives, bad)``.
 
     Constants and parameter values are bound in the functions' namespace,
     never formatted into their text, so every float keeps its exact value.
     """
     ns = dict(_CODE_GLOBALS)
     bound: dict = {}
-    src = "".join(
-        f"def {name}(x):\n" + _lower(ast, params, ns, bound, form)
-        for name, form in (("f", "f"), ("fd", "fd"), ("fa", "array"))
-    )
+    forms = ("f", "fa", "fda")
+    src = "".join(f"def {form}(x):\n" + _lower(ast, params, ns, bound, form) for form in forms)
     exec(_code(src), ns)
-    return ns.pop("f"), ns.pop("fd"), ns.pop("fa")
+    return tuple(ns.pop(form) for form in forms)
 
 
 @functools.lru_cache(maxsize=256)
@@ -524,7 +523,8 @@ class MapSpec:
     ``kind`` and ``name`` are descriptive: ``"builtin"`` with the builtin's
     name, or ``"expression"`` with name None. ``domain`` is the closed
     interval searched for cycles. The AST is compiled once, at construction,
-    into the functions behind eval_map, eval_map_deriv and eval_map_array.
+    into the functions behind eval_map, eval_map_array and
+    eval_map_deriv_array.
     """
 
     kind: str
@@ -534,8 +534,8 @@ class MapSpec:
     ast: Node | None = None
     source: str = ""
     _f: Callable = field(init=False, repr=False, compare=False)
-    _fd: Callable = field(init=False, repr=False, compare=False)
     _fa: Callable = field(init=False, repr=False, compare=False)
+    _fda: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -543,10 +543,8 @@ class MapSpec:
             raise ValueError(f"domain requires lo < hi, got [{lo}, {hi}]")
         if self.ast is None:
             raise ValueError("MapSpec requires a parsed ast (see parse_map)")
-        f, fd, fa = _compile(self.ast, self.params)
-        object.__setattr__(self, "_f", f)
-        object.__setattr__(self, "_fd", fd)
-        object.__setattr__(self, "_fa", fa)
+        for name, fn in zip(("_f", "_fa", "_fda"), _compile(self.ast, self.params)):
+            object.__setattr__(self, name, fn)
 
 
 def parse_map(
@@ -606,36 +604,36 @@ def parse_map(
     )
 
 
-def _call(fn: Callable, x: float):
-    """fn(float(x)) with Python's arithmetic errors raised as map errors."""
-    if not math.isfinite(x):
-        raise MapEvalError(f"non-finite input x={x!r}")
-    try:
-        return fn(float(x))
-    except ZeroDivisionError as exc:
-        raise MapEvalError(f"at x={x!r}: {exc}") from exc
-    except (OverflowError, ValueError) as exc:
-        raise MapOverflowError(f"at x={x!r}: {exc}") from exc
-
-
 def eval_map(m: MapSpec, x: float) -> float:
     """Evaluate f(x).
 
     Raises MapEvalError on a domain error such as division by zero, and
     MapOverflowError on overflow or a non-finite result.
     """
-    y = _call(m._f, x)
+    if not math.isfinite(x):
+        raise MapEvalError(f"non-finite input x={x!r}")
+    try:
+        y = m._f(float(x))
+    except ZeroDivisionError as exc:
+        raise MapEvalError(f"at x={x!r}: {exc}") from exc
+    except (OverflowError, ValueError) as exc:
+        raise MapOverflowError(f"at x={x!r}: {exc}") from exc
     if not math.isfinite(y):
         raise MapOverflowError(f"f({x}) is not finite")
     return float(y)
 
 
 def eval_map_deriv(m: MapSpec, x: float) -> float:
-    """Evaluate f'(x) by forward-mode differentiation (exact to rounding)."""
-    y, dy = _call(m._fd, x)
-    if not (math.isfinite(y) and math.isfinite(dy)):
+    """Evaluate f'(x) by forward-mode differentiation (exact to rounding).
+
+    Raises as eval_map does where f(x) raises, and MapOverflowError where
+    f'(x) is not finite.
+    """
+    eval_map(m, x)
+    _, dy, bad = eval_map_deriv_array(m, [x])
+    if bad[0]:
         raise MapOverflowError(f"f'({x}) is not finite")
-    return dy
+    return float(dy[0])
 
 
 def eval_map_array(m: MapSpec, x) -> tuple[np.ndarray, np.ndarray]:
@@ -649,3 +647,16 @@ def eval_map_array(m: MapSpec, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         return m._fa(x)
+
+
+def eval_map_deriv_array(m: MapSpec, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate f and f' over an array: ``(values, derivatives, bad)``.
+
+    ``bad`` marks exactly the elements on which eval_map or eval_map_deriv
+    raises. Elsewhere ``values`` equals eval_map bit for bit and
+    ``derivatives`` is f' by forward-mode differentiation; on bad elements
+    both are unspecified.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        return m._fda(x)

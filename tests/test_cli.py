@@ -276,6 +276,27 @@ class TestSweep:
             lines.append(f"{mu!r},{radius!r},{stable}")
         assert out == "\n".join(lines) + "\n"
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        lo=st.tuples(st.integers(-10**6, 10**6), st.integers(-8, 2)),
+        step=st.tuples(st.integers(1, 10**6), st.integers(-8, 2)),
+        k=st.integers(0, 30),
+    )
+    def test_rows_are_the_exact_sums_rounded_once(self, lo, step, k):
+        # lo and step are written with exponents, and hi = lo + k*step exactly.
+        (m1, e1), (m2, e2) = lo, step
+        e = min(e1, e2)
+        lo_text, step_text = f"{m1}e{e1}", f"{m2}e{e2}"
+        hi_text = f"{m1 * 10 ** (e1 - e) + k * m2 * 10 ** (e2 - e)}e{e}"
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["sweep", "--N", "1", "--T", "1", f"--mu-range={lo_text},{hi_text}",
+                         "--mu-step", step_text, "--format", "json"])
+        assert code == 0
+        want = [float(Fraction(lo_text) + i * Fraction(step_text)) for i in range(k + 1)]
+        got = [row["mu"] for row in json.loads(buf.getvalue())["rows"]]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
     def test_solves_all_rows_in_one_stack(self, capsys, monkeypatch):
         calls = []
         real = dfclab.stability.poly_roots_stack
@@ -612,6 +633,21 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *argv, "--steps", steps)
         assert (code, out) == (2, "")
         assert err == "usage error: --steps must be at least 10*T = 10\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", *MAP, "--period", "1", "--N", "2", "--init", "0.3", "--steps", "100"],
+            ["stabilize", *MAP, "--period", "1"],
+        ],
+        ids=lambda v: v[0],
+    )
+    @pytest.mark.parametrize("tol", ["0", "-1", "-0.0"])
+    def test_tolerance_that_is_not_positive_exits_two(self, capsys, argv, tol):
+        # No distance is below a zero tolerance, so no run could converge.
+        code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --tol must be > 0\n"
 
     def test_float_flag_that_is_no_number_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "stability", "--N", "2", "--T", "1", "--mu", "abc")

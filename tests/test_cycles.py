@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dfclab.cycles import Cycle, bisect_brackets, find_cycles, multiplier_of
+import dfclab.cycles
+import dfclab.maps
+from dfclab.cycles import Cycle, _newton_polish, bisect_brackets, find_cycles, multiplier_of
 from dfclab.maps import MapEvalError, eval_map, parse_map
 
 
@@ -196,9 +198,39 @@ class TestValidation:
         def broken(m, x):
             raise TypeError("broken evaluator")
 
-        monkeypatch.setattr("dfclab.cycles.eval_map", broken)
+        monkeypatch.setattr("dfclab.cycles.eval_map_array", broken)
         with pytest.raises(TypeError, match="broken evaluator"):
             find_cycles(parse_map("logistic:r=4"), 1, 1000)
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize(
+        "source, domain, T",
+        [("logistic:r=4", None, 5), ("cubic:b=2.8", None, 3), ("0.3/x - 1.6*x", (-1.0, 1.0), 3)],
+    )
+    def test_scalar_evaluators_are_not_called(self, monkeypatch, source, domain, T):
+        m = parse_map(source, domain=domain)
+        want = find_cycles(m, T, 1000)
+
+        def scalar(m, x):
+            raise AssertionError("find_cycles evaluated a point by itself")
+
+        for name in ("eval_map", "eval_map_deriv"):
+            monkeypatch.setattr(dfclab.maps, name, scalar)
+            monkeypatch.setattr(dfclab.cycles, name, scalar, raising=False)
+        assert want and find_cycles(m, T, 1000) == want
+
+    def test_newton_points_stop_on_their_own_rules_in_one_call(self):
+        # g(x) = f(x) - x = 3x - 4x^2 on [0, 1]. From 0.1 and 0.37 the first
+        # step leaves the domain, and from 0.375 (g' = 0) none is taken,
+        # while 0.7 and 0.9 converge to the fixed point 0.75.
+        m = parse_map("logistic:r=4")
+        got = _newton_polish(m, np.array([0.1, 0.37, 0.375, 0.7, 0.9]), 1, 0.0, 1.0)
+        assert got.tolist() == [0.1, 0.37, 0.375, 0.75, 0.75]
+        # A start whose path meets the pole keeps its place; 0.3 converges.
+        pole = parse_map("0.3/x - 1.6*x", domain=(-1.0, 1.0))
+        got = _newton_polish(pole, np.array([0.0, 0.3]), 1, -1.0, 1.0)
+        assert got[0] == 0.0 and abs(got[1] - math.sqrt(0.3 / 2.6)) <= 1e-15
 
 
 def minimal_period_points(m, T, n_grid):

@@ -23,6 +23,7 @@ from dfclab.maps import (
     eval_map,
     eval_map_array,
     eval_map_deriv,
+    eval_map_deriv_array,
     format_ast,
     parse_map,
 )
@@ -30,6 +31,24 @@ from dfclab.maps import (
 
 def central_diff(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def assert_near_central_difference(m, x, exact, h=1e-6):
+    """exact = f'(x), checked against central differences of eval_map where
+    they resolve f (x and f(x) moderate, f(x + h) != f(x - h)), agree across
+    step sizes and agree with both one-sided differences (no kink, pole or
+    wild curvature near x)."""
+    try:
+        f = {k: eval_map(m, x + k * h) for k in (-10, -1, 0, 1, 10)}
+    except MapError:
+        return
+    d6, d5 = (f[1] - f[-1]) / (2 * h), (f[10] - f[-10]) / (20 * h)
+    up, down = (f[1] - f[0]) / h, (f[0] - f[-1]) / h
+    spread = max(abs(d6 - d5), abs(up - down) / 1e3)
+    resolved = abs(x) < 1e3 and abs(f[0]) < 1e3 and f[1] != f[-1]
+    if not (resolved and spread <= 1e-6 * (1.0 + abs(d6))):
+        return  # the oracle itself is unreliable here
+    assert abs(exact - d6) <= 1e-5 * (1.0 + abs(exact)) + 10 * spread
 
 
 class TestParse:
@@ -307,19 +326,40 @@ class TestArrayForm:
         xs=st.lists(_FLOATS, min_size=1, max_size=12),
     )
     def test_equals_eval_map_bit_for_bit_and_flags_its_errors(self, ast, p, xs):
+        # The array f form, and the array (f, f') form whose mask also
+        # covers the points where eval_map_deriv raises.
         m = MapSpec(kind="expression", domain=(0.0, 1.0), ast=ast, params={"p": p})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values, bad = eval_map_array(m, np.array(xs))
-        assert values.shape == bad.shape == (len(xs),)
-        for x, v, b in zip(xs, values.tolist(), bad.tolist()):
+            values_d, derivs, bad_d = eval_map_deriv_array(m, np.array(xs))
+        assert values.shape == bad.shape == derivs.shape == bad_d.shape == (len(xs),)
+        for i, x in enumerate(xs):
             try:
                 want = eval_map(m, x)
             except MapEvalError:
-                assert b, f"{format_ast(ast)} raises at x={x!r} but is not flagged"
+                assert bad[i] and bad_d[i], f"{format_ast(ast)} raises at x={x!r}, unflagged"
                 continue
-            assert not b, f"{format_ast(ast)} flagged at x={x!r} but returns {want!r}"
-            assert v.hex() == want.hex(), f"{format_ast(ast)} at x={x!r}"
+            assert not bad[i], f"{format_ast(ast)} flagged at x={x!r} but returns {want!r}"
+            assert values[i].hex() == want.hex(), f"{format_ast(ast)} at x={x!r}"
+            try:
+                slope = eval_map_deriv(m, x)
+            except MapEvalError:
+                assert bad_d[i], f"{format_ast(ast)}' raises at x={x!r} but is not flagged"
+                continue
+            assert not bad_d[i], f"{format_ast(ast)}' flagged at x={x!r} but returns {slope!r}"
+            assert values_d[i].hex() == want.hex(), f"{format_ast(ast)} at x={x!r}"
+            assert derivs[i].hex() == slope.hex(), f"{format_ast(ast)}' at x={x!r}"
+            assert_near_central_difference(m, x, slope)
+
+    def test_derivative_edge_cases(self):
+        # u^n has derivative n u^(n-1) u' for every n: x^-3 at 1e200 gives
+        # u^-4 = 0 (u^3 would overflow), and x^0 has derivative 0 at x = 0,
+        # where u^-1 is not defined.
+        for source, x, f, slope in (("x^-3", 1e200, 0.0, -0.0), ("x^0", 0.0, 1.0, 0.0)):
+            values, derivs, bad = eval_map_deriv_array(parse_map(source), [x])
+            assert (values[0], derivs[0].hex(), bad[0]) == (f, slope.hex(), False)
+            assert eval_map_deriv(parse_map(source), x).hex() == slope.hex()
 
     def test_builtins_on_a_grid(self):
         xs = np.linspace(-3.0, 3.0, 2001)
