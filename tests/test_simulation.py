@@ -409,3 +409,92 @@ class TestIterateStoresFOncePerState:
         want = reference_run(m, a, 2, history, 20)
         assert got == want
         assert got[2] and len(got[0]) == 5 + pole_at % 2
+
+
+def _counted_evals(monkeypatch) -> list[int]:
+    """Count the f evaluations of ``_iterate``: one entry, bumped per call."""
+    calls = [0]
+
+    def counted(m, x):
+        calls[0] += 1
+        return eval_map(m, x)
+
+    monkeypatch.setattr("dfclab.simulation.eval_map", counted)
+    return calls
+
+
+def _hex(run):
+    states, controls, diverged = run
+    return [x.hex() for x in states], [u.hex() for u in controls], diverged
+
+
+# 5,000-step runs: three controlled runs whose floating-point orbits recur
+# with periods 3, 4 and 8 after about 260, 1,030 and 520 states, a chaotic
+# run that does not recur within the run and one that overflows.
+LONG_RUNS = [
+    ("logistic:r=3.9", None, 2, 1, [0.3, 0.3], "recurs"),
+    ("cubic:b=2.8", None, 3, 1, [0.41] * 3, "recurs"),
+    ("quadratic:c=-1.3", None, 2, 2, [0.3] * 3, "recurs"),
+    ("logistic:r=4", None, 1, 1, [0.3], "never"),
+    ("logistic:r=4", (-10.0, 10.0), 1, 1, [2.0], "diverges"),
+]
+
+
+class TestRecurrenceExit:
+    @pytest.mark.parametrize("source, domain, N, T, history, kind", LONG_RUNS)
+    def test_long_run_equals_the_reference_loop(
+        self, monkeypatch, source, domain, N, T, history, kind
+    ):
+        m, a, steps = parse_map(source, domain=domain), gains_uniform(N), 5000
+        calls = _counted_evals(monkeypatch)
+        got = _iterate(m, a, T, history, steps)
+        assert _hex(got) == _hex(reference_run(m, a, T, history, steps))
+        if kind == "recurs":
+            assert calls[0] < steps // 4  # the periodic tail was copied
+        elif kind == "never":
+            assert calls[0] == steps
+        else:
+            assert got[2] and calls[0] < steps
+
+    @pytest.mark.parametrize(
+        "source, N, T, period",
+        [("logistic:r=3.9", 2, 1, 3), ("quadratic:c=-1.3", 2, 2, 8)],
+    )
+    def test_every_run_length_around_the_exit(self, monkeypatch, source, N, T, period):
+        # With every history state read, a run evaluates f of x(0..n-1) when
+        # its exit fires at x(n). Lengths from 2P before to 3P after that
+        # include the exit on the last step and every remainder mod P.
+        m, a = parse_map(source), gains_uniform(N)
+        M = (N - 1) * T + 1
+        history = [0.3] * M
+        calls = _counted_evals(monkeypatch)
+        full = _iterate(m, a, T, history, 5000)
+        exit_at = calls[0]
+        assert full[0][-period:] == full[0][-2 * period : -period]
+        for steps in range(exit_at - M + 1 - 2 * period, exit_at - M + 1 + 3 * period):
+            calls[0] = 0
+            got = _iterate(m, a, T, history, steps)
+            assert _hex(got) == _hex(reference_run(m, a, T, history, steps))
+            assert calls[0] == min(exit_at, M - 1 + steps)
+
+
+class TestSignedZero:
+    @pytest.mark.parametrize("start", [0.0, -0.0])
+    def test_minus_x_from_zero(self, start):
+        # Each step's sum starts at 0.0, and 0.0 + (-0.0) is 0.0: only a
+        # history state can be -0.0, so -x holds at 0.0 after the history.
+        m, a = parse_map("-x"), GainVector([1.0])
+        got = _iterate(m, a, 1, [start], 5000)
+        assert _hex(got) == _hex(reference_run(m, a, 1, [start], 5000))
+        assert _hex(got)[0] == [start.hex()] + ["0x0.0p+0"] * 5000
+
+    def test_windows_are_compared_by_bits(self, monkeypatch, logistic4):
+        # f tells -0.0 from 0.0: 0.0 is not a fixed point although it equals
+        # the history's -0.0, so the run must not repeat from there.
+        def f(m, x):
+            return 0.5 if math.copysign(1.0, x) > 0 else 0.0
+
+        monkeypatch.setattr("dfclab.simulation.eval_map", f)
+        states, controls, diverged = _iterate(logistic4, GainVector([1.0]), 1, [-0.0], 100)
+        assert [x.hex() for x in states] == ["-0x0.0p+0", "0x0.0p+0"] + [(0.5).hex()] * 99
+        assert controls == [0.0] * 100 and not diverged
