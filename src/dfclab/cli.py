@@ -4,7 +4,8 @@ This module only parses and checks flags, calls the library and prints the
 result; the pipeline and the choice of target cycle live in the library.
 Reports are machine readable: JSON documents start with ``schema_version``
 and ``subcommand`` so downstream scripts can pin schemas; CSV output has a
-fixed header row per subcommand. Every subcommand accepts ``--seed``
+fixed header row per subcommand (``verify`` and ``stabilize`` write JSON
+only). Every subcommand accepts ``--seed``
 (default 0), but only ``verify`` draws random numbers; identical
 configuration + seed yields byte-identical output. Exit codes: 0 success,
 1 domain error, 2 usage error; a float flag that is not a finite number, a
@@ -25,6 +26,7 @@ import json
 import math
 import sys
 from collections.abc import Sequence
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -414,7 +416,7 @@ def _cmd_verify(args) -> int:
             "suite": args.suite,
             "seed": args.seed,
             "trials": args.trials,
-            "results": [r.to_dict() for r in results],
+            "results": [asdict(r) for r in results],
             "all_passed": all_passed,
         },
     )
@@ -446,8 +448,8 @@ def _cmd_stabilize(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, fmt_default="json"):
-    sub.add_argument("--format", choices=["json", "csv"], default=fmt_default)
+def _add_common(sub, fmt_default="json", formats=("json", "csv")):
+    sub.add_argument("--format", choices=formats, default=fmt_default)
     sub.add_argument("--out", help="write the report to this path instead of stdout")
     sub.add_argument("--seed", type=int, default=0, help="random seed; only verify reads it")
 
@@ -494,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("gains", help="emit a gain scheme")
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], required=True)
-    sub.add_argument("--N", type=int, required=True)
+    sub.add_argument("--N", type=_at_least("--N", 1), required=True)
     sub.add_argument("--gains", help=GAINS_HELP)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_gains)
@@ -538,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     sub.add_argument("--trials", type=_at_least("--trials", 1), default=100)
-    _add_common(sub)
+    _add_common(sub, formats=("json",))
     sub.set_defaults(handler=_cmd_verify)
 
     sub = subs.add_parser("stabilize", help="cycle -> gains -> simulation pipeline")
@@ -549,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--steps", type=int, default=5000)
     sub.add_argument("--tol", type=_positive("--tol"), default=1e-6)
     sub.add_argument("--grid", type=_at_least("--grid", 100), default=1000)
-    _add_common(sub)
+    _add_common(sub, formats=("json",))
     sub.set_defaults(handler=_cmd_stabilize)
 
     return parser

@@ -111,26 +111,24 @@ def bisect_brackets(g, a, b, ga, width: float) -> np.ndarray:
         a, b, ga = np.where(left, a, mid), np.where(left, mid, b), np.where(left, ga, gm)
 
 
-def multiplier_of(
-    m: MapSpec, points, orbit_tol: float = ORBIT_TOL
-) -> tuple[tuple[float, ...], float]:
+def multiplier_of(m: MapSpec, points) -> tuple[tuple[float, ...], float]:
     """Multipliers f'(x_j) along a verified orbit and their product.
 
     Rejects point sequences that fail the orbit property
-    |f(x_j) - x_{(j+1) mod T}| <= orbit_tol * (1 + |x_j|), and raises
+    |f(x_j) - x_{(j+1) mod T}| <= ORBIT_TOL * (1 + |x_j|), and raises
     a map error where f or f' errs at a point.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 1)
     if not pts.size:
         raise ValueError("empty point sequence")
-    mus, err, gap = _multipliers(m, pts, orbit_tol)
+    mus, err, gap = _multipliers(m, pts, ORBIT_TOL)
     if err[0]:
         for x in pts[:, 0].tolist():
             eval_map(m, x)  # raises the map's own error where f errs
         raise MapOverflowError(f"f' is not finite at a point of {pts[:, 0].tolist()}")
     if gap[0]:
         raise ValueError(f"points do not form an orbit: some |f(x_j) - x_(j+1)| "
-                         f"exceeds {orbit_tol} (1 + |x_j|)")
+                         f"exceeds {ORBIT_TOL} (1 + |x_j|)")
     mus = tuple(mus[:, 0].tolist())
     return mus, math.prod(mus)
 

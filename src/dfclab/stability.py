@@ -46,6 +46,7 @@ __all__ = [
 
 SCHUR_MARGIN = 1e-9
 MARGINAL_BAND = 1e-6
+MU_FLOOR = -1e6  # stable_mu_interval reports no lower endpoint below this
 
 
 @dataclass(frozen=True)
@@ -217,24 +218,24 @@ def make_gains(scheme: str, N: int, custom: list[float] | None = None) -> GainVe
 # ---------------------------------------------------------------------------
 
 
-def _contacts(a: GainVector, T: int, grid: int | None = None) -> np.ndarray:
+def _contacts(a: GainVector, T: int) -> np.ndarray:
     """Sorted real multipliers at which a root of p touches the unit circle.
 
     For real mu, p(e^{i theta}) = 0 exactly when mu = e^{iM theta} / q^T with
     q = q(e^{i theta}), so the contacts are where that curve is real: the
     zeros on [0, pi] (conjugate symmetry covers the rest) of
-    h = Im(e^{iM theta} (conj(q) / |q|)^T), which has no poles.
-    theta = 0 (mu = 1) and pi always count; the other zeros are grid sign
-    changes bisected to 1e-13 by ``bisect_brackets`` (a midpoint where h is
-    exactly 0.0 is taken as is), and tangencies: local minima of |h| refined
-    by ternary search to |h| <= 1e-10, since optimized gains can place
-    double zeros. Zeros of q itself are poles of mu, not contacts, and are
-    dropped. The grid defaults to max(2048, 16 (M + (N-1)T)) points.
+    h = Im(e^{iM theta} (conj(q) / |q|)^T), which has no poles, on one grid
+    of max(2048, 16 (M + (N-1)T)) points. theta = 0 (mu = 1) and pi always
+    count; the other zeros are grid sign changes bisected to 1e-13 by
+    ``bisect_brackets`` (a midpoint where h is exactly 0.0 is taken as is),
+    and tangencies: local minima of |h| refined by ternary search to |h| <=
+    1e-10, since optimized gains can place double zeros. A search on |h|
+    finds a double zero only to about sqrt(eps), so such a contact is
+    accurate to about 1e-8 relative. Zeros of q are poles, not contacts.
     """
     N = len(a)
     M = (N - 1) * T + 1
-    if grid is None:
-        grid = max(2048, 16 * (M + (N - 1) * T))
+    grid = max(2048, 16 * (M + (N - 1) * T))
     qc = np.asarray(a.coeffs[::-1], dtype=float)  # q, ascending
     scale = float(np.sum(np.abs(qc)))
 
@@ -279,25 +280,22 @@ def _contacts(a: GainVector, T: int, grid: int | None = None) -> np.ndarray:
     return np.sort(mu[np.isfinite(mu)])
 
 
-def gamma_t1(a: GainVector, theta_grid: int = 100_000) -> float:
+def gamma_t1(a: GainVector) -> float:
     """Most negative multiplier before any root first reaches the unit circle (T = 1).
 
-    The largest negative contact (``_contacts`` on theta_grid // 2 points
-    of [0, pi]), or -inf when there is none. Tangencies count: a root may
-    touch the circle and return inside, so gamma can sit strictly inside the
-    interval of ``stable_mu_interval``, which steps over such contacts; the
-    two agree when every contact is a crossing (uniform gains in particular).
+    The largest negative value of ``_contacts(a, 1)``, or -inf when there is
+    none; at a tangency it is accurate to about 1e-8 relative. Tangencies
+    count: a root may touch the circle and return inside, so gamma can sit
+    strictly inside the interval of ``stable_mu_interval``, which steps over
+    such contacts; the two agree when every contact is a crossing (uniform
+    gains in particular).
     """
-    if theta_grid < 10_000:
-        raise ValueError("theta_grid must be at least 10^4")
-    mu = _contacts(a, 1, grid=theta_grid // 2)
+    mu = _contacts(a, 1)
     neg = mu[mu < 0.0]
     return float(neg[-1]) if neg.size else float("-inf")
 
 
-def stable_mu_interval(
-    N: int, T: int, a: GainVector, mu_floor: float = -1e6, scheme: str = "custom"
-) -> MuInterval:
+def stable_mu_interval(N: int, T: int, a: GainVector, scheme: str = "custom") -> MuInterval:
     """The stable interval of multipliers around mu = 0.
 
     mu = 0 gives lambda^M, always stable, and the verdict changes only at a
@@ -306,8 +304,8 @@ def stable_mu_interval(
     from 0, one Jury-table probe per gap (its midpoint, or 2c beyond the
     last contact c) settles it; each endpoint is the nearest contact whose
     far side probes unstable, so tangencies inside are stepped over. ``lo``
-    is -inf when no such contact lies above ``mu_floor``; ``hi`` is 1 when
-    none lies below it (p(1) = 1 - mu).
+    is -inf when no such contact lies above the fixed floor ``MU_FLOOR``;
+    ``hi`` is 1 when none lies below it (p(1) = 1 - mu).
     """
     _ = char_poly_closed(N, T, a, 0.0)  # validates dimensions
 
@@ -322,7 +320,7 @@ def stable_mu_interval(
     down = [c for c in reversed(merged) if c < 0.0]
     lo = float("-inf")
     for k, c in enumerate(down):
-        if c < mu_floor:
+        if c < MU_FLOOR:
             break
         probe = 0.5 * (c + down[k + 1]) if k + 1 < len(down) else 2.0 * c
         if not stable(probe):

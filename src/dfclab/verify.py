@@ -41,15 +41,6 @@ class CheckResult:
     max_err: float
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "trials": self.trials,
-            "max_err": self.max_err,
-            "tolerance": self.tolerance,
-        }
-
 
 def random_simplex_gains(rng: np.random.Generator, N: int) -> GainVector:
     """Uniform draw from the open gain simplex (positive entries, sum 1)."""
@@ -79,7 +70,14 @@ def _random_tuple(rng: np.random.Generator, n_max: int = 4, t_max: int = 4):
     return N, T, gains, mus
 
 
-def check_closed_form(trials: int = 500, seed: int = 0, tol: float = 1e-8) -> CheckResult:
+# Each suite passes when its largest error is at most its tolerance.
+LEMMA1_TOL = 1e-8
+CHAIN_TOL = 1e-12
+ROTATION_TOL = 1e-8
+MORGUL_TOL = 1e-10
+
+
+def check_closed_form(trials: int = 500, seed: int = 0) -> CheckResult:
     """Closed-form characteristic polynomial vs trace recursion on the Jacobian."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -88,10 +86,10 @@ def check_closed_form(trials: int = 500, seed: int = 0, tol: float = 1e-8) -> Ch
         via_matrix = char_poly_faddeev(build_jacobian(N, T, gains, mus))
         closed = char_poly_closed(N, T, gains, float(np.prod(mus)))
         worst = max(worst, _rel_err(via_matrix.coeffs, closed.coeffs))
-    return CheckResult("lemma1", worst <= tol, trials, worst, tol)
+    return CheckResult("lemma1", worst <= LEMMA1_TOL, trials, worst, LEMMA1_TOL)
 
 
-def check_chain_vs_table(trials: int = 500, seed: int = 0, tol: float = 1e-12) -> CheckResult:
+def check_chain_vs_table(trials: int = 500, seed: int = 0) -> CheckResult:
     """Entry-table Jacobian vs chain-rule product, elementwise."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -100,10 +98,10 @@ def check_chain_vs_table(trials: int = 500, seed: int = 0, tol: float = 1e-12) -
         table = build_jacobian(N, T, gains, mus)
         chain = jacobian_via_chain(N, T, gains, mus)
         worst = max(worst, float(np.max(np.abs(table - chain))))
-    return CheckResult("chain", worst <= tol, trials, worst, tol)
+    return CheckResult("chain", worst <= CHAIN_TOL, trials, worst, CHAIN_TOL)
 
 
-def check_rotation_invariance(trials: int = 100, seed: int = 0, tol: float = 1e-8) -> CheckResult:
+def check_rotation_invariance(trials: int = 100, seed: int = 0) -> CheckResult:
     """Characteristic polynomial is unchanged under cyclic multiplier rotation."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -117,10 +115,10 @@ def check_rotation_invariance(trials: int = 100, seed: int = 0, tol: float = 1e-
             rolled = np.roll(mus, shift)
             rot = char_poly_faddeev(jacobian_via_chain(N, T, gains, rolled))
             worst = max(worst, _rel_err(rot.coeffs, ref.coeffs))
-    return CheckResult("rotation", worst <= tol, trials, worst, tol)
+    return CheckResult("rotation", worst <= ROTATION_TOL, trials, worst, ROTATION_TOL)
 
 
-def check_morgul_baseline(trials: int = 100, seed: int = 0, tol: float = 1e-10) -> CheckResult:
+def check_morgul_baseline(trials: int = 100, seed: int = 0) -> CheckResult:
     """Explicit single-gain coefficients vs the chain-rule Jacobian product."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -131,7 +129,7 @@ def check_morgul_baseline(trials: int = 100, seed: int = 0, tol: float = 1e-10) 
         explicit = morgul_char_poly(T, mus, K)
         via_matrix = char_poly_faddeev(morgul_jacobian_product(T, mus, K))
         worst = max(worst, _rel_err(via_matrix.coeffs, explicit.coeffs))
-    return CheckResult("morgul", worst <= tol, trials, worst, tol)
+    return CheckResult("morgul", worst <= MORGUL_TOL, trials, worst, MORGUL_TOL)
 
 
 SUITES = {

@@ -96,7 +96,7 @@ class TestGains:
         doc = json.loads(out)
         assert doc["gains"] == [0.25] * 4
 
-    @pytest.mark.parametrize("n", ["0", "3"])
+    @pytest.mark.parametrize("n", ["1", "3"])
     def test_custom_count_must_match_N(self, capsys, n):
         code, out, err = run_cli(
             capsys, "gains", "--scheme", "custom", "--N", n, "--gains", "0.5,0.5"
@@ -571,6 +571,7 @@ class TestUsageErrors:
             (["charpoly", "--N", "1", "--T", "0", "--gains", "1", "--multipliers", "2"], "--T", 1),
             (["stability", "--N", "0", "--T", "1", "--mu", "-1"], "--N", 1),
             (["stability", "--N", "2", "--T", "0", "--mu", "-1"], "--T", 1),
+            (["gains", "--scheme", "uniform", "--N", "0"], "--N", 1),
             (["simulate", *MAP, "--period", "0", "--N", "2", "--init", "0.3",
               "--steps", "100"], "--period", 1),
             (["simulate", *MAP, "--period", "1", "--N", "0", "--init", "0.3",
@@ -653,6 +654,23 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "stability", "--N", "2", "--T", "1", "--mu", "abc")
         assert (code, out) == (2, "")
         assert err == "usage error: --mu expects a number, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "chain", "--trials", "2"],
+            ["stabilize", *MAP, "--period", "1", "--steps", "100"],
+        ],
+        ids=lambda v: v[0],
+    )
+    def test_csv_format_on_a_json_only_subcommand_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["subcommand"] == argv[0]
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -766,7 +784,7 @@ print(counts)
         for extra in (["--param", "r=3.2"], []):
             assert run_cli(capsys, *argv, *extra) == run_fresh_process(*argv, *extra)
 
-    # Each subcommand with its --format default.
+    # Each subcommand that takes both formats, with its --format default.
     DEFAULTS = [
         (["cycles", "--map", "logistic:r=4", "--period", "2"], "json"),
         (["charpoly", "--N", "2", "--T", "1", "--gains", "0.5,0.5", "--multipliers", "-2"], "json"),
@@ -775,8 +793,6 @@ print(counts)
         (["simulate", "--map", "logistic:r=4", "--period", "1", "--N", "2", "--init", "0.3",
           "--steps", "20"], "csv"),
         (["sweep", "--N", "2", "--T", "1", "--mu-range=-1,0", "--mu-step", "0.5"], "csv"),
-        (["verify", "--suite", "chain", "--trials", "2"], "json"),
-        (["stabilize", "--map", "logistic:r=3.2", "--period", "1", "--steps", "100"], "json"),
     ]
 
     @pytest.mark.parametrize("argv, default", DEFAULTS, ids=lambda v: v[0] if isinstance(v, list) else v)

@@ -220,9 +220,24 @@ class TestGamma:
         val = gamma_t1(gains_dk2013(3))
         assert val < -3.0
 
-    def test_grid_floor_enforced(self):
-        with pytest.raises(ValueError):
-            gamma_t1(gains_uniform(3), theta_grid=100)
+    # The first contact of the dk2013 gains is a tangency: a double zero of
+    # Im(mu(theta)), mu(theta) = e^{iN theta} / q(e^{i theta}). Closed forms
+    # for N = 3 and 5; the rest are Re(mu) at the zero of d/dtheta Im(mu)
+    # solved by mpmath.findroot at 40 digits with the gains in mpmath (the
+    # zero lies at theta = 3 pi / (N + 1), where Im(mu) < 1e-39).
+    @pytest.mark.parametrize(
+        "N, tangency",
+        [
+            (3, -(2.0 + 2.0 * math.sqrt(2.0))),
+            (5, -(3.0 + 2.0 * math.sqrt(3.0))),
+            (8, -7.2908593693815896066),
+            (13, -7.7016493845321326805),
+            (24, -7.9056251275151735632),
+        ],
+    )
+    def test_dk2013_gamma_at_the_tangency(self, N, tangency):
+        # A search on |h| finds a double zero to about sqrt(eps): ~1e-8.
+        assert gamma_t1(gains_dk2013(N)) == pytest.approx(tangency, rel=1e-7, abs=0.0)
 
     def test_deadbeat_gains(self):
         # a = (0, ..., 0, 1): p = lambda^N - mu, stable iff |mu| < 1
