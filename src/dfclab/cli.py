@@ -5,12 +5,11 @@ result; the pipeline and the choice of target cycle live in the library.
 Reports are machine readable: JSON documents start with ``schema_version``
 and ``subcommand`` so downstream scripts can pin schemas; CSV output has a
 fixed header row per subcommand (``verify`` and ``stabilize`` write JSON
-only). Every subcommand accepts ``--seed``
-(default 0), but only ``verify`` draws random numbers; identical
-configuration + seed yields byte-identical output. Exit codes: 0 success,
-1 domain error, 2 usage error; a float flag that is not a finite number, a
-tolerance that is not positive and an integer flag below its floor are
-usage errors.
+only). Only ``verify`` draws random numbers, so only it takes ``--seed``
+(default 0); identical configuration + seed yields byte-identical output.
+Exit codes: 0 success, 1 domain error, 2 usage error; a float flag that is
+not a finite number, a tolerance that is not positive, an integer flag below
+its floor and a length above ``MAX_ARRAY_LENGTH`` are usage errors.
 
 ``main`` parses with one parser per process, built by its first call and
 reused by every later one, so a process that runs many commands (a test
@@ -47,8 +46,8 @@ from .verify import run_suite
 
 SCHEMA_VERSION = 1
 GAINS_HELP = "comma-separated gains for --scheme custom (--gains=-0.5,1.5 if the first is < 0)"
-# The most rows one sweep may have; a longer grid is a usage error.
-MAX_SWEEP_ROWS = 10**7
+# The most sweep rows, scan grid points or steps a command may ask for.
+MAX_ARRAY_LENGTH = 10**7
 
 class UsageError(Exception):
     """Invalid flag value; reported with exit status 2."""
@@ -101,13 +100,15 @@ def _positive(flag: str):
     return parse
 
 
-def _at_least(flag: str, least: int):
-    """argparse type of an integer flag: a UsageError for a value below its floor."""
+def _int_flag(flag: str, least: int | None, most: int | None = None):
+    """argparse type of an integer flag: a UsageError outside [least, most] (None: unbounded)."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < least:
+        if least is not None and value < least:
             raise UsageError(f"{flag} must be >= {least}")
+        if most is not None and value > most:
+            raise UsageError(f"{flag} must be <= {most}")
         return value
 
     parse.__name__ = "int"  # argparse names it in "invalid int value"
@@ -379,8 +380,8 @@ def _cmd_sweep(args) -> int:
     if float(step) <= 0:
         raise UsageError("--mu-step must be positive")
     n_rows = int((hi - lo) / step) + 1
-    if n_rows > MAX_SWEEP_ROWS:
-        raise UsageError(f"--mu-range and --mu-step give more than {MAX_SWEEP_ROWS} rows")
+    if n_rows > MAX_ARRAY_LENGTH:
+        raise UsageError(f"--mu-range and --mu-step give more than {MAX_ARRAY_LENGTH} rows")
     gains = _gains_for(args)
     header = ["mu", "spectral_radius", "stable"]
     # Row i is the float nearest to lo + i*step: exact integers over one
@@ -451,7 +452,6 @@ def _cmd_stabilize(args) -> int:
 def _add_common(sub, fmt_default="json", formats=("json", "csv")):
     sub.add_argument("--format", choices=formats, default=fmt_default)
     sub.add_argument("--out", help="write the report to this path instead of stdout")
-    sub.add_argument("--seed", type=int, default=0, help="random seed; only verify reads it")
 
 
 def _add_map_flags(sub):
@@ -470,14 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("cycles", help="detect period-T orbits of a map")
     _add_map_flags(sub)
-    sub.add_argument("--period", type=_at_least("--period", 1), required=True)
-    sub.add_argument("--grid", type=_at_least("--grid", 100), default=1000)
+    sub.add_argument("--period", type=_int_flag("--period", 1), required=True)
+    sub.add_argument("--grid", type=_int_flag("--grid", 100, MAX_ARRAY_LENGTH), default=1000)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_cycles)
 
     sub = subs.add_parser("charpoly", help="closed-form characteristic polynomial and roots")
-    sub.add_argument("--N", type=_at_least("--N", 1), required=True)
-    sub.add_argument("--T", type=_at_least("--T", 1), required=True)
+    sub.add_argument("--N", type=_int_flag("--N", 1), required=True)
+    sub.add_argument("--T", type=_int_flag("--T", 1), required=True)
     sub.add_argument("--gains", required=True,
                      help="comma-separated a_1..a_N (--gains=-0.5,1.5 if the first is < 0)")
     sub.add_argument("--multipliers", required=True,
@@ -486,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_charpoly)
 
     sub = subs.add_parser("stability", help="Schur stability report for one mu")
-    sub.add_argument("--N", type=_at_least("--N", 1), required=True)
-    sub.add_argument("--T", type=_at_least("--T", 1), required=True)
+    sub.add_argument("--N", type=_int_flag("--N", 1), required=True)
+    sub.add_argument("--T", type=_int_flag("--T", 1), required=True)
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
     sub.add_argument("--gains", help=GAINS_HELP)
     sub.add_argument("--mu", type=_finite("--mu"), required=True)
@@ -496,23 +496,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("gains", help="emit a gain scheme")
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], required=True)
-    sub.add_argument("--N", type=_at_least("--N", 1), required=True)
+    sub.add_argument("--N", type=_int_flag("--N", 1), required=True)
     sub.add_argument("--gains", help=GAINS_HELP)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_gains)
 
     sub = subs.add_parser("simulate", help="run the controlled dynamics")
     _add_map_flags(sub)
-    sub.add_argument("--period", type=_at_least("--period", 1), required=True)
+    sub.add_argument("--period", type=_int_flag("--period", 1), required=True)
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
-    sub.add_argument("--N", type=_at_least("--N", 1))
+    sub.add_argument("--N", type=_int_flag("--N", 1))
     sub.add_argument("--gains", help=GAINS_HELP)
     sub.add_argument("--init", type=_finite("--init"), help="constant initial history value")
     sub.add_argument("--history", help="explicit initial history, (N-1)T+1 values"
                      " (--history=-0.2,0.5 if the first is < 0)")
-    sub.add_argument("--steps", type=int, required=True)
+    sub.add_argument("--steps", type=_int_flag("--steps", None, MAX_ARRAY_LENGTH), required=True)
     sub.add_argument("--tol", type=_positive("--tol"), default=1e-6)
-    sub.add_argument("--grid", type=_at_least("--grid", 100), default=1000)
+    sub.add_argument("--grid", type=_int_flag("--grid", 100, MAX_ARRAY_LENGTH), default=1000)
     sub.add_argument("--cycle-index", type=int, help="target cycle index (anchor order)")
     _add_common(sub, fmt_default="csv")
     sub.set_defaults(handler=_cmd_simulate)
@@ -520,16 +520,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "sweep", help="spectral radius over a mu range, all rows from one stacked root solve"
     )
-    sub.add_argument("--N", type=_at_least("--N", 1), required=True)
-    sub.add_argument("--T", type=_at_least("--T", 1), required=True)
+    sub.add_argument("--N", type=_int_flag("--N", 1), required=True)
+    sub.add_argument("--T", type=_int_flag("--T", 1), required=True)
     sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
     sub.add_argument("--gains", help=GAINS_HELP)
     sub.add_argument(
         "--mu-range", required=True,
         help="lo,hi (use --mu-range=-3,-1 when lo is negative)",
     )
-    sub.add_argument("--mu-step", required=True,
-                     help=f"grid spacing; rows are lo + i*step, at most {MAX_SWEEP_ROWS} of them")
+    sub.add_argument("--mu-step", required=True, help="grid spacing; rows are lo + i*step,"
+                     f" at most {MAX_ARRAY_LENGTH} of them")
     _add_common(sub, fmt_default="csv")
     sub.set_defaults(handler=_cmd_sweep)
 
@@ -539,18 +539,19 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["lemma1", "chain", "rotation", "morgul", "all"],
         default="all",
     )
-    sub.add_argument("--trials", type=_at_least("--trials", 1), default=100)
+    sub.add_argument("--trials", type=_int_flag("--trials", 1), default=100)
+    sub.add_argument("--seed", type=int, default=0, help="random seed of the trials")
     _add_common(sub, formats=("json",))
     sub.set_defaults(handler=_cmd_verify)
 
     sub = subs.add_parser("stabilize", help="cycle -> gains -> simulation pipeline")
     _add_map_flags(sub)
-    sub.add_argument("--period", type=_at_least("--period", 1), required=True)
+    sub.add_argument("--period", type=_int_flag("--period", 1), required=True)
     sub.add_argument("--scheme", choices=["uniform", "dk2013"], default="uniform")
-    sub.add_argument("--N-max", dest="n_max", type=_at_least("--N-max", 1), default=32)
-    sub.add_argument("--steps", type=int, default=5000)
+    sub.add_argument("--N-max", dest="n_max", type=_int_flag("--N-max", 1), default=32)
+    sub.add_argument("--steps", type=_int_flag("--steps", None, MAX_ARRAY_LENGTH), default=5000)
     sub.add_argument("--tol", type=_positive("--tol"), default=1e-6)
-    sub.add_argument("--grid", type=_at_least("--grid", 100), default=1000)
+    sub.add_argument("--grid", type=_int_flag("--grid", 100, MAX_ARRAY_LENGTH), default=1000)
     _add_common(sub, formats=("json",))
     sub.set_defaults(handler=_cmd_stabilize)
 

@@ -3,8 +3,8 @@
 The controlled update is x(k+1) = sum_j a_j f(x(k - (j-1)T)); the control
 magnitude u(k) = x(k+1) - f(x(k)) is recorded per step. By construction the
 control vanishes identically when the trajectory sits on the target orbit.
-``simulate`` tests the run against one given cycle; ``simulate_nearest``
-iterates once and picks, among candidate cycles, the one the run approaches.
+``simulate_nearest`` iterates once and picks, among candidate cycles, the
+one the run approaches; ``simulate`` is the same with one given cycle.
 
 The recursion evaluates f once per state: f(x(i)) is stored when a step
 first needs it and reused by the N - 1 later steps that read x(i) again.
@@ -85,16 +85,9 @@ def simulate(
 ) -> Trajectory:
     """Iterate the controlled system and test convergence to the target orbit.
 
-    ``init_history`` must supply exactly (N-1)T + 1 states. Convergence means
-    every state in the final window of length 10*T lies within tol of the
-    orbit set (distance as a set; phase alignment is not required). A
-    non-finite state truncates the run and flags divergence. A run that
-    settles on a floating-point orbit costs about its time to recur, not
-    ``steps``: the rest of it is copied (see the module docstring).
+    ``simulate_nearest`` with ``target`` as the one candidate.
     """
-    states, controls, diverged = _iterate(m, a, T, init_history, steps)
-    states = np.asarray(states)
-    return _classify(states, controls, diverged, T, target, tol, _distances(states, target))
+    return simulate_nearest(m, a, T, init_history, steps, [target], tol)
 
 
 def simulate_nearest(
@@ -106,7 +99,14 @@ def simulate_nearest(
     candidates: Sequence[Cycle],
     tol: float = DEFAULT_SIM_TOL,
 ) -> Trajectory:
-    """``simulate`` against the candidate cycle the trajectory approaches.
+    """Iterate the controlled system; test convergence to the candidate it approaches.
+
+    ``init_history`` must supply exactly (N-1)T + 1 states. Convergence means
+    every state in the final window of length 10*T lies within tol of the
+    orbit set (distance as a set; phase alignment is not required). A
+    non-finite state truncates the run and flags divergence. A run that
+    settles on a floating-point orbit costs about its time to recur, not
+    ``steps``: the rest of it is copied (see the module docstring).
 
     The recursion runs once. Candidates are ranked by (not converged, mean
     distance over the final 10*T states), so a candidate the run converges

@@ -223,20 +223,23 @@ def _contacts(a: GainVector, T: int) -> np.ndarray:
 
     For real mu, p(e^{i theta}) = 0 exactly when mu = e^{iM theta} / q^T with
     q = q(e^{i theta}), so the contacts are where that curve is real: the
-    zeros on [0, pi] (conjugate symmetry covers the rest) of
-    h = Im(e^{iM theta} (conj(q) / |q|)^T), which has no poles, on one grid
-    of max(2048, 16 (M + (N-1)T)) points. theta = 0 (mu = 1) and pi always
-    count; the other zeros are grid sign changes bisected to 1e-13 by
-    ``bisect_brackets`` (a midpoint where h is exactly 0.0 is taken as is),
-    and tangencies: local minima of |h| refined by ternary search to |h| <=
-    1e-10, since optimized gains can place double zeros. A search on |h|
-    finds a double zero only to about sqrt(eps), so such a contact is
-    accurate to about 1e-8 relative. Zeros of q are poles, not contacts.
+    zeros on [0, pi] (conjugate symmetry covers the rest) of h = sin(phi),
+    phi = M theta - T arg q, which has no poles, on one grid of
+    max(2048, 16 (M + (N-1)T)) points. theta = 0 (mu = 1) and pi always
+    count. Crossings are the grid sign changes of h; tangencies, the double
+    zeros optimized gains can place, are the grid sign changes of
+    phi' = M - T Re(z q'(z) / q(z)), z = e^{i theta}, at which |h| <= 1e-10.
+    Both are bisected to 1e-13 by ``bisect_brackets`` (a midpoint where h is
+    exactly 0.0 is taken as is), so a tangency is accurate to about 1e-13
+    relative. Where rounding splits a tangency into two sign changes of h a
+    few 1e-8 apart (dk2013 at N = 5), those crossings are returned beside
+    it. Zeros of q are poles, not contacts.
     """
     N = len(a)
     M = (N - 1) * T + 1
     grid = max(2048, 16 * (M + (N - 1) * T))
     qc = np.asarray(a.coeffs[::-1], dtype=float)  # q, ascending
+    dqc = qc[1:] * np.arange(1, N)  # q', ascending
     scale = float(np.sum(np.abs(qc)))
 
     def curve(theta):  # (e^{iM theta} (conj(q) / |q|)^T, |q|)
@@ -248,30 +251,21 @@ def _contacts(a: GainVector, T: int) -> np.ndarray:
     def h(theta):
         return curve(theta)[0].imag
 
+    def dphase(theta):  # phi', NaN or inf at a zero of q
+        z = np.exp(1j * theta)
+        return M - T * (z * horner(dqc, z) / horner(qc, z)).real
+
+    def sign_changes(g, vals):
+        sign = np.sign(vals)
+        i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+        return bisect_brackets(g, theta[i], theta[i + 1], vals[i], 1e-13)
+
     theta = np.linspace(0.0, np.pi, grid + 1)
     vals = h(theta)
-    sign = np.sign(vals)
-    zeros = [theta[[0, -1]], theta[vals == 0.0]]
-
-    # Sign changes, bisected.
-    i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-    zeros.append(bisect_brackets(h, theta[i], theta[i + 1], vals[i], 1e-13))
-
-    # Tangencies: local minima of |h| between grid values of one sign.
-    mag = np.abs(vals)
-    inner = slice(1, -1)
-    dip = (
-        (sign[:-2] == sign[inner]) & (sign[inner] == sign[2:]) & (sign[inner] != 0.0)
-        & (mag[inner] <= mag[:-2]) & (mag[inner] <= mag[2:])
-    )
-    j = 1 + np.flatnonzero(dip)
-    lo, hi = theta[j - 1], theta[j + 1]
-    while lo.size and np.max(hi - lo) > 1e-12:
-        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
-        left = np.abs(h(m1)) <= np.abs(h(m2))
-        lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
-    t = 0.5 * (lo + hi)
-    zeros.append(t[np.abs(h(t)) <= 1e-10])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turns = sign_changes(dphase, dphase(theta))
+    zeros = [theta[[0, -1]], theta[vals == 0.0], sign_changes(h, vals),
+             turns[np.abs(h(turns)) <= 1e-10]]
 
     u, mod = curve(np.concatenate(zeros))
     keep = mod > 1e-9 * scale
@@ -284,7 +278,10 @@ def gamma_t1(a: GainVector) -> float:
     """Most negative multiplier before any root first reaches the unit circle (T = 1).
 
     The largest negative value of ``_contacts(a, 1)``, or -inf when there is
-    none; at a tangency it is accurate to about 1e-8 relative. Tangencies
+    none. At a tangency it is the zero of phi' that ``bisect_brackets``
+    places, accurate to about 1e-13 relative, except where rounding splits
+    the tangency into two sign changes of h: then it is the larger of those
+    crossings, about 1e-8 from the tangency (dk2013 at N = 5). Tangencies
     count: a root may touch the circle and return inside, so gamma can sit
     strictly inside the interval of ``stable_mu_interval``, which steps over
     such contacts; the two agree when every contact is a crossing (uniform

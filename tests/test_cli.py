@@ -332,7 +332,7 @@ print(code, time.perf_counter() - start)
 
     def test_row_count_at_the_limit_is_accepted(self, monkeypatch, capsys):
         # Three rows, -1, -0.5 and 0, with the limit lowered to three.
-        monkeypatch.setattr(dfclab.cli, "MAX_SWEEP_ROWS", 3)
+        monkeypatch.setattr(dfclab.cli, "MAX_ARRAY_LENGTH", 3)
         argv = ["sweep", "--N", "2", "--T", "1", "--mu-range=-1,0", "--mu-step"]
         code, out, _ = run_cli(capsys, *argv, "0.5")
         assert code == 0
@@ -521,7 +521,7 @@ class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
         argv = [
             "stabilize", "--map", "logistic:r=4", "--period", "1",
-            "--N-max", "5", "--steps", "1000", "--seed", "0",
+            "--N-max", "5", "--steps", "1000",
         ]
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
@@ -671,6 +671,49 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         assert json.loads(out)["subcommand"] == argv[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["cycles", *MAP, "--period", "1"],
+        ["charpoly", "--N", "1", "--T", "1", "--gains", "1", "--multipliers", "0.5"],
+        ["stability", "--N", "2", "--T", "1", "--mu", "-1"],
+        ["gains", "--scheme", "uniform", "--N", "2"],
+        ["simulate", *MAP, "--period", "1", "--N", "2", "--init", "0.3", "--steps", "20"],
+        ["sweep", "--N", "2", "--T", "1", "--mu-range=-1,0", "--mu-step", "1"],
+        ["stabilize", *MAP, "--period", "1", "--steps", "100"],
+    ], ids=lambda v: v[0])
+    def test_seed_outside_verify_exits_two(self, capsys, argv):
+        # Only verify draws random numbers, so only it takes --seed.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    # Each flag sets the length of an array; the library call is a recording
+    # stub, so a value over the limit that got through would allocate nothing.
+    @pytest.mark.parametrize(
+        "argv, flag, stub",
+        [
+            (["cycles", *MAP, "--period", "1"], "--grid", "find_cycles"),
+            (["simulate", *MAP, "--period", "1", "--N", "2", "--init", "0.3", "--steps", "100"],
+             "--grid", "find_cycles"),
+            (["simulate", *MAP, "--period", "1", "--N", "2", "--init", "0.3"],
+             "--steps", "find_cycles"),
+            (["stabilize", *MAP, "--period", "1"], "--grid", "pipeline_stabilize"),
+            (["stabilize", *MAP, "--period", "1"], "--steps", "pipeline_stabilize"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else str(v).lstrip("-"),
+    )
+    def test_array_length_flag_above_the_limit_exits_two(
+        self, monkeypatch, capsys, argv, flag, stub
+    ):
+        calls = []
+        monkeypatch.setattr(dfclab.cli, stub, lambda *args: calls.append(args) or [])
+        limit = 10**7
+        code, out, err = run_cli(capsys, *argv, flag, str(limit + 1))
+        assert (code, out, calls) == (2, "", [])
+        assert err == f"usage error: {flag} must be <= {limit}\n"
+        run_cli(capsys, *argv, flag, str(limit))  # at the limit: the library is called
+        assert len(calls) == 1
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
