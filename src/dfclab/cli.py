@@ -2,6 +2,14 @@
 
 This module only parses and checks flags, calls the library and prints the
 result; the pipeline and the choice of target cycle live in the library.
+Each concern is declared once. ``_command`` registers a subcommand with its
+``--format`` and ``--out``, and one helper per flag group adds the flags the
+subcommands share: ``_map_flags`` (--map, --param, --domain), ``_scan_flags``
+(--period, --grid), ``_run_flags`` (--steps, --tol), ``_shape_flags`` (--N,
+--T) and ``_gain_flags`` (--scheme, --gains). Every handler writes its
+report through ``_report``; ``_gains_for`` is the one way to gains, and the
+checks that span flags are ``_check_degree`` and ``_check_steps``.
+
 Reports are machine readable: JSON documents start with ``schema_version``
 and ``subcommand`` so downstream scripts can pin schemas; CSV output has a
 fixed header row per subcommand (``verify`` and ``stabilize`` write JSON
@@ -9,7 +17,8 @@ only). Only ``verify`` draws random numbers, so only it takes ``--seed``
 (default 0); identical configuration + seed yields byte-identical output.
 Exit codes: 0 success, 1 domain error, 2 usage error; a float flag that is
 not a finite number, a tolerance that is not positive, an integer flag below
-its floor and a length above ``MAX_ARRAY_LENGTH`` are usage errors.
+its floor, a length above ``MAX_ARRAY_LENGTH``, a degree (N-1)T + 1 above
+``MAX_DEGREE`` and fewer than 10 T steps are usage errors.
 
 ``main`` parses with one parser per process, built by its first call and
 reused by every later one, so a process that runs many commands (a test
@@ -45,9 +54,13 @@ from .stability import (
 from .verify import run_suite
 
 SCHEMA_VERSION = 1
-GAINS_HELP = "comma-separated gains for --scheme custom (--gains=-0.5,1.5 if the first is < 0)"
+SCHEMES = ("uniform", "dk2013", "custom")
 # The most sweep rows, scan grid points or steps a command may ask for.
 MAX_ARRAY_LENGTH = 10**7
+# The highest degree (N-1)T + 1 of a polynomial, or length of a history: a
+# root solve takes 16 B x degree^2 for its dense companion matrix.
+MAX_DEGREE = 1000
+
 
 class UsageError(Exception):
     """Invalid flag value; reported with exit status 2."""
@@ -58,7 +71,7 @@ class DomainError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Small parsing helpers
+# Small parsing helpers and the checks that span flags
 # ---------------------------------------------------------------------------
 
 
@@ -143,25 +156,35 @@ def _parse_domain(text: str | None) -> tuple[float, float] | None:
 
 
 def _load_map(args) -> MapSpec:
-    params = _parse_kv_pairs(getattr(args, "param", None))
-    domain = _parse_domain(getattr(args, "domain", None))
-    return parse_map(args.map, params=params, domain=domain)
+    params = _parse_kv_pairs(args.param)
+    return parse_map(args.map, params=params, domain=_parse_domain(args.domain))
 
 
-def _make_gains(scheme: str, N: int, custom: list[float] | None) -> GainVector:
-    try:
-        return make_gains(scheme, N, custom)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _check_degree(N: int, T: int) -> None:
+    """A usage error unless (N-1)T + 1 is at most ``MAX_DEGREE``."""
+    degree = (N - 1) * T + 1
+    if degree > MAX_DEGREE:
+        raise UsageError(f"degree (N-1)*T+1 must be <= {MAX_DEGREE}, got {degree}")
 
 
-def _gains_for(args) -> GainVector:
-    """Gains of --scheme; without --N, custom gains set N by their count."""
+def _check_steps(args) -> None:
+    """A usage error unless a run of --steps covers ten periods."""
+    if args.steps < 10 * args.period:
+        raise UsageError(f"--steps must be at least 10*T = {10 * args.period}")
+
+
+def _gains_for(args, T: int = 1) -> GainVector:
+    """Gains of --scheme for polynomials of period T; without --N, custom
+    gains set N by their count. The degree is checked before they are built."""
     custom = _parse_gains(args.gains) if args.gains else None
     if args.scheme == "custom" and custom is None:
         raise UsageError("--scheme custom requires --gains")
     N = len(custom) if args.N is None else args.N
-    return _make_gains(args.scheme, N, custom)
+    _check_degree(N, T)
+    try:
+        return make_gains(args.scheme, N, custom)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _roots_doc(roots) -> list[dict]:
@@ -183,10 +206,6 @@ def _json_text(args, body: dict) -> str:
     """A JSON report: the schema header, then the subcommand's own keys."""
     doc = {"schema_version": SCHEMA_VERSION, "subcommand": args.subcommand, **body}
     return json.dumps(doc, indent=2) + "\n"
-
-
-def _emit_json(args, body: dict) -> None:
-    _emit(args, _json_text(args, body))
 
 
 def _emit_csv(args, header: list[str], columns: list[Sequence]) -> None:
@@ -219,6 +238,20 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _report(args, body, header: Sequence[str] = (), columns: Sequence[Sequence] = ()) -> int:
+    """Write the report in --format and return exit status 0.
+
+    CSV is ``columns`` under ``header``; JSON is ``body``, the subcommand's
+    own keys, or a function that returns them, called only for JSON, so a
+    CSV report computes nothing that only the JSON document holds.
+    """
+    if args.format == "csv":
+        _emit_csv(args, header, columns)
+    else:
+        _emit(args, _json_text(args, body() if callable(body) else body))
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -235,46 +268,40 @@ def _cmd_cycles(args) -> int:
         }
         for c in cycles
     ]
-    if args.format == "csv":
-        columns = [[idx for idx, c in enumerate(cycles) for _ in c.points],
-                   [j for c in cycles for j in range(len(c.points))],
-                   [x for c in cycles for x in c.points],
-                   [mu for c in cycles for mu in c.multipliers],
-                   [c.multiplier_product for c in cycles for _ in c.points]]
-        _emit_csv(args, ["cycle", "point_index", "x", "multiplier", "product"], columns)
-    else:
-        _emit_json(args, {"map": m.source, "period": args.period, "cycles": items})
-    return 0
+    columns = [[idx for idx, c in enumerate(cycles) for _ in c.points],
+               [j for c in cycles for j in range(len(c.points))],
+               [x for c in cycles for x in c.points],
+               [mu for c in cycles for mu in c.multipliers],
+               [c.multiplier_product for c in cycles for _ in c.points]]
+    return _report(args, {"map": m.source, "period": args.period, "cycles": items},
+                   ["cycle", "point_index", "x", "multiplier", "product"], columns)
 
 
 def _cmd_charpoly(args) -> int:
-    gains_list = _parse_gains(args.gains)
+    gains = _gains_for(args, args.T)
     mults = _parse_float_list(args.multipliers, "--multipliers")
-    gains = _make_gains("custom", args.N, gains_list)
     if len(mults) != args.T:
         raise UsageError(f"--multipliers expects {args.T} values, got {len(mults)}")
     mu = float(np.prod(mults))
     p = char_poly_closed(args.N, args.T, gains, mu)
-    if args.format == "csv":
-        _emit_csv(args, ["degree", "coefficient"], [range(len(p.coeffs)), p.coeffs.tolist()])
-    else:
-        _emit_json(
-            args,
-            {
-                "N": args.N,
-                "T": args.T,
-                "gains": gains_list,
-                "multipliers": mults,
-                "mu": mu,
-                "coeffs": p.coeffs.tolist(),
-                "roots": _roots_doc(poly_roots(p)),
-            },
-        )
-    return 0
+    return _report(
+        args,
+        lambda: {
+            "N": args.N,
+            "T": args.T,
+            "gains": list(gains.coeffs),
+            "multipliers": mults,
+            "mu": mu,
+            "coeffs": p.coeffs.tolist(),
+            "roots": _roots_doc(poly_roots(p)),
+        },
+        ["degree", "coefficient"],
+        [range(len(p.coeffs)), p.coeffs.tolist()],
+    )
 
 
 def _cmd_stability(args) -> int:
-    gains = _gains_for(args)
+    gains = _gains_for(args, args.T)
     p = char_poly_closed(args.N, args.T, gains, args.mu)
     report = analyze(p)
     verdict = {
@@ -283,42 +310,35 @@ def _cmd_stability(args) -> int:
         "jury_verdict": report.jury_verdict,
         "marginal": report.marginal,
     }
-    if args.format == "csv":
-        _emit_csv(args, ["mu", *verdict], [[v] for v in (args.mu, *verdict.values())])
-    else:
-        _emit_json(
-            args,
-            {
-                "N": args.N,
-                "T": args.T,
-                "scheme": args.scheme,
-                "mu": args.mu,
-                "gains": list(gains.coeffs),
-                "coeffs": p.coeffs.tolist(),
-                **verdict,
-                "roots": _roots_doc(report.roots),
-            },
-        )
-    return 0
+    return _report(
+        args,
+        lambda: {
+            "N": args.N,
+            "T": args.T,
+            "scheme": args.scheme,
+            "mu": args.mu,
+            "gains": list(gains.coeffs),
+            "coeffs": p.coeffs.tolist(),
+            **verdict,
+            "roots": _roots_doc(report.roots),
+        },
+        ["mu", *verdict],
+        [[v] for v in (args.mu, *verdict.values())],
+    )
 
 
 def _cmd_gains(args) -> int:
     gains = _gains_for(args)
-    if args.format == "csv":
-        _emit_csv(args, ["j", "a_j"], [range(1, len(gains) + 1), list(gains.coeffs)])
-    else:
-        _emit_json(
-            args, {"scheme": args.scheme, "N": args.N, "gains": list(gains.coeffs)}
-        )
-    return 0
+    return _report(args, {"scheme": args.scheme, "N": args.N, "gains": list(gains.coeffs)},
+                   ["j", "a_j"], [range(1, len(gains) + 1), list(gains.coeffs)])
 
 
 def _cmd_simulate(args) -> int:
     m = _load_map(args)
     if args.N is None and not (args.scheme == "custom" and args.gains):
         raise UsageError("--N is required")
-    gains = _gains_for(args)
     T = args.period
+    gains = _gains_for(args, T)
     M = (len(gains) - 1) * T + 1
 
     if args.history is not None:
@@ -329,8 +349,7 @@ def _cmd_simulate(args) -> int:
         history = [args.init] * M
     else:
         raise UsageError("one of --init or --history is required")
-    if args.steps < 10 * T:
-        raise UsageError(f"--steps must be at least 10*T = {10 * T}")
+    _check_steps(args)
 
     cycles = find_cycles(m, T, args.grid)
     if not cycles:
@@ -359,13 +378,9 @@ def _cmd_simulate(args) -> int:
     n_hist = len(traj.states) - len(traj.controls)
     us = [None] * (n_hist - 1) + traj.controls.tolist() + [None]
     columns = [range(len(traj.states)), traj.states.tolist(), us]
-
-    if args.format == "json":
-        trajectory = [dict(zip(header, r)) for r in zip(*columns)]
-        _emit_json(args, {**summary, "trajectory": trajectory})
-    else:
-        # CSV trajectory to --out (or stdout), JSON summary to stdout.
-        _emit_csv(args, header, columns)
+    _report(args, lambda: {**summary, "trajectory": [dict(zip(header, r)) for r in zip(*columns)]},
+            header, columns)
+    if args.format == "csv":  # the JSON summary goes to stdout beside the trajectory
         sys.stdout.write(_json_text(args, summary))
     return 0
 
@@ -382,7 +397,7 @@ def _cmd_sweep(args) -> int:
     n_rows = int((hi - lo) / step) + 1
     if n_rows > MAX_ARRAY_LENGTH:
         raise UsageError(f"--mu-range and --mu-step give more than {MAX_ARRAY_LENGTH} rows")
-    gains = _gains_for(args)
+    gains = _gains_for(args, args.T)
     header = ["mu", "spectral_radius", "stable"]
     # Row i is the float nearest to lo + i*step: exact integers over one
     # common denominator, as int / int rounds correctly.
@@ -391,12 +406,13 @@ def _cmd_sweep(args) -> int:
     mus = [(a + i * b) / den for i in range(n_rows)]
     radii = spectral_radii(args.N, args.T, gains, mus)
     columns = [mus, radii.tolist(), (radii < 1.0 - SCHUR_MARGIN).tolist()]
-    if args.format == "json":
-        doc_rows = [dict(zip(header, r)) for r in zip(*columns)]
-        _emit_json(args, {"N": args.N, "T": args.T, "scheme": args.scheme, "rows": doc_rows})
-    else:
-        _emit_csv(args, header, columns)
-    return 0
+    return _report(
+        args,
+        lambda: {"N": args.N, "T": args.T, "scheme": args.scheme,
+                 "rows": [dict(zip(header, r)) for r in zip(*columns)]},
+        header,
+        columns,
+    )
 
 
 def _cmd_verify(args) -> int:
@@ -411,7 +427,7 @@ def _cmd_verify(args) -> int:
             f"tol={res.tolerance:.1e} ({res.trials} trials)\n"
         )
     all_passed = all(r.passed for r in results)
-    _emit_json(
+    _report(
         args,
         {
             "suite": args.suite,
@@ -425,13 +441,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stabilize(args) -> int:
-    if args.steps < 10 * args.period:
-        raise UsageError(f"--steps must be at least 10*T = {10 * args.period}")
+    _check_steps(args)
+    _check_degree(args.n_max, args.period)
     m = _load_map(args)
     entries = pipeline_stabilize(
         m, args.period, args.scheme, args.n_max, args.steps, args.tol, args.grid
     )
-    _emit_json(
+    return _report(
         args,
         {
             "map": m.source,
@@ -441,23 +457,49 @@ def _cmd_stabilize(args) -> int:
             "entries": entries,
         },
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# Argument parser
+# Argument parser: subcommands and flag groups
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, fmt_default="json", formats=("json", "csv")):
-    sub.add_argument("--format", choices=formats, default=fmt_default)
+def _command(subs, name, handler, help, formats=("json", "csv"), default="json"):
+    sub = subs.add_parser(name, help=help)
+    sub.add_argument("--format", choices=formats, default=default)
     sub.add_argument("--out", help="write the report to this path instead of stdout")
+    sub.set_defaults(handler=handler)
+    return sub
 
 
-def _add_map_flags(sub):
+def _map_flags(sub):
     sub.add_argument("--map", required=True, help='builtin designator ("logistic:r=4") or expression in x')
     sub.add_argument("--param", action="append", metavar="KEY=VAL", help="bind an expression parameter")
     sub.add_argument("--domain", help="override the scan domain as lo,hi")
+
+
+def _scan_flags(sub):
+    sub.add_argument("--period", type=_int_flag("--period", 1), required=True)
+    sub.add_argument("--grid", type=_int_flag("--grid", 100, MAX_ARRAY_LENGTH), default=1000)
+
+
+def _run_flags(sub, steps=None):
+    sub.add_argument("--steps", type=_int_flag("--steps", None, MAX_ARRAY_LENGTH),
+                     default=steps, required=steps is None)
+    sub.add_argument("--tol", type=_positive("--tol"), default=1e-6)
+
+
+def _shape_flags(sub, T=True, required=True):
+    sub.add_argument("--N", type=_int_flag("--N", 1), required=required)
+    if T:
+        sub.add_argument("--T", type=_int_flag("--T", 1), required=True)
+
+
+def _gain_flags(sub, required=False):
+    sub.add_argument("--scheme", choices=SCHEMES, required=required,
+                     default=None if required else "uniform")
+    sub.add_argument("--gains", help="comma-separated gains for --scheme custom"
+                     " (--gains=-0.5,1.5 if the first is < 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,72 +510,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    sub = subs.add_parser("cycles", help="detect period-T orbits of a map")
-    _add_map_flags(sub)
-    sub.add_argument("--period", type=_int_flag("--period", 1), required=True)
-    sub.add_argument("--grid", type=_int_flag("--grid", 100, MAX_ARRAY_LENGTH), default=1000)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_cycles)
+    sub = _command(subs, "cycles", _cmd_cycles, "detect period-T orbits of a map")
+    _map_flags(sub)
+    _scan_flags(sub)
 
-    sub = subs.add_parser("charpoly", help="closed-form characteristic polynomial and roots")
-    sub.add_argument("--N", type=_int_flag("--N", 1), required=True)
-    sub.add_argument("--T", type=_int_flag("--T", 1), required=True)
+    sub = _command(subs, "charpoly", _cmd_charpoly,
+                   "closed-form characteristic polynomial and roots")
+    _shape_flags(sub)
     sub.add_argument("--gains", required=True,
                      help="comma-separated a_1..a_N (--gains=-0.5,1.5 if the first is < 0)")
     sub.add_argument("--multipliers", required=True,
                      help="comma-separated mu_1..mu_T (--multipliers=-2,1.1 if the first is < 0)")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_charpoly)
+    sub.set_defaults(scheme="custom")  # _gains_for reads --gains as custom gains
 
-    sub = subs.add_parser("stability", help="Schur stability report for one mu")
-    sub.add_argument("--N", type=_int_flag("--N", 1), required=True)
-    sub.add_argument("--T", type=_int_flag("--T", 1), required=True)
-    sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
-    sub.add_argument("--gains", help=GAINS_HELP)
+    sub = _command(subs, "stability", _cmd_stability, "Schur stability report for one mu")
+    _shape_flags(sub)
+    _gain_flags(sub)
     sub.add_argument("--mu", type=_finite("--mu"), required=True)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_stability)
 
-    sub = subs.add_parser("gains", help="emit a gain scheme")
-    sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], required=True)
-    sub.add_argument("--N", type=_int_flag("--N", 1), required=True)
-    sub.add_argument("--gains", help=GAINS_HELP)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_gains)
+    sub = _command(subs, "gains", _cmd_gains, "emit a gain scheme")
+    _gain_flags(sub, required=True)
+    _shape_flags(sub, T=False)
 
-    sub = subs.add_parser("simulate", help="run the controlled dynamics")
-    _add_map_flags(sub)
-    sub.add_argument("--period", type=_int_flag("--period", 1), required=True)
-    sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
-    sub.add_argument("--N", type=_int_flag("--N", 1))
-    sub.add_argument("--gains", help=GAINS_HELP)
+    sub = _command(subs, "simulate", _cmd_simulate, "run the controlled dynamics", default="csv")
+    _map_flags(sub)
+    _scan_flags(sub)
+    _gain_flags(sub)
+    _shape_flags(sub, T=False, required=False)
+    _run_flags(sub)
     sub.add_argument("--init", type=_finite("--init"), help="constant initial history value")
     sub.add_argument("--history", help="explicit initial history, (N-1)T+1 values"
                      " (--history=-0.2,0.5 if the first is < 0)")
-    sub.add_argument("--steps", type=_int_flag("--steps", None, MAX_ARRAY_LENGTH), required=True)
-    sub.add_argument("--tol", type=_positive("--tol"), default=1e-6)
-    sub.add_argument("--grid", type=_int_flag("--grid", 100, MAX_ARRAY_LENGTH), default=1000)
     sub.add_argument("--cycle-index", type=int, help="target cycle index (anchor order)")
-    _add_common(sub, fmt_default="csv")
-    sub.set_defaults(handler=_cmd_simulate)
 
-    sub = subs.add_parser(
-        "sweep", help="spectral radius over a mu range, all rows from one stacked root solve"
-    )
-    sub.add_argument("--N", type=_int_flag("--N", 1), required=True)
-    sub.add_argument("--T", type=_int_flag("--T", 1), required=True)
-    sub.add_argument("--scheme", choices=["uniform", "dk2013", "custom"], default="uniform")
-    sub.add_argument("--gains", help=GAINS_HELP)
+    sub = _command(subs, "sweep", _cmd_sweep,
+                   "spectral radius over a mu range, all rows from one stacked root solve",
+                   default="csv")
+    _shape_flags(sub)
+    _gain_flags(sub)
     sub.add_argument(
         "--mu-range", required=True,
         help="lo,hi (use --mu-range=-3,-1 when lo is negative)",
     )
     sub.add_argument("--mu-step", required=True, help="grid spacing; rows are lo + i*step,"
                      f" at most {MAX_ARRAY_LENGTH} of them")
-    _add_common(sub, fmt_default="csv")
-    sub.set_defaults(handler=_cmd_sweep)
 
-    sub = subs.add_parser("verify", help="run seeded self-check suites")
+    sub = _command(subs, "verify", _cmd_verify, "run seeded self-check suites", formats=("json",))
     sub.add_argument(
         "--suite",
         choices=["lemma1", "chain", "rotation", "morgul", "all"],
@@ -541,19 +563,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--trials", type=_int_flag("--trials", 1), default=100)
     sub.add_argument("--seed", type=int, default=0, help="random seed of the trials")
-    _add_common(sub, formats=("json",))
-    sub.set_defaults(handler=_cmd_verify)
 
-    sub = subs.add_parser("stabilize", help="cycle -> gains -> simulation pipeline")
-    _add_map_flags(sub)
-    sub.add_argument("--period", type=_int_flag("--period", 1), required=True)
-    sub.add_argument("--scheme", choices=["uniform", "dk2013"], default="uniform")
+    sub = _command(subs, "stabilize", _cmd_stabilize, "cycle -> gains -> simulation pipeline",
+                   formats=("json",))
+    _map_flags(sub)
+    _scan_flags(sub)
+    # Only the named schemes give gains for every N the search tries.
+    sub.add_argument("--scheme", choices=SCHEMES[:2], default="uniform")
     sub.add_argument("--N-max", dest="n_max", type=_int_flag("--N-max", 1), default=32)
-    sub.add_argument("--steps", type=_int_flag("--steps", None, MAX_ARRAY_LENGTH), default=5000)
-    sub.add_argument("--tol", type=_positive("--tol"), default=1e-6)
-    sub.add_argument("--grid", type=_int_flag("--grid", 100, MAX_ARRAY_LENGTH), default=1000)
-    _add_common(sub, formats=("json",))
-    sub.set_defaults(handler=_cmd_stabilize)
+    _run_flags(sub, steps=5000)
 
     return parser
 

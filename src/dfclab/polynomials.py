@@ -94,12 +94,6 @@ class Polynomial:
         k = np.arange(1, self._coeffs.size)
         return Polynomial(self._coeffs[1:] * k)
 
-    def monic(self) -> "Polynomial":
-        lead = self._coeffs[-1]
-        if lead == 0.0:
-            raise ValueError("cannot normalize the zero polynomial")
-        return Polynomial(self._coeffs / lead)
-
     def __add__(self, other):
         other = self._coerce(other)
         n = max(self._coeffs.size, other._coeffs.size)

@@ -231,9 +231,9 @@ def _contacts(a: GainVector, T: int) -> np.ndarray:
     phi' = M - T Re(z q'(z) / q(z)), z = e^{i theta}, at which |h| <= 1e-10.
     Both are bisected to 1e-13 by ``bisect_brackets`` (a midpoint where h is
     exactly 0.0 is taken as is), so a tangency is accurate to about 1e-13
-    relative. Where rounding splits a tangency into two sign changes of h a
-    few 1e-8 apart (dk2013 at N = 5), those crossings are returned beside
-    it. Zeros of q are poles, not contacts.
+    relative. Where rounding splits a tangency into two sign changes of h,
+    one to each side of it within a grid step (dk2013 at N = 5 and 15), the
+    tangency is returned in their place. Zeros of q are poles, not contacts.
     """
     N = len(a)
     M = (N - 1) * T + 1
@@ -264,8 +264,17 @@ def _contacts(a: GainVector, T: int) -> np.ndarray:
     vals = h(theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         turns = sign_changes(dphase, dphase(theta))
-    zeros = [theta[[0, -1]], theta[vals == 0.0], sign_changes(h, vals),
-             turns[np.abs(h(turns)) <= 1e-10]]
+    tangents = turns[np.abs(h(turns)) <= 1e-10]
+    crossings = sign_changes(h, vals)
+    # A pair of crossings within one grid step to either side of a tangency
+    # is that tangency split by rounding: the tangency stands for both.
+    k = np.searchsorted(crossings, tangents)
+    inside = (k > 0) & (k < crossings.size)
+    k, t = k[inside], tangents[inside]
+    step = np.pi / grid
+    k = k[(t - crossings[k - 1] <= step) & (crossings[k] - t <= step)]
+    crossings = np.delete(crossings, np.concatenate([k - 1, k]))
+    zeros = [theta[[0, -1]], theta[vals == 0.0], crossings, tangents]
 
     u, mod = curve(np.concatenate(zeros))
     keep = mod > 1e-9 * scale
@@ -279,13 +288,10 @@ def gamma_t1(a: GainVector) -> float:
 
     The largest negative value of ``_contacts(a, 1)``, or -inf when there is
     none. At a tangency it is the zero of phi' that ``bisect_brackets``
-    places, accurate to about 1e-13 relative, except where rounding splits
-    the tangency into two sign changes of h: then it is the larger of those
-    crossings, about 1e-8 from the tangency (dk2013 at N = 5). Tangencies
-    count: a root may touch the circle and return inside, so gamma can sit
-    strictly inside the interval of ``stable_mu_interval``, which steps over
-    such contacts; the two agree when every contact is a crossing (uniform
-    gains in particular).
+    places, accurate to about 1e-13 relative. Tangencies count: a root may
+    touch the circle and return inside, so gamma can sit strictly inside the
+    interval of ``stable_mu_interval``, which steps over such contacts; the
+    two agree when every contact is a crossing (uniform gains in particular).
     """
     mu = _contacts(a, 1)
     neg = mu[mu < 0.0]

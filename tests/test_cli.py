@@ -24,6 +24,7 @@ from dfclab.spectrum import char_poly_closed
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+LOGISTIC = ["--map", "logistic:r=4"]
 
 
 def run_cli(capsys, *argv):
@@ -715,6 +716,46 @@ class TestUsageErrors:
         run_cli(capsys, *argv, flag, str(limit))  # at the limit: the library is called
         assert len(calls) == 1
 
+    # Each command builds a polynomial, or a history, of length (N-1)T+1 = d;
+    # the library call is a stub that records and fails, so a degree over the
+    # limit that got through would solve nothing.
+    @pytest.mark.parametrize(
+        "argv, stub",
+        [
+            (lambda d: ["charpoly", "--N", "2", "--T", str(d - 1), "--gains", "0.5,0.5",
+                        "--multipliers", ",".join(["1"] * (d - 1))], "char_poly_closed"),
+            (lambda d: ["stability", "--N", str(d), "--T", "1", "--mu=-1"], "char_poly_closed"),
+            (lambda d: ["sweep", "--N", "2", "--T", str(d - 1), "--mu-range=-1,0",
+                        "--mu-step", "1"], "spectral_radii"),
+            (lambda d: ["gains", "--scheme", "uniform", "--N", str(d)], "make_gains"),
+            (lambda d: ["simulate", *LOGISTIC, "--period", "1", "--N", str(d),
+                        "--init", "0.3", "--steps", "100"], "find_cycles"),
+            (lambda d: ["simulate", *LOGISTIC, "--period", "1", "--scheme", "custom",
+                        "--gains=" + ",".join(["1"] + ["0"] * (d - 1)),
+                        "--init", "0.3", "--steps", "100"], "find_cycles"),
+            (lambda d: ["simulate", *LOGISTIC, "--period", str(d - 1), "--N", "2",
+                        "--init", "0.3", "--steps", str(10 * d)], "find_cycles"),
+            (lambda d: ["stabilize", *LOGISTIC, "--period", "1", "--N-max", str(d)],
+             "pipeline_stabilize"),
+        ],
+        ids=["charpoly", "stability", "sweep", "gains", "simulate", "simulate-custom",
+             "simulate-period", "stabilize"],
+    )
+    def test_degree_above_the_limit_exits_two(self, monkeypatch, capsys, argv, stub):
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            raise dfclab.cli.DomainError("stub")
+
+        monkeypatch.setattr(dfclab.cli, stub, record)
+        limit = 1000
+        code, out, err = run_cli(capsys, *argv(limit + 1))
+        assert (code, out, calls) == (2, "", [])
+        assert err == f"usage error: degree (N-1)*T+1 must be <= {limit}, got {limit + 1}\n"
+        assert run_cli(capsys, *argv(limit)) == (1, "", "error: stub\n")  # the library is called
+        assert len(calls) == 1
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gains", "--scheme", "uniform", "--N", "2", "--frobnicate"])
@@ -862,3 +903,133 @@ print(counts)
         good = ["sweep", "--N", "2", "--T", "1", "--mu-range=-1,0", "--mu-step", "0.5",
                 "--scheme", "dk2013"]
         assert run_cli(capsys, *good) == run_fresh_process(*good)
+
+
+def subcommand_actions():
+    """Each subcommand's name, help and argparse actions, in parser order."""
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {c.dest: c.help for c in subs._choices_actions}
+    return [(name, helps[name], [a for a in sub._actions if a.option_strings != ["-h", "--help"]])
+            for name, sub in subs.choices.items()]
+
+
+class TestFlagSurface:
+    """The flags of every subcommand as a user sees them: option string,
+    default, choices, whether required, and help text."""
+
+    MAP_HELP = 'builtin designator ("logistic:r=4") or expression in x'
+    GAINS_HELP = "comma-separated gains for --scheme custom (--gains=-0.5,1.5 if the first is < 0)"
+    OUT_HELP = "write the report to this path instead of stdout"
+    SCHEMES = ["uniform", "dk2013", "custom"]
+    MAP = {
+        "--map": (None, None, True, MAP_HELP),
+        "--param": (None, None, False, "bind an expression parameter"),
+        "--domain": (None, None, False, "override the scan domain as lo,hi"),
+    }
+    SURFACE = {
+        "cycles": ("detect period-T orbits of a map", {
+            **MAP,
+            "--period": (None, None, True, None),
+            "--grid": (1000, None, False, None),
+            "--format": ("json", ["json", "csv"], False, None),
+            "--out": (None, None, False, OUT_HELP),
+        }),
+        "charpoly": ("closed-form characteristic polynomial and roots", {
+            "--N": (None, None, True, None),
+            "--T": (None, None, True, None),
+            "--gains": (None, None, True,
+                        "comma-separated a_1..a_N (--gains=-0.5,1.5 if the first is < 0)"),
+            "--multipliers": (None, None, True, "comma-separated mu_1..mu_T"
+                              " (--multipliers=-2,1.1 if the first is < 0)"),
+            "--format": ("json", ["json", "csv"], False, None),
+            "--out": (None, None, False, OUT_HELP),
+        }),
+        "stability": ("Schur stability report for one mu", {
+            "--N": (None, None, True, None),
+            "--T": (None, None, True, None),
+            "--scheme": ("uniform", SCHEMES, False, None),
+            "--gains": (None, None, False, GAINS_HELP),
+            "--mu": (None, None, True, None),
+            "--format": ("json", ["json", "csv"], False, None),
+            "--out": (None, None, False, OUT_HELP),
+        }),
+        "gains": ("emit a gain scheme", {
+            "--scheme": (None, SCHEMES, True, None),
+            "--N": (None, None, True, None),
+            "--gains": (None, None, False, GAINS_HELP),
+            "--format": ("json", ["json", "csv"], False, None),
+            "--out": (None, None, False, OUT_HELP),
+        }),
+        "simulate": ("run the controlled dynamics", {
+            **MAP,
+            "--period": (None, None, True, None),
+            "--scheme": ("uniform", SCHEMES, False, None),
+            "--N": (None, None, False, None),
+            "--gains": (None, None, False, GAINS_HELP),
+            "--init": (None, None, False, "constant initial history value"),
+            "--history": (None, None, False, "explicit initial history, (N-1)T+1 values"
+                          " (--history=-0.2,0.5 if the first is < 0)"),
+            "--steps": (None, None, True, None),
+            "--tol": (1e-6, None, False, None),
+            "--grid": (1000, None, False, None),
+            "--cycle-index": (None, None, False, "target cycle index (anchor order)"),
+            "--format": ("csv", ["json", "csv"], False, None),
+            "--out": (None, None, False, OUT_HELP),
+        }),
+        "sweep": ("spectral radius over a mu range, all rows from one stacked root solve", {
+            "--N": (None, None, True, None),
+            "--T": (None, None, True, None),
+            "--scheme": ("uniform", SCHEMES, False, None),
+            "--gains": (None, None, False, GAINS_HELP),
+            "--mu-range": (None, None, True, "lo,hi (use --mu-range=-3,-1 when lo is negative)"),
+            "--mu-step": (None, None, True,
+                          "grid spacing; rows are lo + i*step, at most 10000000 of them"),
+            "--format": ("csv", ["json", "csv"], False, None),
+            "--out": (None, None, False, OUT_HELP),
+        }),
+        "verify": ("run seeded self-check suites", {
+            "--suite": ("all", ["lemma1", "chain", "rotation", "morgul", "all"], False, None),
+            "--trials": (100, None, False, None),
+            "--seed": (0, None, False, "random seed of the trials"),
+            "--format": ("json", ["json"], False, None),
+            "--out": (None, None, False, OUT_HELP),
+        }),
+        "stabilize": ("cycle -> gains -> simulation pipeline", {
+            **MAP,
+            "--period": (None, None, True, None),
+            "--scheme": ("uniform", ["uniform", "dk2013"], False, None),
+            "--N-max": (32, None, False, None),
+            "--steps": (5000, None, False, None),
+            "--tol": (1e-6, None, False, None),
+            "--grid": (1000, None, False, None),
+            "--format": ("json", ["json"], False, None),
+            "--out": (None, None, False, OUT_HELP),
+        }),
+    }
+
+    def test_every_flag_of_every_subcommand(self):
+        surface = {
+            name: (help_, {
+                opt: (a.default, None if a.choices is None else list(a.choices), a.required, a.help)
+                for a in actions for opt in a.option_strings
+            })
+            for name, help_, actions in subcommand_actions()
+        }
+        assert surface == self.SURFACE
+        assert list(surface) == list(self.SURFACE)  # subcommands keep their order
+
+    def test_dest_metavar_and_action_where_not_the_plain_store(self):
+        # Every other flag stores one value under its own name, without a metavar.
+        odd = {
+            (name, a.option_strings[0]): (a.dest, a.metavar, type(a).__name__)
+            for name, _, actions in subcommand_actions() for a in actions
+            if (a.dest, a.metavar, type(a)) != (a.option_strings[0].lstrip("-").replace("-", "_"),
+                                                None, argparse._StoreAction)
+        }
+        param = ("param", "KEY=VAL", "_AppendAction")
+        assert odd == {
+            ("cycles", "--param"): param,
+            ("simulate", "--param"): param,
+            ("stabilize", "--param"): param,
+            ("stabilize", "--N-max"): ("n_max", None, "_StoreAction"),
+        }

@@ -232,15 +232,15 @@ class TestGamma:
             (5, -(3.0 + 2.0 * math.sqrt(3.0))),
             (8, -7.2908593693815896066),
             (13, -7.7016493845321326805),
+            (15, -7.7709001866354953088),
             (24, -7.9056251275151735632),
         ],
     )
     def test_dk2013_gamma_at_the_tangency(self, N, tangency):
         # The tangency is the bisected zero of phi', exact to rounding. At
-        # N = 5 rounding also splits it into two sign changes of Im(mu), up to
-        # 3e-8 to either side, and gamma is the larger of those crossings.
-        rel = 1e-7 if N == 5 else 1e-12
-        assert gamma_t1(gains_dk2013(N)) == pytest.approx(tangency, rel=rel, abs=0.0)
+        # N = 5 and 15 rounding also splits it into two sign changes of
+        # Im(mu), 1e-8 to 5e-8 to either side; gamma is still the tangency.
+        assert gamma_t1(gains_dk2013(N)) == pytest.approx(tangency, rel=1e-12, abs=0.0)
 
     def test_deadbeat_gains(self):
         # a = (0, ..., 0, 1): p = lambda^N - mu, stable iff |mu| < 1
