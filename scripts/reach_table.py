@@ -1,0 +1,94 @@
+"""Write src/dfclab/reach_table.py, the stable mu interval of each named-scheme row.
+
+One row per (scheme, T, N) for the uniform and dk2013 gain schemes, T <= 4
+and N <= 32: ``stable_mu_interval``'s (lo, hi) and the ``merged_contacts``
+strictly inside it. ``min_N_to_stabilize`` reads its verdicts there. Floats
+are written by ``repr``, so the module reads back bit for bit. With
+``--check`` the script writes nothing and exits 1 when the committed module
+differs from a fresh build (after a change to the contacts, the interval or
+``SCHUR_MARGIN``). Run it from anywhere:
+
+    python3 scripts/reach_table.py [--check]
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from dfclab.stability import make_gains, merged_contacts, stable_mu_interval  # noqa: E402
+
+TABLE = ROOT / "src" / "dfclab" / "reach_table.py"
+SCHEMES = ("uniform", "dk2013")
+T_MAX = 4
+N_MAX = 32
+PER_LINE = 4  # interior contacts per line of the module
+
+HEADER = f'''"""Stable multiplier intervals of the uniform and dk2013 gain schemes.
+
+Generated by ``python3 scripts/reach_table.py``; edit that script, not this
+file. ``ROWS[(scheme, T, N)]`` is ``(lo, hi, interior)`` for T <= {T_MAX} and
+N <= {N_MAX}: ``stable_mu_interval``'s interval and the ``merged_contacts``
+strictly inside it, floats written by ``repr`` so they read back bit for bit.
+"""
+
+ROWS = {{
+'''
+
+
+def row(scheme: str, T: int, N: int) -> tuple[float, float, tuple[float, ...]]:
+    """(lo, hi, interior contacts) of one (scheme, T, N)."""
+    a = make_gains(scheme, N)
+    iv = stable_mu_interval(N, T, a, scheme)
+    return iv.lo, iv.hi, tuple(c for c in merged_contacts(a, T) if iv.lo < c < iv.hi)
+
+
+def rows() -> dict[tuple[str, int, int], tuple[float, float, tuple[float, ...]]]:
+    """Every row of the table, in the order the module lists them."""
+    return {(s, T, N): row(s, T, N)
+            for s in SCHEMES for T in range(1, T_MAX + 1) for N in range(1, N_MAX + 1)}
+
+
+def render(table: dict) -> str:
+    """The text of the generated module."""
+    lines = [HEADER]
+    for (scheme, T, N), (lo, hi, interior) in table.items():
+        key = f'("{scheme}", {T}, {N})'
+        if not interior:
+            lines.append(f"    {key}: ({lo!r}, {hi!r}, ()),\n")
+            continue
+        lines.append(f"    {key}: ({lo!r}, {hi!r}, (\n")
+        for k in range(0, len(interior), PER_LINE):
+            lines.append("        " + " ".join(f"{c!r}," for c in interior[k:k + PER_LINE]) + "\n")
+        lines.append("    )),\n")
+    lines.append("}\n")
+    return "".join(lines)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", action="store_true",
+                    help="write nothing; exit 1 if the committed table is stale")
+    args = ap.parse_args(argv)
+    text = render(rows())
+    if not args.check:
+        TABLE.write_text(text)
+        return 0
+    old = TABLE.read_text() if TABLE.exists() else ""
+    if old == text:
+        print(f"{TABLE.name}: up to date")
+        return 0
+    diff = difflib.unified_diff(old.splitlines(), text.splitlines(), "committed", "rebuilt",
+                                lineterm="", n=0)
+    print("\n".join(list(diff)[:40]))
+    print(f"{TABLE.name}: stale; rerun python3 scripts/reach_table.py")
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -133,11 +133,15 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _parse_gains(text: str) -> list[float]:
-    """--gains as numbers; GainVector rejects the non-finite ones by name."""
+    """--gains as numbers, at least one; GainVector rejects the non-finite
+    ones by name."""
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        gains = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise UsageError("--gains expects a comma-separated list of numbers") from None
+    if not gains:
+        raise UsageError("--gains expects at least one number")
+    return gains
 
 
 def _parse_exact(text: str, flag: str) -> Fraction:
@@ -176,7 +180,7 @@ def _check_steps(args) -> None:
 def _gains_for(args, T: int = 1) -> GainVector:
     """Gains of --scheme for polynomials of period T; without --N, custom
     gains set N by their count. The degree is checked before they are built."""
-    custom = _parse_gains(args.gains) if args.gains else None
+    custom = None if args.gains is None else _parse_gains(args.gains)
     if args.scheme == "custom" and custom is None:
         raise UsageError("--scheme custom requires --gains")
     N = len(custom) if args.N is None else args.N
@@ -335,7 +339,7 @@ def _cmd_gains(args) -> int:
 
 def _cmd_simulate(args) -> int:
     m = _load_map(args)
-    if args.N is None and not (args.scheme == "custom" and args.gains):
+    if args.N is None and not (args.scheme == "custom" and args.gains is not None):
         raise UsageError("--N is required")
     T = args.period
     gains = _gains_for(args, T)

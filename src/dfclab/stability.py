@@ -10,6 +10,15 @@ root touches the unit circle (Neimark's D-decomposition). The verdict is
 constant between such contacts, so the stable interval around mu = 0 takes
 one table probe per gap, and gamma (T = 1) is the nearest negative contact.
 
+For the named schemes at T <= 4 and N <= 32, ``reach_table.ROWS`` holds each
+stable interval (lo, hi) and the merged contacts strictly inside it, written
+by ``scripts/reach_table.py``; each such stable set is that one interval.
+``min_N_to_stabilize`` takes its verdict for N from there when mu is clear
+of the row's ends by 1e-6 (1 + |mu|) and of every interior contact c by
+1e-3 (1 + |c|), over six times the widest window around a tangency (1.6e-4
+relative) in which the margined Jury table says unstable. The Jury table
+decides every other N, so the answers are those of the Jury table alone.
+
 ``pipeline_stabilize`` runs the paper's chain on a map: each T-cycle's mu,
 the smallest N whose gains make p Schur stable, and a simulation to confirm.
 """
@@ -40,6 +49,7 @@ __all__ = [
     "make_gains",
     "gamma_t1",
     "stable_mu_interval",
+    "merged_contacts",
     "min_N_to_stabilize",
     "pipeline_stabilize",
 ]
@@ -47,6 +57,10 @@ __all__ = [
 SCHUR_MARGIN = 1e-9
 MARGINAL_BAND = 1e-6
 MU_FLOOR = -1e6  # stable_mu_interval reports no lower endpoint below this
+# min_N_to_stabilize trusts a reach-table row only this far (relative) from
+# the row's ends and from each contact inside it; nearer, the Jury table decides.
+END_BAND = 1e-6
+CONTACT_BAND = 1e-3
 
 
 @dataclass(frozen=True)
@@ -298,28 +312,34 @@ def gamma_t1(a: GainVector) -> float:
     return float(neg[-1]) if neg.size else float("-inf")
 
 
+def merged_contacts(a: GainVector, T: int) -> list[float]:
+    """``_contacts(a, T)`` with each run of contacts within 1e-6 (1 + |mu|)
+    of the previous kept one merged into its first, as a tangency often
+    shows as two sign changes a hair apart."""
+    merged: list[float] = []
+    for c in _contacts(a, T).tolist():
+        if not merged or c - merged[-1] > 1e-6 * (1.0 + abs(c)):
+            merged.append(c)
+    return merged
+
+
 def stable_mu_interval(N: int, T: int, a: GainVector, scheme: str = "custom") -> MuInterval:
     """The stable interval of multipliers around mu = 0.
 
     mu = 0 gives lambda^M, always stable, and the verdict changes only at a
-    contact (``_contacts``); contacts within 1e-6 (1 + |mu|) are merged, as
-    a tangency often shows as two sign changes a hair apart. Walking out
-    from 0, one Jury-table probe per gap (its midpoint, or 2c beyond the
-    last contact c) settles it; each endpoint is the nearest contact whose
-    far side probes unstable, so tangencies inside are stepped over. ``lo``
-    is -inf when no such contact lies above the fixed floor ``MU_FLOOR``;
-    ``hi`` is 1 when none lies below it (p(1) = 1 - mu).
+    contact (``merged_contacts``). Walking out from 0, one Jury-table probe
+    per gap (its midpoint, or 2c beyond the last contact c) settles it; each
+    endpoint is the nearest contact whose far side probes unstable, so
+    tangencies inside are stepped over. ``lo`` is -inf when no such contact
+    lies above the fixed floor ``MU_FLOOR``; ``hi`` is 1 when none lies
+    below it (p(1) = 1 - mu).
     """
     _ = char_poly_closed(N, T, a, 0.0)  # validates dimensions
 
     def stable(mu: float) -> bool:
         return jury_stable(char_poly_closed(N, T, a, mu), SCHUR_MARGIN)
 
-    merged: list[float] = []
-    for c in _contacts(a, T).tolist():
-        if not merged or c - merged[-1] > 1e-6 * (1.0 + abs(c)):
-            merged.append(c)
-
+    merged = merged_contacts(a, T)
     down = [c for c in reversed(merged) if c < 0.0]
     lo = float("-inf")
     for k, c in enumerate(down):
@@ -345,17 +365,45 @@ def min_N_to_stabilize(
 ) -> int | None:
     """Smallest N <= N_max whose scheme gains make the cycle stable, else None.
 
-    Each N is decided by the Jury table with ``SCHUR_MARGIN``, solving no
-    root. mu >= 1 is rejected at once: p(1) = 1 - mu <= 0 for every valid
-    gain vector, so no N can work.
+    Each N gets the verdict of the Jury table with ``SCHUR_MARGIN``, solving
+    no root. Where ``reach_table.ROWS`` has the row (uniform and dk2013,
+    T <= 4, N <= 32) and its interval (lo, hi) with interior contacts c:
+    mu <= lo - d or mu >= hi + d, d = ``END_BAND`` (1 + |mu|), is unstable;
+    lo + d < mu < hi - d with |mu - c| > ``CONTACT_BAND`` (1 + |c|) for
+    every c is stable. The Jury table runs only in between, and for every
+    row the reach table lacks. mu >= 1 is rejected at once: p(1) = 1 - mu
+    <= 0 for every valid gain vector, so no N can work.
     """
     if T < 1 or N_max < 1:
         raise ValueError("T and N_max must be positive integers")
     if mu >= 1.0:
         return None
+    # Imported on first use: compiling the table's ~800 float literals takes
+    # milliseconds that ``import dfclab`` should not pay.
+    from .reach_table import ROWS
+
     for N in range(1, N_max + 1):
-        if jury_stable(char_poly_closed(N, T, make_gains(scheme, N), mu), SCHUR_MARGIN):
+        stable = _reach_verdict(ROWS.get((scheme, T, N)), mu)
+        if stable is None:
+            stable = jury_stable(char_poly_closed(N, T, make_gains(scheme, N), mu), SCHUR_MARGIN)
+        if stable:
             return N
+    return None
+
+
+def _reach_verdict(row: tuple | None, mu: float) -> bool | None:
+    """A reach-table row's verdict on mu, or None where the Jury table must
+    decide (see ``min_N_to_stabilize``)."""
+    if row is None:
+        return None
+    lo, hi, interior = row
+    band = END_BAND * (1.0 + abs(mu))
+    if mu <= lo - band or mu >= hi + band:
+        return False
+    if lo + band < mu < hi - band and all(
+        abs(mu - c) > CONTACT_BAND * (1.0 + abs(c)) for c in interior
+    ):
+        return True
     return None
 
 

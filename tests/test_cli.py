@@ -135,6 +135,20 @@ class TestGains:
         assert out == ""
         assert "gains must be finite" in err
 
+    @pytest.mark.parametrize("values", ["", " , "])
+    @pytest.mark.parametrize(
+        "argv",
+        [*(pytest.param(argv + ["--scheme", scheme], id=f"{argv[0]}-{scheme}")
+           for argv in SCHEME_ARGVS for scheme in ("uniform", "custom")),
+         pytest.param(["charpoly", "--N", "2", "--T", "1", "--multipliers", "0.5"],
+                      id="charpoly")],
+    )
+    def test_empty_gains_are_usage_errors(self, capsys, argv, values):
+        code, out, err = run_cli(capsys, *argv, "--gains", values)
+        assert code == 2
+        assert out == ""
+        assert "--gains expects at least one number" in err
+
 
 class TestCharpoly:
     def test_coeffs_and_roots(self, capsys):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dfclab.polynomials import Polynomial, poly_roots
+from dfclab.reach_table import ROWS
 from dfclab.spectrum import GainVector, char_poly_closed
 import dfclab.stability
 from dfclab.stability import (
@@ -18,6 +19,7 @@ from dfclab.stability import (
     gains_uniform,
     gamma_t1,
     jury_stable,
+    make_gains,
     min_N_to_stabilize,
     spectral_radius,
     stable_mu_interval,
@@ -421,6 +423,56 @@ class TestMinN:
 
     def test_exhausted_search_returns_none(self):
         assert min_N_to_stabilize(1, -50.0, "uniform", 5) is None
+
+
+def min_N_by_jury(T, mu, scheme, N_max):
+    """The oracle: min_N_to_stabilize as it was before the reach table, a Jury
+    table for every N in turn."""
+    if mu >= 1.0:
+        return None
+    for N in range(1, N_max + 1):
+        if jury_stable(char_poly_closed(N, T, make_gains(scheme, N), mu), SCHUR_MARGIN):
+            return N
+    return None
+
+
+SCHEME_T = [(scheme, T) for scheme in ("uniform", "dk2013") for T in range(1, 5)]
+
+
+class TestReachTableEquivalence:
+    def test_tangency_window_inside_an_interval(self):
+        # -5.854... is a tangency of the dk2013 N = 4 row at T = 1. Next to it
+        # the margined Jury table says unstable, though mu lies well inside
+        # that row's interval, so a lookup on lo and hi alone would say 4.
+        mu = -5.854101966249948 * (1 + 1e-5)
+        lo, hi, interior = ROWS[("dk2013", 1, 4)]
+        assert lo < mu < hi and min(abs(mu - c) for c in interior) < 1e-4
+        assert min_N_to_stabilize(1, mu, "dk2013") == 5
+        assert min_N_by_jury(1, mu, "dk2013", 32) == 5
+
+    @pytest.mark.parametrize("T,mu,N_max,answer", [(1, -500.0, 40, 35), (5, -1.5, 32, 2)])
+    def test_rows_past_the_table_take_the_jury_table(self, T, mu, N_max, answer):
+        assert min_N_to_stabilize(T, mu, "dk2013", N_max) == answer
+        assert min_N_by_jury(T, mu, "dk2013", N_max) == answer
+
+    @pytest.mark.parametrize("scheme,T", SCHEME_T)
+    def test_random_mu(self, scheme, T):
+        lo_min = min(ROWS[(scheme, T, N)][0] for N in range(1, 33))
+        rng = np.random.default_rng(T)
+        for mu in rng.uniform(1.2 * lo_min, 1.0, 100).tolist():
+            assert min_N_to_stabilize(T, mu, scheme) == min_N_by_jury(T, mu, scheme, 32), mu
+
+    @pytest.mark.parametrize("scheme,T", SCHEME_T)
+    def test_mu_next_to_every_end_and_interior_contact(self, scheme, T):
+        # Queries near a point of row N0 stop the search at N0: every row up
+        # to it is still looked up, at a fraction of the oracle's cost.
+        for N0 in range(1, 33):
+            lo, _, interior = ROWS[(scheme, T, N0)]
+            for c in (lo, *interior):
+                for k in range(2, 12):
+                    for mu in (c * (1 - 10.0**-k), c * (1 + 10.0**-k)):
+                        expected = min_N_by_jury(T, mu, scheme, N0)
+                        assert min_N_to_stabilize(T, mu, scheme, N0) == expected, (N0, c, mu)
 
 
 class TestOneVerdict:
