@@ -1,22 +1,25 @@
 """Detection of T-periodic orbits of a scalar map and their multipliers.
 
 Cycles are located as roots of g(x) = f^T(x) - x: a sign-change scan on a
-uniform grid over the map's domain, bisection to a 1e-12 bracket, and a
-short Newton polish. Roots are then filtered to minimal period T, grouped
-into orbits, and deduplicated with each orbit anchored at its smallest
-point. Near-tangent cycles (multiplier close to +1) can slip through a
-sign-change scan; a denser grid is the mitigation.
+uniform grid over the map's domain, then a bracket-keeping Newton refinement
+of every sign change to a 1e-12 bracket (``_newton_brackets``, the Newton-
+bisection hybrid of Dekker and Brent, as ``rtsafe`` in Numerical Recipes).
+Roots are then filtered to minimal period T, grouped into orbits, and
+deduplicated with each orbit anchored at its smallest point. Near-tangent
+cycles (multiplier close to +1) can slip through a sign-change scan; a
+denser grid is the mitigation.
 
-Every stage runs on arrays: the scan, the lockstep bisection of every
-sign-change bracket (``bisect_brackets``), the minimal-period filter and
-each root's orbit through ``eval_map_array``, which is bit-identical to
-``eval_map``; the Newton polish of every root, then of every anchor, in
-lockstep, the closure check and the multipliers through
-``eval_map_deriv_array``. One error policy holds throughout: a point whose
-f^T raises a map error is skipped, be it a grid node, a bisection midpoint
-(its bracket is dropped) or a root whose orbit cannot be evaluated. A
-candidate whose polished orbit has a lower period (Newton can land on one)
-or does not close to ``CLOSURE_RTOL`` is skipped.
+Every stage runs on arrays: the scan, the minimal-period filter and each
+root's orbit through ``eval_map_array``, which is bit-identical to
+``eval_map``; the refinement, where each pass composes f and f' T times at
+one probe per live bracket, the Newton polish of every anchor in lockstep,
+the closure check and the multipliers through ``eval_map_deriv_array``. One
+error policy holds throughout: a point whose f^T raises a map error is
+skipped, be it a grid node, a refinement probe (its bracket is dropped) or
+a root whose orbit cannot be evaluated. A candidate whose polished orbit
+has a lower period (Newton can land on one) or does not close to
+``CLOSURE_RTOL`` is skipped. ``bisect_brackets`` is the plain lockstep
+bisection, for a g without a derivative at hand.
 """
 
 from __future__ import annotations
@@ -138,12 +141,15 @@ def find_cycles(m: MapSpec, period: int, grid_points: int = 1000) -> list[Cycle]
 
     An empty result is valid (no cycles of that period in the domain).
     Orbits are reported once each, anchored at their smallest point and
-    sorted by anchor. A point where f^T raises a map error is skipped, never
-    raised: a grid node, a bisection midpoint, a root's orbit. A root, and
-    again its Newton-polished orbit, is of minimal period T unless f^d
-    returns it within ``PERIOD_TOL`` for a proper divisor d of T; two
-    orbits are one when their anchors lie within ``ORBIT_TOL``; an orbit is
-    reported only if it closes to ``CLOSURE_RTOL``.
+    sorted by anchor. Each sign change of f^T - x on a grid of grid_points
+    nodes is refined by ``_newton_brackets`` to a root within 1e-12 of it.
+    A point where f^T raises a map error is skipped, never raised: a grid
+    node, a refinement probe (f or f' erring drops its bracket), a root's
+    orbit. A root, and again its Newton-polished orbit, is of minimal
+    period T unless f^d returns it within ``PERIOD_TOL`` for a proper
+    divisor d of T; two orbits are one when their anchors lie within
+    ``ORBIT_TOL``; an orbit is reported only if it closes to
+    ``CLOSURE_RTOL``.
 
     An orbit may leave the domain. It is reported when one of its points is
     a root found on the domain; its other points may lie outside. The Newton
@@ -157,23 +163,17 @@ def find_cycles(m: MapSpec, period: int, grid_points: int = 1000) -> list[Cycle]
     lo, hi = m.domain
     T = period
 
-    def g(x: np.ndarray) -> np.ndarray:
-        return _iterate_array(m, x, T) - x
-
-    # Grid scan for sign changes / exact nodes; NaN marks a node whose map errors.
+    # Grid scan of g = f^T - x for sign changes / exact nodes; NaN marks a
+    # node whose map errors.
     n = grid_points
     xs = lo + (hi - lo) * np.arange(n) / (n - 1)
     with np.errstate(over="ignore"):
-        gs = g(xs)
+        gs = _iterate_array(m, xs, T) - xs
         exact = np.abs(gs) <= 1e-13 * (1.0 + np.abs(xs))
         ga, gb = gs[:-1], gs[1:]
         change = np.isfinite(ga) & np.isfinite(gb) & (ga * gb < 0.0)
-        ends = bisect_brackets(g, xs[:-1][change], xs[1:][change], ga[change], BRACKET_WIDTH)
-        # Newton polish, kept unless it raises |g| above the bisection's (it
-        # can stall on flat spots).
-        polished = _newton_polish(m, ends, T, lo, hi)
-        better = np.abs(g(polished)) <= np.abs(g(ends))
-        roots = np.concatenate([xs[exact], np.where(better, polished, ends)])
+        roots = np.concatenate([xs[exact], _newton_brackets(
+            m, T, xs[:-1][change], xs[1:][change], ga[change], gb[change], BRACKET_WIDTH)])
         orbits, minimal = _minimal_orbits(m, roots, T)
         anchors = orbits.min(axis=0)[minimal]
 
@@ -225,6 +225,71 @@ def _multipliers(m: MapSpec, orbits: np.ndarray, tol: float):
     nxt = orbits[(np.arange(len(orbits)) + 1) % len(orbits)]
     gap = np.abs(fx - nxt) > tol * (1.0 + np.abs(orbits))
     return mus, bad.any(axis=0), gap.any(axis=0)
+
+
+@np.errstate(all="ignore")  # an error's values are unspecified
+def _newton_brackets(m: MapSpec, T: int, a, b, ga, gb, width: float) -> np.ndarray:
+    """Refine every bracket [a[i], b[i]] of a sign change of g = f^T - x in lockstep.
+
+    ga[i] = g(a[i]) and gb[i] = g(b[i]) are nonzero and of opposite signs.
+    Each pass is one T-fold composition of f and f' at one probe per live
+    bracket, and the probe becomes the end of its bracket on its side of the
+    sign change. The first probe is the midpoint. After it, the probe is the
+    Newton target from the last probe:
+    - a step shorter than width / 2 is lengthened by width / 2, so that the
+      bracket closes round the target;
+    - a target inside the bracket, or less than 1% of its width past an
+      end (which puts the root at that end), is moved to at least width / 2
+      inside the bracket;
+    - a target farther out falls back to the midpoint.
+    A pass makes progress when it halves the bracket or its Newton step is
+    at most half the move to its probe. After two passes in a row without
+    progress the probe is the midpoint (Newton creeps up on a multiple root
+    from one side), and so is every probe once the stage has run twice as
+    many passes as bisection of the widest bracket would.
+
+    A bracket ends at a probe where g is exactly 0.0, is dropped at a probe
+    where f or f' errs along the orbit, and otherwise ends once no wider
+    than width, at its end with the smaller |g|. The roots come back in
+    bracket order.
+    """
+    a, b, ga, gb = (np.array(v, dtype=float) for v in (a, b, ga, gb))
+    roots = np.full(a.size, np.nan)  # per bracket: where it ended, NaN if dropped
+    rows = np.arange(a.size)
+    x = 0.5 * (a + b)
+    moved = 0.5 * (b - a)  # the move from the last probe to x
+    slow = np.zeros(a.size, dtype=int)  # passes in a row without progress
+    budget = 2 * math.ceil(math.log2(max(np.max(b - a, initial=0.0), width) / width))
+    while rows.size:
+        gx, slope, err = x, 1.0, False
+        for _ in range(T):
+            gx, d, bad = eval_map_deriv_array(m, gx)
+            slope, err = slope * d, err | bad
+        gx, slope = gx - x, slope - 1.0
+        zero = (gx == 0.0) & ~err
+        roots[rows[zero]] = x[zero]
+        left = (ga < 0.0) != (gx < 0.0)  # the sign change lies in [a, x]
+        halved = np.where(left, x - a, b - x) <= 0.5 * (b - a)
+        a, ga = np.where(left, a, x), np.where(left, ga, gx)
+        b, gb = np.where(left, x, b), np.where(left, gx, gb)
+        done = ~(err | zero) & (b - a <= width)
+        roots[rows[done]] = np.where(np.abs(ga) <= np.abs(gb), a, b)[done]
+        live = ~(err | zero | done)
+        rows, a, b, ga, gb, x, gx, slope, moved, halved, slow = (
+            v[live] for v in (rows, a, b, ga, gb, x, gx, slope, moved, halved, slow))
+        step = np.divide(-gx, slope, out=np.full(x.size, np.nan),
+                         where=np.isfinite(slope) & (slope != 0.0))
+        slow = np.where(halved | (np.abs(step) <= 0.5 * moved), 0, slow + 1)
+        step += np.where(np.abs(step) < 0.5 * width, np.copysign(0.5 * width, step), 0.0)
+        # A target a hair past an end puts the root at that end: probe just inside.
+        nxt, hair = x + step, 0.01 * (b - a)
+        budget -= 1
+        newton = (a - hair < nxt) & (nxt < b + hair) & (slow < 2) & (budget > 0)
+        nxt = np.clip(nxt, a + 0.5 * width, b - 0.5 * width)
+        moved = np.where(newton, np.abs(nxt - x), 0.5 * (b - a))
+        x = np.where(newton, nxt, 0.5 * (a + b))
+        slow[~newton] = 0
+    return roots[~np.isnan(roots)]
 
 
 @np.errstate(all="ignore")  # an error's values are unspecified

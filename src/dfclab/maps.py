@@ -29,6 +29,7 @@ functions sin, cos, exp, tanh, abs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -146,13 +147,14 @@ def format_ast(node: Node) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _elementwise(fn: Callable, nin: int) -> Callable:
-    """``fn`` of Python's math module applied element by element.
+def _elementwise(fn: Callable) -> Callable:
+    """``fn`` of Python's math module applied element by element to its first
+    argument, an array or a float; any further arguments are scalars.
 
-    Returns the float results and the mask of the elements on which fn
-    raised, or None when none did. Errors are rare, so a call first runs
-    unguarded and is repeated with a guard round each element only when
-    some element raised.
+    Returns the float results, shaped like the first argument, and the mask
+    of the elements on which fn raised, or None when none did. Errors are
+    rare, so a call first runs unguarded and is repeated with a guard round
+    each element only when some element raised.
     """
 
     def guarded(*args):
@@ -161,15 +163,17 @@ def _elementwise(fn: Callable, nin: int) -> Callable:
         except (ArithmeticError, ValueError):
             return math.nan
 
-    plain, safe = np.frompyfunc(fn, nin, 1), np.frompyfunc(guarded, nin, 1)
-
-    def call(*args):
+    def call(x, *scalars):
+        x = np.asarray(x, dtype=float)
+        xs = x.ravel().tolist()
         try:
-            return np.asarray(plain(*args), dtype=float), None
+            out = np.fromiter(map(fn, xs, *map(itertools.repeat, scalars)), float, x.size)
+            return out.reshape(x.shape), None
         except (ArithmeticError, ValueError):
-            out = np.asarray(safe(*args), dtype=float)
+            out = np.fromiter(map(guarded, xs, *map(itertools.repeat, scalars)), float, x.size)
+            out = out.reshape(x.shape)
             # No call here returns NaN from a non-NaN argument without raising.
-            return out, np.isnan(out) & ~np.isnan(args[0])
+            return out, np.isnan(out) & ~np.isnan(x)
 
     return call
 
@@ -190,11 +194,11 @@ _CODE_GLOBALS = {
     "exp": math.exp,
     "tanh": math.tanh,
     "abs": abs,
-    "vsin": _elementwise(math.sin, 1),
-    "vcos": _elementwise(math.cos, 1),
-    "vexp": _elementwise(math.exp, 1),
-    "vtanh": _elementwise(math.tanh, 1),
-    "vpow": _elementwise(math.pow, 2),
+    "vsin": _elementwise(math.sin),
+    "vcos": _elementwise(math.cos),
+    "vexp": _elementwise(math.exp),
+    "vtanh": _elementwise(math.tanh),
+    "vpow": _elementwise(math.pow),
     "divide": np.divide,
     "where": np.where,
     "isfinite": np.isfinite,

@@ -129,10 +129,14 @@ def jury_stable(p: Polynomial, margin: float = 0.0) -> bool:
     |last| at every derived row. The leading coefficient is made positive
     (sign flips preserve roots) and each derived row is divided by its
     largest modulus. A near-zero pivot makes the table degenerate; that
-    marginal case falls back to spectral_radius(p) < r.
+    marginal case falls back to spectral_radius(p) < r. Non-finite
+    coefficients are rejected: every comparison with NaN is False, so the
+    table would otherwise say stable.
     """
     if p.degree < 1:
         raise ValueError("Jury test requires degree >= 1")
+    if not np.isfinite(p.coeffs).all():
+        raise ValueError(f"Jury test requires finite coefficients, got {p.coeffs.tolist()}")
     r = 1.0 - margin
     a = p.coeffs * r ** np.arange(p.degree + 1)
     if a[-1] < 0:
@@ -314,12 +318,18 @@ def gamma_t1(a: GainVector) -> float:
 
 def merged_contacts(a: GainVector, T: int) -> list[float]:
     """``_contacts(a, T)`` with each run of contacts within 1e-6 (1 + |mu|)
-    of the previous kept one merged into its first, as a tangency often
-    shows as two sign changes a hair apart."""
+    of its first merged into that first, as a tangency often shows as two
+    sign changes a hair apart. mu = 1 is always a contact (p(1) = 1 - mu),
+    so a run that comes within 2e-6 of it is merged into 1.0 exactly rather
+    than into a rounding copy such as 0.9999999999999998."""
     merged: list[float] = []
+    first = -math.inf
     for c in _contacts(a, T).tolist():
-        if not merged or c - merged[-1] > 1e-6 * (1.0 + abs(c)):
+        if c - first > 1e-6 * (1.0 + abs(c)):
             merged.append(c)
+            first = c
+        if abs(c - 1.0) <= 2e-6:
+            merged[-1] = 1.0
     return merged
 
 
@@ -350,7 +360,7 @@ def stable_mu_interval(N: int, T: int, a: GainVector, scheme: str = "custom") ->
             lo = c
             break
 
-    up = [c for c in merged if 0.0 < c < 1.0 - 2e-6] + [1.0]  # 2e-6: merged with 1
+    up = [c for c in merged if 0.0 < c < 1.0] + [1.0]
     hi = 1.0
     for c, nxt in zip(up, up[1:]):
         if not stable(0.5 * (c + nxt)):
@@ -372,10 +382,13 @@ def min_N_to_stabilize(
     lo + d < mu < hi - d with |mu - c| > ``CONTACT_BAND`` (1 + |c|) for
     every c is stable. The Jury table runs only in between, and for every
     row the reach table lacks. mu >= 1 is rejected at once: p(1) = 1 - mu
-    <= 0 for every valid gain vector, so no N can work.
+    <= 0 for every valid gain vector, so no N can work. A non-finite mu
+    raises ValueError.
     """
     if T < 1 or N_max < 1:
         raise ValueError("T and N_max must be positive integers")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
     if mu >= 1.0:
         return None
     # Imported on first use: compiling the table's ~800 float literals takes

@@ -7,8 +7,17 @@ import pytest
 
 import dfclab.cycles
 import dfclab.maps
-from dfclab.cycles import Cycle, _newton_polish, bisect_brackets, find_cycles, multiplier_of
-from dfclab.maps import MapEvalError, eval_map, parse_map
+from dfclab.cycles import (
+    BRACKET_WIDTH,
+    Cycle,
+    _iterate_array,
+    _newton_brackets,
+    _newton_polish,
+    bisect_brackets,
+    find_cycles,
+    multiplier_of,
+)
+from dfclab.maps import MapEvalError, eval_map, eval_map_array, parse_map
 
 
 def brute_force_roots(m, T, n_grid=200_000):
@@ -372,3 +381,137 @@ class TestBisectBrackets:
         assert np.all((xs[i] <= got) & (got <= xs[i + 1]))
         left, right = g(got - width / 2), g(got + width / 2)
         assert np.all((g(got) == 0.0) | (left * right <= 0.0))
+
+
+def g_of(m, T):
+    """g = f^T - x over an array, NaN where f^T errs."""
+    return lambda x: _iterate_array(m, np.asarray(x, dtype=float), T) - x
+
+
+def probes_of(monkeypatch):
+    """The probes of each pass of _newton_brackets at T = 1: the argument of
+    every call of eval_map_deriv_array."""
+    calls = []
+    real = dfclab.cycles.eval_map_deriv_array
+
+    def spy(m, x):
+        calls.append(np.array(x, dtype=float))
+        return real(m, x)
+
+    monkeypatch.setattr(dfclab.cycles, "eval_map_deriv_array", spy)
+    return calls
+
+
+class TestNewtonBrackets:
+    def test_exact_zero_ends_at_the_probe(self, monkeypatch):
+        probes = probes_of(monkeypatch)
+        m = parse_map("2*x - 0.5")  # g = x - 0.5, 0.0 at the first probe
+        got = _newton_brackets(m, 1, [0.0], [1.0], [-0.5], [0.5], BRACKET_WIDTH)
+        assert got.tolist() == [0.5] and len(probes) == 1
+
+    def test_an_erring_probe_drops_only_its_bracket(self):
+        # g = 1/x - sign(x)/2 - x: the first probe of [-1, 1] is the pole.
+        m = parse_map("1/x - 0.5*abs(x)/x", domain=(-2.0, 2.0))
+        g = g_of(m, 1)
+        a, b = np.array([-1.0, 0.5, -2.0]), np.array([1.0, 2.0, -0.5])
+        assert np.all(g(a) * g(b) < 0.0)
+        got = _newton_brackets(m, 1, a, b, g(a), g(b), BRACKET_WIDTH)
+        want = [(-0.5 + math.sqrt(4.25)) / 2, (0.5 - math.sqrt(4.25)) / 2]
+        assert got.tolist() == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("width", [1e-12, 1e-6, 1e-3])
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_every_root_is_within_width_of_a_sign_change(self, width, T):
+        rng = np.random.default_rng(3)
+        poly = " + ".join(f"{c!r}*x^{k}" for k, c in enumerate(rng.uniform(-3.0, 3.0, 6).tolist()))
+        m = parse_map(f"x + 0.2*({poly})*cos(7*x)", domain=(-1.5, 1.5))
+        g = g_of(m, T)
+        xs = np.linspace(-1.5, 1.5, 401)
+        gs = g(xs)
+        i = np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
+        got = _newton_brackets(m, T, xs[i], xs[i + 1], gs[i], gs[i + 1], width)
+        assert i.size > 3 and got.size == i.size
+        assert np.all((xs[i] <= got) & (got <= xs[i + 1]))
+        at, left, right = g(got), g(got - width), g(got + width)
+        assert np.all((at == 0.0) | (left * at <= 0.0) | (at * right <= 0.0))
+
+    def test_roots_of_a_steep_g_are_close(self):
+        # Each root ends a bracket no wider than BRACKET_WIDTH around a sign
+        # change, and |g'| <= 4^6 + 1 for the logistic map at r = 4, T = 6.
+        m = parse_map("logistic:r=4")
+        g = g_of(m, 6)
+        xs = np.linspace(0.0, 1.0, 1000)
+        gs = g(xs)
+        i = np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
+        got = _newton_brackets(m, 6, xs[i], xs[i + 1], gs[i], gs[i + 1], BRACKET_WIDTH)
+        assert np.all(np.abs(g(got)) <= 4.0**6 * BRACKET_WIDTH)
+
+    @pytest.mark.parametrize("a, b", [(0.299, 0.3023), (0.25, 0.3011), (0.0, 0.4)])
+    def test_triple_root_takes_no_more_passes_than_bisection(self, monkeypatch, a, b):
+        # g = (x - 0.3)^3: Newton alone closes in on 0.3 by a factor 2/3 a
+        # pass, so two passes in a row fail to halve the bracket and a
+        # midpoint probe follows.
+        m = parse_map("x + (x - 0.3)^3")
+        g = g_of(m, 1)
+        calls = probes_of(monkeypatch)
+        got = _newton_brackets(m, 1, [a], [b], g([a]), g([b]), BRACKET_WIDTH)
+        probes = [float(x[0]) for x in calls]
+        assert len(probes) <= math.ceil(math.log2((b - a) / BRACKET_WIDTH))
+        assert abs(got[0] - 0.3) <= 1e-5 and (g(got)[0] == 0.0 or len(probes) > 1)
+        lo, hi, midpoints = a, b, 0
+        for x in probes[1:]:
+            midpoints += x == 0.5 * (lo + hi)
+            lo, hi = (lo, x) if (g([lo])[0] < 0.0) != (g([x])[0] < 0.0) else (x, hi)
+        assert midpoints >= 1
+
+    def test_logistic_period_nine_takes_at_most_200_array_calls(self, monkeypatch):
+        # Bisection to a 1e-12 bracket, a Newton polish of its ends and the
+        # re-evaluation of both took 512 (313 f, 199 f and f').
+        calls = []
+        for name in ("eval_map_array", "eval_map_deriv_array"):
+            real = getattr(dfclab.cycles, name)
+            monkeypatch.setattr(dfclab.cycles, name,
+                                lambda m, x, real=real: calls.append(1) or real(m, x))
+        cycles = find_cycles(parse_map("logistic:r=4"), 9)
+        assert len(cycles) == 56 and len(calls) <= 200
+
+
+def bisect_and_polish(m, T, a, b, ga, gb, width):
+    """The root stage _newton_brackets replaced, as the oracle: bisection of
+    every bracket to width, a Newton polish of each end, kept unless it
+    raises |g|."""
+    lo, hi = m.domain
+    g = g_of(m, T)
+    ends = bisect_brackets(g, a, b, ga, width)
+    polished = _newton_polish(m, ends, T, lo, hi)
+    return np.where(np.abs(g(polished)) <= np.abs(g(ends)), polished, ends)
+
+
+# The find_cycles jobs of the benchmark's dynamics workload, and maps with poles.
+DYNAMICS = (
+    [("logistic:r=4", None, T) for T in (5, 6, 7, 8, 9)]
+    + [("r*x*(1-x)", None, T) for T in (5, 6, 7)]
+    + [(f"cubic:b={b}", None, T) for b in (2.6, 2.8) for T in (1, 2, 3, 4, 5)]
+    + [(f"quadratic:c={c}", None, T) for c in (-1.9, -1.3) for T in (1, 2, 3, 4)]
+    + [(f"logistic:r={r}", None, T) for r in (3.7, 3.9) for T in (1, 2, 3, 4, 5)]
+    + [("logistic:r=3.8284272", None, 3)]
+)
+POLES = (
+    [("0.3/x - 1.6*x", (-1.0, 1.0), T) for T in (1, 2, 3, 6)]
+    + [("2.5*x - 0.02/x - 3*x^3", (-1.0, 1.0), T) for T in (1, 2, 3)]
+    + [("exp(x^2) - 2", (-3.0, 3.0), T) for T in (1, 2, 3)]
+    + [("abs(x) - 1/x", (-2.0, 2.0), 2)]
+)
+
+
+class TestAgainstBisectionAndPolish:
+    @pytest.mark.parametrize("source, domain, T", DYNAMICS + POLES)
+    def test_same_orbits_to_rounding(self, monkeypatch, source, domain, T):
+        m = parse_map(source, params={"r": 4.0} if source.startswith("r*") else None, domain=domain)
+        got = find_cycles(m, T)
+        monkeypatch.setattr(dfclab.cycles, "_newton_brackets", bisect_and_polish)
+        want = find_cycles(m, T)
+        assert len(got) == len(want)
+        for c, w in zip(got, want):
+            for u, v in ((c.points, w.points), (c.multipliers, w.multipliers)):
+                assert np.all(np.abs(np.subtract(u, v)) <= 1e-10 * (1.0 + np.abs(v)))

@@ -68,3 +68,10 @@ def test_dk2013_lower_end_at_T_1_is_the_closed_form():
     for N in range(1, 33):
         expected = -1.0 / math.tan(math.pi / (2 * (N + 1))) ** 2
         assert ROWS[("dk2013", 1, N)][0] == pytest.approx(expected, rel=1e-12, abs=0.0), N
+
+
+def test_no_row_lists_a_rounding_copy_of_one_as_an_interior_contact():
+    # mu = 1 is the contact where p(1) = 1 - mu vanishes; it is each row's hi.
+    assert all(hi == 1.0 for _, hi, _ in ROWS.values())
+    assert not [key for key, (_, _, interior) in ROWS.items()
+                if any(abs(c - 1.0) <= 2e-6 for c in interior)]

@@ -45,6 +45,14 @@ class TestJury:
         assert jury_stable(Polynomial.from_roots([0.9, 0.5, -0.8]))
         assert not jury_stable(Polynomial.from_roots([1.1, 0.5, -0.8]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_are_rejected(self, bad):
+        # Every comparison with NaN is False: the table would fall through to stable.
+        with pytest.raises(ValueError, match="finite coefficients"):
+            jury_stable(char_poly_closed(3, 1, gains_uniform(3), bad))
+        with pytest.raises(ValueError, match="finite coefficients"):
+            jury_stable(Polynomial([0.5, bad, 1.0]), SCHUR_MARGIN)
+
     def test_agrees_with_root_moduli_on_random_polynomials(self):
         rng = np.random.default_rng(2)
         checked = 0
@@ -250,6 +258,16 @@ class TestGamma:
 
 
 class TestStableMuInterval:
+    @pytest.mark.parametrize("scheme, T, N", [("uniform", 1, 9), ("uniform", 3, 25), ("dk2013", 2, 20)])
+    def test_the_contact_at_one_is_merged_into_one_exactly(self, scheme, T, N):
+        # These rows' contacts at mu = 1 (p(1) = 1 - mu) come back as rounding
+        # copies such as 0.9999999999999998.
+        near_one = [c for c in dfclab.stability._contacts(make_gains(scheme, N), T).tolist()
+                    if abs(c - 1.0) <= 2e-6]
+        assert near_one and 1.0 not in near_one
+        merged = dfclab.stability.merged_contacts(make_gains(scheme, N), T)
+        assert 1.0 in merged and not any(0.0 < abs(c - 1.0) <= 2e-6 for c in merged)
+
     def test_uniform_n4_t1(self):
         iv = stable_mu_interval(4, 1, gains_uniform(4), scheme="uniform")
         assert iv.lo == pytest.approx(-4.0, abs=1e-4)
@@ -423,6 +441,13 @@ class TestMinN:
 
     def test_exhausted_search_returns_none(self):
         assert min_N_to_stabilize(1, -50.0, "uniform", 5) is None
+
+    @pytest.mark.parametrize("scheme", ["uniform", "dk2013"])
+    @pytest.mark.parametrize("T", [1, 2, 5])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_is_rejected(self, mu, T, scheme):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            min_N_to_stabilize(T, mu, scheme)
 
 
 def min_N_by_jury(T, mu, scheme, N_max):
