@@ -6,7 +6,11 @@ strictly inside it. ``min_N_to_stabilize`` reads its verdicts there. Floats
 are written by ``repr``, so the module reads back bit for bit. With
 ``--check`` the script writes nothing and exits 1 when the committed module
 differs from a fresh build (after a change to the contacts, the interval or
-``SCHUR_MARGIN``). Run it from anywhere:
+``SCHUR_MARGIN``). Whenever the rebuild differs from the committed module,
+it prints how far its numbers moved: the largest relative move of lo, of
+hi and of the interior contacts present in both, and every interior
+contact added or removed (two contacts are the same one within 1e-6 (1 + |c|),
+as ``merged_contacts`` merges them). Run it from anywhere:
 
     python3 scripts/reach_table.py [--check]
 """
@@ -14,6 +18,7 @@ differs from a fresh build (after a change to the contacts, the interval or
 from __future__ import annotations
 
 import argparse
+import ast
 import difflib
 import sys
 from pathlib import Path
@@ -70,18 +75,61 @@ def render(table: dict) -> str:
     return "".join(lines)
 
 
+def parse(text: str) -> dict:
+    """The ``ROWS`` of a module text that ``render`` wrote."""
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["ROWS"]:
+            return ast.literal_eval(node.value)
+    return {}
+
+
+def moves(old: dict, new: dict) -> list[str]:
+    """How the rows of new moved from those of old, one line per finding."""
+    def rel(x: float, y: float) -> float:
+        return 0.0 if x == y else abs(y - x) / max(abs(x), abs(y))
+
+    largest = {"lo": (0.0, None), "hi": (0.0, None), "interior": (0.0, None)}
+    changed = []
+    for key, (lo1, hi1, in1) in new.items():
+        if key not in old:
+            continue
+        lo0, hi0, in0 = old[key]
+        found = [("lo", lo0, lo1), ("hi", hi0, hi1)]
+        left = list(in1)
+        for c in in0:
+            near = [d for d in left if abs(d - c) <= 1e-6 * (1.0 + abs(c))]
+            if near:
+                d = min(near, key=lambda d: abs(d - c))
+                left.remove(d)
+                found.append(("interior", c, d))
+            else:
+                changed.append(f"{key}: removed {c!r}")
+        changed += [f"{key}: added {d!r}" for d in left]
+        for name, x, y in found:
+            if rel(x, y) > largest[name][0]:
+                largest[name] = (rel(x, y), f"{key}: {x!r} -> {y!r}")
+    lines = [f"largest relative move of {name}: {move:.3g}" + (f" at {where}" if where else "")
+             for name, (move, where) in largest.items()]
+    lines += [f"row {key} only in the committed table" for key in old.keys() - new.keys()]
+    lines += [f"row {key} only in the rebuilt table" for key in new.keys() - old.keys()]
+    return lines + changed
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
                     help="write nothing; exit 1 if the committed table is stale")
     args = ap.parse_args(argv)
-    text = render(rows())
-    if not args.check:
-        TABLE.write_text(text)
-        return 0
+    table = rows()
+    text = render(table)
     old = TABLE.read_text() if TABLE.exists() else ""
     if old == text:
         print(f"{TABLE.name}: up to date")
+        return 0
+    print("\n".join(moves(parse(old), table)))
+    if not args.check:
+        TABLE.write_text(text)
+        print(f"{TABLE.name}: rewritten")
         return 0
     diff = difflib.unified_diff(old.splitlines(), text.splitlines(), "committed", "rebuilt",
                                 lineterm="", n=0)

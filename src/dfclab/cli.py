@@ -224,6 +224,16 @@ def _csv_column(values: Sequence) -> list[str]:
     """``_csv_cell`` of every value, without a call per cell for the column
     types the reports print: floats and ints with blanks, or bools."""
     kinds = set(map(type, values))
+    if kinds <= {float, type(None)}:
+        # repr(v) is _csv_cell(v), made once per distinct value: a simulated
+        # run repeats its cycle. 0.0 == -0.0 share a key, so zeros are made
+        # one by one.
+        text = {v: repr(v) for v in set(values)}
+        text[None] = ""
+        cells = list(map(text.__getitem__, values))
+        if 0.0 in text:
+            cells = [repr(v) if v == 0.0 else cell for v, cell in zip(values, cells)]
+        return cells
     if kinds <= {float, int, type(None)}:
         # For exactly these types repr(v) is _csv_cell(v).
         return ["" if v is None else repr(v) for v in values]

@@ -2,7 +2,7 @@
 
 Cycles are located as roots of g(x) = f^T(x) - x: a sign-change scan on a
 uniform grid over the map's domain, then a bracket-keeping Newton refinement
-of every sign change to a 1e-12 bracket (``_newton_brackets``, the Newton-
+of every sign change to a 1e-12 bracket (``newton_brackets``, the Newton-
 bisection hybrid of Dekker and Brent, as ``rtsafe`` in Numerical Recipes).
 Roots are then filtered to minimal period T, grouped into orbits, and
 deduplicated with each orbit anchored at its smallest point. Near-tangent
@@ -16,14 +16,17 @@ one probe per live bracket, the Newton polish of every anchor in lockstep,
 the closure check and the multipliers through ``eval_map_deriv_array``. One
 error policy holds throughout: a point whose f^T raises a map error is
 skipped, be it a grid node, a refinement probe (its bracket is dropped) or
-a root whose orbit cannot be evaluated. A candidate whose polished orbit
-has a lower period (Newton can land on one) or does not close to
-``CLOSURE_RTOL`` is skipped. ``bisect_brackets`` is the plain lockstep
-bisection, for a g without a derivative at hand.
+a root whose orbit cannot be evaluated. A bracket that straddles a pole of
+f^T rather than a root is dropped before the polish. A candidate whose
+polished orbit has a lower period (Newton can land on one) or does not close
+to ``CLOSURE_RTOL`` is skipped. ``newton_brackets`` takes any g that gives
+its slope with its value; ``stability`` refines the contacts of the
+stability boundary with it too.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -33,9 +36,9 @@ from .maps import MapOverflowError, MapSpec, eval_map, eval_map_array, eval_map_
 
 __all__ = [
     "Cycle",
-    "bisect_brackets",
     "find_cycles",
     "multiplier_of",
+    "newton_brackets",
     "ORBIT_TOL",
     "PERIOD_TOL",
 ]
@@ -83,37 +86,6 @@ def _iterate_array(m: MapSpec, x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def bisect_brackets(g, a, b, ga, width: float) -> np.ndarray:
-    """Bisect every bracket [a[i], b[i]] of a sign change of g in lockstep.
-
-    g maps an array of points to their values, NaN where g is undefined;
-    ga[i] = g(a[i]) is nonzero and g(b[i]) has the other sign. Each halving
-    is one call of g on the midpoints of the brackets still wider than
-    width. A bracket stops at a midpoint where g is exactly 0.0, is dropped
-    at a midpoint where g is NaN, and otherwise ends at the midpoint of its
-    last bracket, within width / 2 of a sign change. The points come back
-    in bracket order.
-    """
-    a, b, ga = (np.asarray(v, dtype=float) for v in (a, b, ga))
-    ends = np.empty(a.size)  # per bracket: where it stopped, NaN if dropped
-    rows = np.arange(a.size)
-    while True:
-        wide = b - a > width
-        if not wide.all():
-            ends[rows[~wide]] = 0.5 * (a[~wide] + b[~wide])
-            rows, a, b, ga = rows[wide], a[wide], b[wide], ga[wide]
-        if not rows.size:
-            return ends[~np.isnan(ends)]
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        live = np.abs(gm) > 0.0  # False on g(mid) == 0.0 and on NaN
-        if not live.all():
-            ends[rows[~live]] = np.where(gm[~live] == 0.0, mid[~live], np.nan)
-            rows, a, b, ga, mid, gm = (v[live] for v in (rows, a, b, ga, mid, gm))
-        left = (ga < 0.0) != (gm < 0.0)
-        a, b, ga = np.where(left, a, mid), np.where(left, mid, b), np.where(left, ga, gm)
-
-
 def multiplier_of(m: MapSpec, points) -> tuple[tuple[float, ...], float]:
     """Multipliers f'(x_j) along a verified orbit and their product.
 
@@ -142,10 +114,11 @@ def find_cycles(m: MapSpec, period: int, grid_points: int = 1000) -> list[Cycle]
     An empty result is valid (no cycles of that period in the domain).
     Orbits are reported once each, anchored at their smallest point and
     sorted by anchor. Each sign change of f^T - x on a grid of grid_points
-    nodes is refined by ``_newton_brackets`` to a root within 1e-12 of it.
-    A point where f^T raises a map error is skipped, never raised: a grid
-    node, a refinement probe (f or f' erring drops its bracket), a root's
-    orbit. A root, and again its Newton-polished orbit, is of minimal
+    nodes is refined by ``newton_brackets`` to a root within 1e-12 of it,
+    or dropped as a pole of f^T when |g| at its end exceeds |g| at both grid
+    nodes. A point where f^T raises a map error is skipped, never raised: a
+    grid node, a refinement probe (f or f' erring drops its bracket), a
+    root's orbit. A root, and again its Newton-polished orbit, is of minimal
     period T unless f^d returns it within ``PERIOD_TOL`` for a proper
     divisor d of T; two orbits are one when their anchors lie within
     ``ORBIT_TOL``; an orbit is reported only if it closes to
@@ -172,8 +145,9 @@ def find_cycles(m: MapSpec, period: int, grid_points: int = 1000) -> list[Cycle]
         exact = np.abs(gs) <= 1e-13 * (1.0 + np.abs(xs))
         ga, gb = gs[:-1], gs[1:]
         change = np.isfinite(ga) & np.isfinite(gb) & (ga * gb < 0.0)
-        roots = np.concatenate([xs[exact], _newton_brackets(
-            m, T, xs[:-1][change], xs[1:][change], ga[change], gb[change], BRACKET_WIDTH)])
+        roots = np.concatenate([xs[exact], newton_brackets(
+            _orbit_g(m, T), xs[:-1][change], xs[1:][change], ga[change], gb[change],
+            BRACKET_WIDTH)])
         orbits, minimal = _minimal_orbits(m, roots, T)
         anchors = orbits.min(axis=0)[minimal]
 
@@ -188,11 +162,11 @@ def find_cycles(m: MapSpec, period: int, grid_points: int = 1000) -> list[Cycle]
         keep &= ~(err | gap)
 
     cycles: list[Cycle] = []
+    seen: list[float] = []  # the anchors of the cycles so far, sorted
     for anchor, pts, mu, ok in zip(anchors.tolist(), orbits.T.tolist(), mus.T.tolist(), keep):
-        if not ok or any(
-            abs(x - c.points[0]) <= ORBIT_TOL for x in (anchor, pts[0]) for c in cycles
-        ):
+        if not ok or _seen(seen, anchor) or _seen(seen, pts[0]):
             continue
+        bisect.insort(seen, pts[0])
         cycles.append(
             Cycle(period=T, points=tuple(pts), multipliers=tuple(mu),
                   multiplier_product=math.prod(mu))
@@ -200,6 +174,15 @@ def find_cycles(m: MapSpec, period: int, grid_points: int = 1000) -> list[Cycle]
 
     cycles.sort(key=lambda c: c.points[0])
     return cycles
+
+
+def _seen(anchors: list[float], x: float) -> bool:
+    """Whether an anchor of the sorted list lies within ``ORBIT_TOL`` of x.
+    |x - c| grows as c moves away from x, so the nearest anchor on each side
+    decides."""
+    k = bisect.bisect_left(anchors, x)
+    return (k > 0 and abs(x - anchors[k - 1]) <= ORBIT_TOL) or (
+        k < len(anchors) and abs(x - anchors[k]) <= ORBIT_TOL)
 
 
 def _minimal_orbits(m: MapSpec, starts: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -227,15 +210,30 @@ def _multipliers(m: MapSpec, orbits: np.ndarray, tol: float):
     return mus, bad.any(axis=0), gap.any(axis=0)
 
 
-@np.errstate(all="ignore")  # an error's values are unspecified
-def _newton_brackets(m: MapSpec, T: int, a, b, ga, gb, width: float) -> np.ndarray:
-    """Refine every bracket [a[i], b[i]] of a sign change of g = f^T - x in lockstep.
+def _orbit_g(m: MapSpec, T: int):
+    """g = f^T - x as the refinement takes it: x -> (g, g', mask of the points
+    where f or f' errs along the orbit), one T-fold composition of f and f'."""
 
-    ga[i] = g(a[i]) and gb[i] = g(b[i]) are nonzero and of opposite signs.
-    Each pass is one T-fold composition of f and f' at one probe per live
-    bracket, and the probe becomes the end of its bracket on its side of the
-    sign change. The first probe is the midpoint. After it, the probe is the
-    Newton target from the last probe:
+    def g(x):
+        gx, slope, err = x, 1.0, False
+        for _ in range(T):
+            gx, d, bad = eval_map_deriv_array(m, gx)
+            slope, err = slope * d, err | bad
+        return gx - x, slope - 1.0, err
+
+    return g
+
+
+@np.errstate(all="ignore")  # an error's values are unspecified
+def newton_brackets(g, a, b, ga, gb, width: float) -> np.ndarray:
+    """Refine every bracket [a[i], b[i]] of a sign change of g in lockstep.
+
+    g maps an array of points to (g, g', err): the values, the slopes and
+    the mask of the points where g errs. ga[i] = g(a[i]) and gb[i] = g(b[i])
+    are nonzero and of opposite signs. Each pass is one call of g at one
+    probe per live bracket, and the probe becomes the end of its bracket on
+    its side of the sign change. The first probe is the midpoint. After it,
+    the probe is the Newton target from the last probe:
     - a step shorter than width / 2 is lengthened by width / 2, so that the
       bracket closes round the target;
     - a target inside the bracket, or less than 1% of its width past an
@@ -249,23 +247,22 @@ def _newton_brackets(m: MapSpec, T: int, a, b, ga, gb, width: float) -> np.ndarr
     many passes as bisection of the widest bracket would.
 
     A bracket ends at a probe where g is exactly 0.0, is dropped at a probe
-    where f or f' errs along the orbit, and otherwise ends once no wider
-    than width, at its end with the smaller |g|. The roots come back in
-    bracket order.
+    where g errs, and otherwise ends once no wider than width, at its end
+    with the smaller |g|. That end is a root unless its |g| exceeds |g| at
+    both starting ends: |g| falls towards a root and grows towards a pole,
+    so such a bracket straddles a pole and is dropped. The roots come back
+    in bracket order.
     """
     a, b, ga, gb = (np.array(v, dtype=float) for v in (a, b, ga, gb))
     roots = np.full(a.size, np.nan)  # per bracket: where it ended, NaN if dropped
     rows = np.arange(a.size)
+    start = np.maximum(np.abs(ga), np.abs(gb))
     x = 0.5 * (a + b)
     moved = 0.5 * (b - a)  # the move from the last probe to x
     slow = np.zeros(a.size, dtype=int)  # passes in a row without progress
     budget = 2 * math.ceil(math.log2(max(np.max(b - a, initial=0.0), width) / width))
     while rows.size:
-        gx, slope, err = x, 1.0, False
-        for _ in range(T):
-            gx, d, bad = eval_map_deriv_array(m, gx)
-            slope, err = slope * d, err | bad
-        gx, slope = gx - x, slope - 1.0
+        gx, slope, err = g(x)
         zero = (gx == 0.0) & ~err
         roots[rows[zero]] = x[zero]
         left = (ga < 0.0) != (gx < 0.0)  # the sign change lies in [a, x]
@@ -273,10 +270,15 @@ def _newton_brackets(m: MapSpec, T: int, a, b, ga, gb, width: float) -> np.ndarr
         a, ga = np.where(left, a, x), np.where(left, ga, gx)
         b, gb = np.where(left, x, b), np.where(left, gx, gb)
         done = ~(err | zero) & (b - a <= width)
+        pole = done & (np.minimum(np.abs(ga), np.abs(gb)) > start)
+        done &= ~pole
         roots[rows[done]] = np.where(np.abs(ga) <= np.abs(gb), a, b)[done]
-        live = ~(err | zero | done)
-        rows, a, b, ga, gb, x, gx, slope, moved, halved, slow = (
-            v[live] for v in (rows, a, b, ga, gb, x, gx, slope, moved, halved, slow))
+        live = ~(err | zero | done | pole)
+        if not live.all():
+            rows, a, b, ga, gb, x, gx, slope, moved, halved, slow, start = (
+                v[live] for v in (rows, a, b, ga, gb, x, gx, slope, moved, halved, slow, start))
+            if not rows.size:
+                break
         step = np.divide(-gx, slope, out=np.full(x.size, np.nan),
                          where=np.isfinite(slope) & (slope != 0.0))
         slow = np.where(halved | (np.abs(step) <= 0.5 * moved), 0, slow + 1)

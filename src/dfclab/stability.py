@@ -6,9 +6,11 @@ from the Jury table, run on p(r lambda) for a radius below r = 1 - margin;
 roots are solved only where a radius is reported, and root moduli are the
 test oracle. The module also generates the two gain schemes (uniform and
 the optimized ``dk2013`` family) and finds the multipliers mu at which a
-root touches the unit circle (Neimark's D-decomposition). The verdict is
-constant between such contacts, so the stable interval around mu = 0 takes
-one table probe per gap, and gamma (T = 1) is the nearest negative contact.
+root touches the unit circle (Neimark's D-decomposition), placed by the
+bracketed Newton of ``cycles.newton_brackets`` from a grid that one FFT
+evaluates. The verdict is constant between such contacts, so the stable
+interval around mu = 0 takes one table probe per gap, and gamma (T = 1) is
+the nearest negative contact.
 
 For the named schemes at T <= 4 and N <= 32, ``reach_table.ROWS`` holds each
 stable interval (lo, hi) and the merged contacts strictly inside it, written
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import bisect_brackets, find_cycles
+from .cycles import find_cycles, newton_brackets
 from .maps import MapSpec
 from .polynomials import Polynomial, horner, poly_roots, poly_roots_stack
 from .simulation import simulate
@@ -236,54 +238,81 @@ def make_gains(scheme: str, N: int, custom: list[float] | None = None) -> GainVe
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(all="ignore")  # w and v are NaN or inf at a zero of q
 def _contacts(a: GainVector, T: int) -> np.ndarray:
     """Sorted real multipliers at which a root of p touches the unit circle.
 
     For real mu, p(e^{i theta}) = 0 exactly when mu = e^{iM theta} / q^T with
     q = q(e^{i theta}), so the contacts are where that curve is real: the
-    zeros on [0, pi] (conjugate symmetry covers the rest) of h = sin(phi),
-    phi = M theta - T arg q, which has no poles, on one grid of
-    max(2048, 16 (M + (N-1)T)) points. theta = 0 (mu = 1) and pi always
-    count. Crossings are the grid sign changes of h; tangencies, the double
-    zeros optimized gains can place, are the grid sign changes of
-    phi' = M - T Re(z q'(z) / q(z)), z = e^{i theta}, at which |h| <= 1e-10.
-    Both are bisected to 1e-13 by ``bisect_brackets`` (a midpoint where h is
-    exactly 0.0 is taken as is), so a tangency is accurate to about 1e-13
-    relative. Where rounding splits a tangency into two sign changes of h,
-    one to each side of it within a grid step (dk2013 at N = 5 and 15), the
-    tangency is returned in their place. Zeros of q are poles, not contacts.
+    zeros on [0, pi] (conjugate symmetry covers the rest) of sin(phi),
+    phi = M theta - T arg q, on one grid of max(2048, 16 (M + (N-1)T))
+    points. theta = 0 (mu = 1) and pi always count, so a sign change in
+    either end cell is taken for rounding at them. With w = z q'(z) / q(z)
+    and v = z^2 q''(z) / q(z), z = e^{i theta}: phi' = M - T Re(w) and
+    phi'' = T Im(w + v - w^2).
+
+    Crossings are the grid sign changes of h = |q|^(T mod 2) sin(phi), with
+    h' = |q|^(T mod 2) (cos(phi) phi' - (T mod 2) Im(w) sin(phi)).
+    Tangencies, the double zeros optimized gains can place, are the zeros of
+    phi' (grid nodes where it is 0.0, and its grid sign changes) at which
+    |sin(phi)| <= 1e-10. Both are refined to 1e-13 by
+    ``cycles.newton_brackets``, h with h' and phi' with phi'', which ends at
+    a few rounding errors from the zero once Newton converges. Where
+    rounding splits a tangency into two sign changes of h, one to each side
+    of it within a grid step (dk2013 at N = 5 and 15), the tangency is
+    returned in their place.
+
+    A zero of q on the circle (|q| <= 1e-9 times the sum of |c_j|, q(z) =
+    sum c_j z^j) is a pole, not a contact: phi jumps there by T pi. For odd
+    T sin(phi) changes sign there, and the factor |q| makes that jump a
+    simple zero of h, which Newton reaches in a few passes. A probe at a
+    pole drops its bracket, and so does a grid node at one, whose values are
+    rounding noise. The grid takes q, z q' and z^2 q'' from one real FFT of
+    length 2 grid; each set of probes, from one product of the powers z^j
+    with the columns c_j, j c_j and j (j-1) c_j.
     """
     N = len(a)
     M = (N - 1) * T + 1
     grid = max(2048, 16 * (M + (N - 1) * T))
-    qc = np.asarray(a.coeffs[::-1], dtype=float)  # q, ascending
-    dqc = qc[1:] * np.arange(1, N)  # q', ascending
-    scale = float(np.sum(np.abs(qc)))
+    c = np.asarray(a.coeffs[::-1], dtype=float)  # q, ascending
+    j = np.arange(N)
+    cols = np.stack([c, j * c, j * (j - 1) * c], axis=1)  # q, z q', z^2 q''
+    pole = 1e-9 * float(np.sum(np.abs(c)))
+    odd = T % 2
 
-    def curve(theta):  # (e^{iM theta} (conj(q) / |q|)^T, |q|)
-        q = horner(qc, np.exp(1j * theta))
+    def curve(theta, series):  # e^{i phi}, |q|, w, v, the mask of poles
+        q, zq, zzq = series.T
         mod = np.abs(q)
-        unit = np.conj(q) / np.where(mod > 0.0, mod, 1.0)
-        return np.exp(1j * M * theta) * unit**T, mod
+        return np.exp(1j * M * theta) * (np.conj(q) / mod) ** T, mod, zq / q, zzq / q, mod <= pole
 
-    def h(theta):
-        return curve(theta)[0].imag
+    def at(theta):
+        return curve(theta, np.exp(1j * np.multiply.outer(theta, j)) @ cols)
 
-    def dphase(theta):  # phi', NaN or inf at a zero of q
-        z = np.exp(1j * theta)
-        return M - T * (z * horner(dqc, z) / horner(qc, z)).real
+    def crossing(e, mod, w, v):  # h = |q|^(T mod 2) sin(phi), h'
+        scale = mod**odd
+        return scale * e.imag, scale * (e.real * (M - T * w.real) - odd * w.imag * e.imag)
 
-    def sign_changes(g, vals):
-        sign = np.sign(vals)
-        i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-        return bisect_brackets(g, theta[i], theta[i + 1], vals[i], 1e-13)
+    def turning(e, mod, w, v):  # phi', phi''
+        return M - T * w.real, T * (w + v - w * w).imag
+
+    def refine(f, vals, err):
+        def g(theta):
+            e, mod, w, v, bad = at(theta)
+            return (*f(e, mod, w, v), bad)
+
+        # The end cells hold the contacts at theta = 0 and pi, which always
+        # count; a sign change there is rounding at that contact.
+        i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
+        i = i[~(err[i] | err[i + 1]) & (i > 0) & (i < grid - 1)]
+        return newton_brackets(g, theta[i], theta[i + 1], vals[i], vals[i + 1], 1e-13)
 
     theta = np.linspace(0.0, np.pi, grid + 1)
-    vals = h(theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        turns = sign_changes(dphase, dphase(theta))
-    tangents = turns[np.abs(h(turns)) <= 1e-10]
-    crossings = sign_changes(h, vals)
+    nodes = curve(theta, np.fft.rfft(cols, 2 * grid, axis=0).conj())
+    err = nodes[-1]
+    vals, d1 = crossing(*nodes[:4])[0], turning(*nodes[:4])[0]
+    turns = np.concatenate([theta[(d1 == 0.0) & ~err], refine(turning, d1, err)])
+    tangents = turns[np.abs(at(turns)[0].imag) <= 1e-10]
+    crossings = refine(crossing, vals, err)
     # A pair of crossings within one grid step to either side of a tangency
     # is that tangency split by rounding: the tangency stands for both.
     k = np.searchsorted(crossings, tangents)
@@ -292,12 +321,10 @@ def _contacts(a: GainVector, T: int) -> np.ndarray:
     step = np.pi / grid
     k = k[(t - crossings[k - 1] <= step) & (crossings[k] - t <= step)]
     crossings = np.delete(crossings, np.concatenate([k - 1, k]))
-    zeros = [theta[[0, -1]], theta[vals == 0.0], crossings, tangents]
+    zeros = np.concatenate([theta[[0, -1]], theta[(vals == 0.0) & ~err], crossings, tangents])
 
-    u, mod = curve(np.concatenate(zeros))
-    keep = mod > 1e-9 * scale
-    with np.errstate(over="ignore"):
-        mu = u.real[keep] / mod[keep] ** T
+    e, mod, _, _, err = at(zeros)
+    mu = e.real[~err] / mod[~err] ** T
     return np.sort(mu[np.isfinite(mu)])
 
 
@@ -305,8 +332,8 @@ def gamma_t1(a: GainVector) -> float:
     """Most negative multiplier before any root first reaches the unit circle (T = 1).
 
     The largest negative value of ``_contacts(a, 1)``, or -inf when there is
-    none. At a tangency it is the zero of phi' that ``bisect_brackets``
-    places, accurate to about 1e-13 relative. Tangencies count: a root may
+    none. At a tangency it is the zero of phi' that ``newton_brackets``
+    places, exact to a few rounding errors (``TestGamma`` pins 1e-12). Tangencies count: a root may
     touch the circle and return inside, so gamma can sit strictly inside the
     interval of ``stable_mu_interval``, which steps over such contacts; the
     two agree when every contact is a crossing (uniform gains in particular).

@@ -843,6 +843,16 @@ class TestCsvWriter:
     def test_zero_rows_print_the_header_only(self):
         assert column_csv(["a", "b"], [[], []]) == "a,b\n" == per_cell_csv(["a", "b"], [])
 
+    def test_repeated_floats_and_signed_zeros(self):
+        # A simulated run repeats its cycle, so each distinct float is
+        # formatted once; 0.0 == -0.0 and 1 == 1.0 must still print apart.
+        window = [0.1, -0.0, 0.75, 0.0, None, float("nan"), 1e-300, -0.0]
+        columns = [window * 50, [1, 1.0, 0, -0.0, 0.0, None, 2, 2.0] * 50]
+        rows = [list(row) for row in zip(*columns)]
+        assert column_csv(["x", "y"], columns) == per_cell_csv(["x", "y"], rows)
+        assert dfclab.cli._csv_column(window) == [
+            "0.1", "-0.0", "0.75", "0.0", "", "nan", "1e-300", "-0.0"]
+
 
 class TestOneParserPerProcess:
     def test_main_builds_the_parser_once_and_import_builds_none(self):

@@ -9,15 +9,19 @@ import dfclab.cycles
 import dfclab.maps
 from dfclab.cycles import (
     BRACKET_WIDTH,
+    ORBIT_TOL,
     Cycle,
     _iterate_array,
-    _newton_brackets,
     _newton_polish,
-    bisect_brackets,
+    _orbit_g,
+    _seen,
     find_cycles,
     multiplier_of,
+    newton_brackets,
 )
 from dfclab.maps import MapEvalError, eval_map, eval_map_array, parse_map
+
+from bisection import bisect_brackets
 
 
 def brute_force_roots(m, T, n_grid=200_000):
@@ -389,7 +393,7 @@ def g_of(m, T):
 
 
 def probes_of(monkeypatch):
-    """The probes of each pass of _newton_brackets at T = 1: the argument of
+    """The probes of each pass of newton_brackets at T = 1: the argument of
     every call of eval_map_deriv_array."""
     calls = []
     real = dfclab.cycles.eval_map_deriv_array
@@ -406,7 +410,7 @@ class TestNewtonBrackets:
     def test_exact_zero_ends_at_the_probe(self, monkeypatch):
         probes = probes_of(monkeypatch)
         m = parse_map("2*x - 0.5")  # g = x - 0.5, 0.0 at the first probe
-        got = _newton_brackets(m, 1, [0.0], [1.0], [-0.5], [0.5], BRACKET_WIDTH)
+        got = newton_brackets(_orbit_g(m, 1), [0.0], [1.0], [-0.5], [0.5], BRACKET_WIDTH)
         assert got.tolist() == [0.5] and len(probes) == 1
 
     def test_an_erring_probe_drops_only_its_bracket(self):
@@ -415,7 +419,7 @@ class TestNewtonBrackets:
         g = g_of(m, 1)
         a, b = np.array([-1.0, 0.5, -2.0]), np.array([1.0, 2.0, -0.5])
         assert np.all(g(a) * g(b) < 0.0)
-        got = _newton_brackets(m, 1, a, b, g(a), g(b), BRACKET_WIDTH)
+        got = newton_brackets(_orbit_g(m, 1), a, b, g(a), g(b), BRACKET_WIDTH)
         want = [(-0.5 + math.sqrt(4.25)) / 2, (0.5 - math.sqrt(4.25)) / 2]
         assert got.tolist() == pytest.approx(want, abs=1e-12)
 
@@ -429,7 +433,7 @@ class TestNewtonBrackets:
         xs = np.linspace(-1.5, 1.5, 401)
         gs = g(xs)
         i = np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
-        got = _newton_brackets(m, T, xs[i], xs[i + 1], gs[i], gs[i + 1], width)
+        got = newton_brackets(_orbit_g(m, T), xs[i], xs[i + 1], gs[i], gs[i + 1], width)
         assert i.size > 3 and got.size == i.size
         assert np.all((xs[i] <= got) & (got <= xs[i + 1]))
         at, left, right = g(got), g(got - width), g(got + width)
@@ -443,7 +447,7 @@ class TestNewtonBrackets:
         xs = np.linspace(0.0, 1.0, 1000)
         gs = g(xs)
         i = np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
-        got = _newton_brackets(m, 6, xs[i], xs[i + 1], gs[i], gs[i + 1], BRACKET_WIDTH)
+        got = newton_brackets(_orbit_g(m, 6), xs[i], xs[i + 1], gs[i], gs[i + 1], BRACKET_WIDTH)
         assert np.all(np.abs(g(got)) <= 4.0**6 * BRACKET_WIDTH)
 
     @pytest.mark.parametrize("a, b", [(0.299, 0.3023), (0.25, 0.3011), (0.0, 0.4)])
@@ -454,7 +458,7 @@ class TestNewtonBrackets:
         m = parse_map("x + (x - 0.3)^3")
         g = g_of(m, 1)
         calls = probes_of(monkeypatch)
-        got = _newton_brackets(m, 1, [a], [b], g([a]), g([b]), BRACKET_WIDTH)
+        got = newton_brackets(_orbit_g(m, 1), [a], [b], g([a]), g([b]), BRACKET_WIDTH)
         probes = [float(x[0]) for x in calls]
         assert len(probes) <= math.ceil(math.log2((b - a) / BRACKET_WIDTH))
         assert abs(got[0] - 0.3) <= 1e-5 and (g(got)[0] == 0.0 or len(probes) > 1)
@@ -463,6 +467,27 @@ class TestNewtonBrackets:
             midpoints += x == 0.5 * (lo + hi)
             lo, hi = (lo, x) if (g([lo])[0] < 0.0) != (g([x])[0] < 0.0) else (x, hi)
         assert midpoints >= 1
+
+    def test_a_bracket_across_a_pole_is_dropped(self):
+        # g = 1/(x - 0.3) - 2 changes sign across its pole at 0.3, where |g|
+        # grows without bound, and at its root 0.8.
+        m = parse_map("x + 1/(x - 0.3) - 2", domain=(0.0, 1.0))
+        g = g_of(m, 1)
+        a, b = np.array([0.0, 0.6]), np.array([0.5, 1.0])
+        assert np.all(g(a) * g(b) < 0.0)
+        got = newton_brackets(_orbit_g(m, 1), a, b, g(a), g(b), BRACKET_WIDTH)
+        assert got.tolist() == pytest.approx([0.8], abs=1e-12)
+
+    def test_pole_brackets_are_dropped_before_the_polish(self, monkeypatch):
+        # 37 of the 75 grid brackets straddle a pole of f^6. Refined and then
+        # polished as if they were roots, they took 335 array calls.
+        calls = []
+        for name in ("eval_map_array", "eval_map_deriv_array"):
+            real = getattr(dfclab.cycles, name)
+            monkeypatch.setattr(dfclab.cycles, name,
+                                lambda m, x, real=real: calls.append(1) or real(m, x))
+        cycles = find_cycles(parse_map("0.3/x - 1.6*x", domain=(-1.0, 1.0)), 6)
+        assert len(cycles) == 8 and len(calls) <= 240
 
     def test_logistic_period_nine_takes_at_most_200_array_calls(self, monkeypatch):
         # Bisection to a 1e-12 bracket, a Newton polish of its ends and the
@@ -477,7 +502,7 @@ class TestNewtonBrackets:
 
 
 def bisect_and_polish(m, T, a, b, ga, gb, width):
-    """The root stage _newton_brackets replaced, as the oracle: bisection of
+    """The root stage newton_brackets replaced, as the oracle: bisection of
     every bracket to width, a Newton polish of each end, kept unless it
     raises |g|."""
     lo, hi = m.domain
@@ -509,9 +534,22 @@ class TestAgainstBisectionAndPolish:
     def test_same_orbits_to_rounding(self, monkeypatch, source, domain, T):
         m = parse_map(source, params={"r": 4.0} if source.startswith("r*") else None, domain=domain)
         got = find_cycles(m, T)
-        monkeypatch.setattr(dfclab.cycles, "_newton_brackets", bisect_and_polish)
+        monkeypatch.setattr(dfclab.cycles, "newton_brackets",
+                            lambda g, *bracket: bisect_and_polish(m, T, *bracket))
         want = find_cycles(m, T)
         assert len(got) == len(want)
         for c, w in zip(got, want):
             for u, v in ((c.points, w.points), (c.multipliers, w.multipliers)):
                 assert np.all(np.abs(np.subtract(u, v)) <= 1e-10 * (1.0 + np.abs(v)))
+
+
+class TestSeenAnchors:
+    def test_the_nearest_anchors_decide_as_a_scan_of_all_would(self):
+        rng = np.random.default_rng(5)
+        anchors = sorted(rng.uniform(-1.0, 1.0, 300).tolist())
+        probes = rng.uniform(-1.1, 1.1, 2000).tolist() + [
+            c + d for c in anchors[::7]
+            for d in (ORBIT_TOL, -ORBIT_TOL, 1.5 * ORBIT_TOL, -0.5 * ORBIT_TOL)]
+        for x in probes:
+            assert _seen(anchors, x) == any(abs(x - c) <= ORBIT_TOL for c in anchors), x
+        assert not _seen([], 0.0)

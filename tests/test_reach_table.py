@@ -47,6 +47,32 @@ def test_check_fails_on_a_stale_table(rebuilt, monkeypatch, tmp_path, capsys):
     assert path.read_text() == stale  # --check writes nothing
 
 
+def test_a_stale_table_reports_how_far_the_rebuild_moved(rebuilt, monkeypatch, tmp_path, capsys):
+    old = dict(rebuilt)
+    lo, hi, interior = old[("dk2013", 1, 9)]
+    old[("dk2013", 1, 9)] = (lo * (1.0 + 3e-12), hi, interior[1:] + (-1234.5,))
+    lo, hi, interior = old[("dk2013", 1, 12)]
+    old[("dk2013", 1, 12)] = (lo, hi, (interior[0] * (1.0 + 2e-9),) + interior[1:])
+    path = tmp_path / "reach_table.py"
+    path.write_text(reach_table.render(old))
+    monkeypatch.setattr(reach_table, "TABLE", path)
+    monkeypatch.setattr(reach_table, "rows", lambda: rebuilt)
+    assert reach_table.main(["--check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("largest relative move of lo: 3e-12 at ('dk2013', 1, 9)")
+    assert out[1] == "largest relative move of hi: 0"
+    assert out[2].startswith("largest relative move of interior: 2e-09 at ('dk2013', 1, 12)")
+    assert out[3:5] == [f"('dk2013', 1, 9): removed {-1234.5!r}",
+                        f"('dk2013', 1, 9): added {rebuilt[('dk2013', 1, 9)][2][0]!r}"]
+    assert reach_table.parse(path.read_text()) == old
+
+
+def test_uniform_lower_end_at_T_1_is_minus_N():
+    # p = lambda^N - (mu / N)(lambda^(N-1) + ... + 1) meets the circle at mu = -N.
+    for N in range(1, 33):
+        assert ROWS[("uniform", 1, N)][0] == pytest.approx(-N, rel=1e-13, abs=0.0), N
+
+
 def test_each_stable_set_is_one_interval():
     # Every gap between merged contacts outside (lo, hi), and the ray below
     # the lowest one, is unstable, as far down as MU_FLOOR.

@@ -13,6 +13,7 @@ from dfclab.reach_table import ROWS
 from dfclab.spectrum import GainVector, char_poly_closed
 import dfclab.stability
 from dfclab.stability import (
+    MU_FLOOR,
     SCHUR_MARGIN,
     analyze,
     gains_dk2013,
@@ -20,11 +21,14 @@ from dfclab.stability import (
     gamma_t1,
     jury_stable,
     make_gains,
+    merged_contacts,
     min_N_to_stabilize,
     spectral_radius,
     stable_mu_interval,
 )
 from dfclab.verify import random_simplex_gains
+
+from bisection import bisection_engine
 
 
 class TestJury:
@@ -394,6 +398,79 @@ class TestBoundaryEngine:
         assert gamma_t1(gains_dk2013(5)) == pytest.approx(-6.464, abs=1e-3)
 
 
+SCHEME_T = [(scheme, T) for scheme in ("uniform", "dk2013") for T in range(1, 5)]
+
+
+def _boundary_contacts(a, T):
+    return [c for c in merged_contacts(a, T) if MU_FLOOR <= c <= 1.0]
+
+
+def _random_gains(seed, count):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        N, T = int(rng.integers(1, 25)), int(rng.integers(1, 5))
+        out.append((random_simplex_gains(rng, N), T))
+    return out
+
+
+class TestContactsAgainstBisection:
+    # The oracle: the same contact search with every bracket bisected on the
+    # values of h or phi' alone, to 1e-15 so that its own error stays far
+    # below the tolerance.
+    def assert_same_contacts(self, monkeypatch, cases):
+        got = [_boundary_contacts(a, T) for a, T in cases]
+        monkeypatch.setattr(dfclab.stability, "newton_brackets", bisection_engine(1e-15))
+        for (a, T), mine in zip(cases, got):
+            want = _boundary_contacts(a, T)
+            assert len(mine) == len(want), (a.coeffs, T, mine, want)
+            assert np.allclose(mine, want, rtol=1e-11, atol=0.0), (a.coeffs, T, mine, want)
+
+    @pytest.mark.parametrize("scheme, T", SCHEME_T)
+    def test_reach_table_rows(self, monkeypatch, scheme, T):
+        self.assert_same_contacts(monkeypatch, [(make_gains(scheme, N), T) for N in range(1, 33)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_simplex_gains(self, monkeypatch, seed):
+        self.assert_same_contacts(monkeypatch, _random_gains(seed, 75))
+
+    # (T, N, scheme) of the benchmark's stable_mu_interval and gamma_t1 jobs.
+    BENCHMARK = [(1, 8, "uniform"), (1, 16, "dk2013"), (2, 8, "dk2013"), (2, 16, "uniform"),
+                 (3, 10, "uniform"), (4, 8, "dk2013"), (4, 24, "uniform"), (1, 8, "dk2013"),
+                 (1, 24, "dk2013")]
+
+    @pytest.mark.parametrize("T, N, scheme", BENCHMARK)
+    def test_few_passes(self, monkeypatch, T, N, scheme):
+        # Bisection from a grid step of at most pi/2048 to 1e-13 took 34
+        # passes for the crossings and 34 for the turning points.
+        passes = []
+        real = dfclab.stability.newton_brackets
+
+        def counted(g, *bracket):
+            passes.append(0)
+
+            def g_counted(x):
+                passes[-1] += 1
+                return g(x)
+
+            return real(g_counted, *bracket)
+
+        monkeypatch.setattr(dfclab.stability, "newton_brackets", counted)
+        dfclab.stability._contacts(make_gains(scheme, N), T)
+        assert len(passes) == 2 and max(passes) <= 10
+
+    # dk2013 tangencies on a node of the contact grid, at theta = 3 pi / 8,
+    # pi / 2 and 7 pi / 32: Re(mu) there, by mpmath at 40 digits, where
+    # Im(mu) < 1e-38. N = 31's was missed, the others placed 4e-9 and 4e-8 off.
+    @pytest.mark.parametrize(
+        "N, tangency",
+        [(7, -7.1097316924182420733), (13, -38.884991120485575490), (31, -46.139493687022569175)],
+    )
+    def test_dk2013_tangencies_on_grid_nodes(self, N, tangency):
+        contacts = merged_contacts(gains_dk2013(N), 1)
+        assert min(abs(c / tangency - 1.0) for c in contacts) <= 1e-12
+
+
 class TestMuAboveOne:
     def test_unstable_for_all_gain_vectors(self):
         rng = np.random.default_rng(9)
@@ -459,9 +536,6 @@ def min_N_by_jury(T, mu, scheme, N_max):
         if jury_stable(char_poly_closed(N, T, make_gains(scheme, N), mu), SCHUR_MARGIN):
             return N
     return None
-
-
-SCHEME_T = [(scheme, T) for scheme in ("uniform", "dk2013") for T in range(1, 5)]
 
 
 class TestReachTableEquivalence:
