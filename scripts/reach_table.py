@@ -1,16 +1,15 @@
 """Write src/dfclab/reach_table.py, the stable mu interval of each named-scheme row.
 
-One row per (scheme, T, N) for the uniform and dk2013 gain schemes, T <= 4
-and N <= 32: ``stable_mu_interval``'s (lo, hi) and the ``merged_contacts``
-strictly inside it. ``min_N_to_stabilize`` reads its verdicts there. Floats
-are written by ``repr``, so the module reads back bit for bit. With
-``--check`` the script writes nothing and exits 1 when the committed module
-differs from a fresh build (after a change to the contacts, the interval or
-``SCHUR_MARGIN``). Whenever the rebuild differs from the committed module,
-it prints how far its numbers moved: the largest relative move of lo, of
-hi and of the interior contacts present in both, and every interior
-contact added or removed (two contacts are the same one within 1e-6 (1 + |c|),
-as ``merged_contacts`` merges them). Run it from anywhere:
+One row per (scheme, T, N) for the gain schemes of ``stability.SCHEMES``,
+T <= 4 and N <= 32: ``stable_mu_interval``'s (lo, hi) and whether it is
+clear, no ``merged_contacts`` value lying strictly inside it.
+``min_N_to_stabilize`` reads its verdicts there. Floats are written by
+``repr``, so the module reads back bit for bit. With ``--check`` the script
+writes nothing and exits 1 when the committed module differs from a fresh
+build (after a change to the contacts, the interval or ``SCHUR_MARGIN``).
+Whenever the rebuild differs from the committed module, it prints how far
+its numbers moved: the largest relative move of lo and of hi, and every row
+whose clear flag flipped. Run it from anywhere:
 
     python3 scripts/reach_table.py [--check]
 """
@@ -26,34 +25,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from dfclab.stability import make_gains, merged_contacts, stable_mu_interval  # noqa: E402
+from dfclab.stability import SCHEMES, merged_contacts, stable_mu_interval  # noqa: E402
 
 TABLE = ROOT / "src" / "dfclab" / "reach_table.py"
-SCHEMES = ("uniform", "dk2013")
 T_MAX = 4
 N_MAX = 32
-PER_LINE = 4  # interior contacts per line of the module
 
 HEADER = f'''"""Stable multiplier intervals of the uniform and dk2013 gain schemes.
 
 Generated by ``python3 scripts/reach_table.py``; edit that script, not this
-file. ``ROWS[(scheme, T, N)]`` is ``(lo, hi, interior)`` for T <= {T_MAX} and
-N <= {N_MAX}: ``stable_mu_interval``'s interval and the ``merged_contacts``
-strictly inside it, floats written by ``repr`` so they read back bit for bit.
+file. ``ROWS[(scheme, T, N)]`` is ``(lo, hi, clear)`` for T <= {T_MAX} and
+N <= {N_MAX}: ``stable_mu_interval``'s interval, floats written by ``repr`` so
+they read back bit for bit, and whether no ``merged_contacts`` value lies
+strictly inside it.
 """
 
 ROWS = {{
 '''
 
 
-def row(scheme: str, T: int, N: int) -> tuple[float, float, tuple[float, ...]]:
-    """(lo, hi, interior contacts) of one (scheme, T, N)."""
-    a = make_gains(scheme, N)
+def row(scheme: str, T: int, N: int) -> tuple[float, float, bool]:
+    """(lo, hi, clear) of one (scheme, T, N)."""
+    a = SCHEMES[scheme](N)
     iv = stable_mu_interval(N, T, a, scheme)
-    return iv.lo, iv.hi, tuple(c for c in merged_contacts(a, T) if iv.lo < c < iv.hi)
+    return iv.lo, iv.hi, not any(iv.lo < c < iv.hi for c in merged_contacts(a, T))
 
 
-def rows() -> dict[tuple[str, int, int], tuple[float, float, tuple[float, ...]]]:
+def rows() -> dict[tuple[str, int, int], tuple[float, float, bool]]:
     """Every row of the table, in the order the module lists them."""
     return {(s, T, N): row(s, T, N)
             for s in SCHEMES for T in range(1, T_MAX + 1) for N in range(1, N_MAX + 1)}
@@ -61,18 +59,9 @@ def rows() -> dict[tuple[str, int, int], tuple[float, float, tuple[float, ...]]]
 
 def render(table: dict) -> str:
     """The text of the generated module."""
-    lines = [HEADER]
-    for (scheme, T, N), (lo, hi, interior) in table.items():
-        key = f'("{scheme}", {T}, {N})'
-        if not interior:
-            lines.append(f"    {key}: ({lo!r}, {hi!r}, ()),\n")
-            continue
-        lines.append(f"    {key}: ({lo!r}, {hi!r}, (\n")
-        for k in range(0, len(interior), PER_LINE):
-            lines.append("        " + " ".join(f"{c!r}," for c in interior[k:k + PER_LINE]) + "\n")
-        lines.append("    )),\n")
-    lines.append("}\n")
-    return "".join(lines)
+    lines = [f'    ("{scheme}", {T}, {N}): ({lo!r}, {hi!r}, {clear!r}),\n'
+             for (scheme, T, N), (lo, hi, clear) in table.items()]
+    return "".join([HEADER, *lines, "}\n"])
 
 
 def parse(text: str) -> dict:
@@ -88,31 +77,22 @@ def moves(old: dict, new: dict) -> list[str]:
     def rel(x: float, y: float) -> float:
         return 0.0 if x == y else abs(y - x) / max(abs(x), abs(y))
 
-    largest = {"lo": (0.0, None), "hi": (0.0, None), "interior": (0.0, None)}
-    changed = []
-    for key, (lo1, hi1, in1) in new.items():
+    largest = {"lo": (0.0, None), "hi": (0.0, None)}
+    flipped = []
+    for key, (lo1, hi1, clear1) in new.items():
         if key not in old:
             continue
-        lo0, hi0, in0 = old[key]
-        found = [("lo", lo0, lo1), ("hi", hi0, hi1)]
-        left = list(in1)
-        for c in in0:
-            near = [d for d in left if abs(d - c) <= 1e-6 * (1.0 + abs(c))]
-            if near:
-                d = min(near, key=lambda d: abs(d - c))
-                left.remove(d)
-                found.append(("interior", c, d))
-            else:
-                changed.append(f"{key}: removed {c!r}")
-        changed += [f"{key}: added {d!r}" for d in left]
-        for name, x, y in found:
+        lo0, hi0, clear0 = old[key]
+        if clear0 != clear1:
+            flipped.append(f"{key}: clear {clear0} -> {clear1}")
+        for name, x, y in (("lo", lo0, lo1), ("hi", hi0, hi1)):
             if rel(x, y) > largest[name][0]:
                 largest[name] = (rel(x, y), f"{key}: {x!r} -> {y!r}")
     lines = [f"largest relative move of {name}: {move:.3g}" + (f" at {where}" if where else "")
              for name, (move, where) in largest.items()]
     lines += [f"row {key} only in the committed table" for key in old.keys() - new.keys()]
     lines += [f"row {key} only in the rebuilt table" for key in new.keys() - old.keys()]
-    return lines + changed
+    return lines + flipped
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,8 @@ only). Only ``verify`` draws random numbers, so only it takes ``--seed``
 Exit codes: 0 success, 1 domain error, 2 usage error; a float flag that is
 not a finite number, a tolerance that is not positive, an integer flag below
 its floor, a length above ``MAX_ARRAY_LENGTH``, a degree (N-1)T + 1 above
-``MAX_DEGREE`` and fewer than 10 T steps are usage errors.
+``MAX_DEGREE``, fewer than 10 T steps and ``simulate``'s --init with
+--history are usage errors.
 
 ``main`` parses with one parser per process, built by its first call and
 reused by every later one, so a process that runs many commands (a test
@@ -45,16 +46,16 @@ from .polynomials import poly_roots
 from .simulation import simulate_nearest
 from .spectrum import GainVector, char_poly_closed
 from .stability import (
+    SCHEMES,
     SCHUR_MARGIN,
     analyze,
     make_gains,
     pipeline_stabilize,
     spectral_radii,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
-SCHEMES = ("uniform", "dk2013", "custom")
 # The most sweep rows, scan grid points or steps a command may ask for.
 MAX_ARRAY_LENGTH = 10**7
 # The highest degree (N-1)T + 1 of a polynomial, or length of a history: a
@@ -355,6 +356,8 @@ def _cmd_simulate(args) -> int:
     gains = _gains_for(args, T)
     M = (len(gains) - 1) * T + 1
 
+    if args.history is not None and args.init is not None:
+        raise UsageError("give one of --init or --history, not both")
     if args.history is not None:
         history = _parse_float_list(args.history, "--history")
         if len(history) != M:
@@ -510,7 +513,7 @@ def _shape_flags(sub, T=True, required=True):
 
 
 def _gain_flags(sub, required=False):
-    sub.add_argument("--scheme", choices=SCHEMES, required=required,
+    sub.add_argument("--scheme", choices=[*SCHEMES, "custom"], required=required,
                      default=None if required else "uniform")
     sub.add_argument("--gains", help="comma-separated gains for --scheme custom"
                      " (--gains=-0.5,1.5 if the first is < 0)")
@@ -570,11 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
                      f" at most {MAX_ARRAY_LENGTH} of them")
 
     sub = _command(subs, "verify", _cmd_verify, "run seeded self-check suites", formats=("json",))
-    sub.add_argument(
-        "--suite",
-        choices=["lemma1", "chain", "rotation", "morgul", "all"],
-        default="all",
-    )
+    sub.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     sub.add_argument("--trials", type=_int_flag("--trials", 1), default=100)
     sub.add_argument("--seed", type=int, default=0, help="random seed of the trials")
 
@@ -582,8 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
                    formats=("json",))
     _map_flags(sub)
     _scan_flags(sub)
-    # Only the named schemes give gains for every N the search tries.
-    sub.add_argument("--scheme", choices=SCHEMES[:2], default="uniform")
+    sub.add_argument("--scheme", choices=SCHEMES, default="uniform")
     sub.add_argument("--N-max", dest="n_max", type=_int_flag("--N-max", 1), default=32)
     _run_flags(sub, steps=5000)
 

@@ -303,19 +303,16 @@ def _newton_polish(m: MapSpec, x0: np.ndarray, T: int, lo: float, hi: float) -> 
     its path or a step leaves the domain (with a small slack).
     """
     slack = 1e-9 * (1.0 + abs(hi - lo))
+    g = _orbit_g(m, T)
     x = np.array(x0, dtype=float)
     live = np.arange(x.size)  # the points still stepping
     for _ in range(NEWTON_MAX_ITER):
         if not live.size:
             break
-        val = start = x[live]
-        slope, err = 1.0, False
-        for _ in range(T):
-            val, d, bad = eval_map_deriv_array(m, val)
-            slope, err = slope * d, err | bad
-        slope = slope - 1.0
+        start = x[live]
+        val, slope, err = g(start)
         # A zero slope takes a zero step, which stops the point where it is.
-        step = np.divide(val - start, slope, out=np.zeros(live.size), where=slope != 0.0)
+        step = np.divide(val, slope, out=np.zeros(live.size), where=slope != 0.0)
         nxt = start - step
         nxt[err] = np.nan
         inside = (lo - slack <= nxt) & (nxt <= hi + slack)

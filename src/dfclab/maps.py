@@ -523,7 +523,8 @@ _DEFAULT_EXPR_DOMAIN = (0.0, 1.0)
 class MapSpec:
     """Immutable description of a scalar map; all operations on it are pure.
 
-    ``ast`` is the parsed expression and ``params`` binds its parameters.
+    ``ast`` is the parsed expression and ``params`` binds its parameters to
+    finite numbers (a non-finite one is a MapError).
     ``kind`` and ``name`` are descriptive: ``"builtin"`` with the builtin's
     name, or ``"expression"`` with name None. ``domain`` is the closed
     interval searched for cycles. The AST is compiled once, at construction,
@@ -547,6 +548,9 @@ class MapSpec:
             raise ValueError(f"domain requires lo < hi, got [{lo}, {hi}]")
         if self.ast is None:
             raise ValueError("MapSpec requires a parsed ast (see parse_map)")
+        bad = {k: v for k, v in self.params.items() if not math.isfinite(v)}
+        if bad:
+            raise MapError(f"parameters must be finite numbers, got {bad}")
         for name, fn in zip(("_f", "_fa", "_fda"), _compile(self.ast, self.params)):
             object.__setattr__(self, name, fn)
 
@@ -579,11 +583,16 @@ def parse_map(
                     )
                 key, val = item.split("=", 1)
                 try:
-                    params[key.strip()] = float(val)
+                    value = float(val)
                 except ValueError:
                     raise MapSyntaxError(
                         f"bad parameter value {val!r}", source.find(val)
                     ) from None
+                if not math.isfinite(value):
+                    raise MapSyntaxError(
+                        f"parameter value {val!r} is not finite", source.find(val)
+                    )
+                params[key.strip()] = value
         missing = [p for p in required if p not in params]
         if missing:
             raise MapError(f"builtin {head!r} missing parameter(s): {missing}")

@@ -187,8 +187,9 @@ def _window_bits(states: list[float], last: int, M: int) -> bytes:
 
 
 def _distances(states: np.ndarray, target: Cycle) -> np.ndarray:
-    """Each state's distance to the orbit as a set, ``Cycle.distance_to`` as one array."""
-    return np.min(np.abs(states[:, None] - np.asarray(target.points)), axis=1)
+    """Each state's distance to the orbit as a set, ``Cycle.distance_to`` as
+    one array of the shape of states."""
+    return np.min(np.abs(states[..., None] - np.asarray(target.points)), axis=-1)
 
 
 def _classify(
@@ -272,7 +273,5 @@ def basin_fraction(
                 x, fx, window = x[ok], fx[:, ok], window[:, ok]
             if k + 1 >= first:
                 window[k + 1 - first] = x
-    points = np.asarray(target.points)
-    dist = np.min(np.abs(window[:, :, None] - points), axis=2)
-    hits = int(np.count_nonzero(np.all(dist <= tol, axis=0)))
+    hits = int(np.count_nonzero(np.all(_distances(window, target) <= tol, axis=0)))
     return hits / samples

@@ -12,14 +12,14 @@ evaluates. The verdict is constant between such contacts, so the stable
 interval around mu = 0 takes one table probe per gap, and gamma (T = 1) is
 the nearest negative contact.
 
-For the named schemes at T <= 4 and N <= 32, ``reach_table.ROWS`` holds each
-stable interval (lo, hi) and the merged contacts strictly inside it, written
-by ``scripts/reach_table.py``; each such stable set is that one interval.
-``min_N_to_stabilize`` takes its verdict for N from there when mu is clear
-of the row's ends by 1e-6 (1 + |mu|) and of every interior contact c by
-1e-3 (1 + |c|), over six times the widest window around a tangency (1.6e-4
-relative) in which the margined Jury table says unstable. The Jury table
-decides every other N, so the answers are those of the Jury table alone.
+For the named schemes (``SCHEMES``) at T <= 4 and N <= 32,
+``reach_table.ROWS`` holds each stable interval (lo, hi) and whether no
+merged contact lies strictly inside it, written by
+``scripts/reach_table.py``; each such stable set is that one interval.
+``min_N_to_stabilize`` takes its verdict for N from there when mu is
+farther than 1e-6 (1 + |mu|) from the row's ends, outside the interval or
+inside one without contacts. The Jury table decides every other N, so the
+answers are those of the Jury table alone.
 
 ``pipeline_stabilize`` runs the paper's chain on a map: each T-cycle's mu,
 the smallest N whose gains make p Schur stable, and a simulation to confirm.
@@ -48,6 +48,7 @@ __all__ = [
     "analyze",
     "gains_uniform",
     "gains_dk2013",
+    "SCHEMES",
     "make_gains",
     "gamma_t1",
     "stable_mu_interval",
@@ -60,9 +61,8 @@ SCHUR_MARGIN = 1e-9
 MARGINAL_BAND = 1e-6
 MU_FLOOR = -1e6  # stable_mu_interval reports no lower endpoint below this
 # min_N_to_stabilize trusts a reach-table row only this far (relative) from
-# the row's ends and from each contact inside it; nearer, the Jury table decides.
+# the row's ends; nearer, the Jury table decides.
 END_BAND = 1e-6
-CONTACT_BAND = 1e-3
 
 
 @dataclass(frozen=True)
@@ -216,14 +216,16 @@ def gains_dk2013(N: int) -> GainVector:
     return GainVector(vals)
 
 
+# The named gain schemes, each a function of N.
+SCHEMES = {"uniform": gains_uniform, "dk2013": gains_dk2013}
+
+
 def make_gains(scheme: str, N: int, custom: list[float] | None = None) -> GainVector:
-    """Gain vector for a named scheme: uniform, dk2013, or custom (explicit gains)."""
-    if custom is not None and scheme in ("uniform", "dk2013"):
-        raise ValueError(f"explicit gains need the custom scheme, not {scheme!r}")
-    if scheme == "uniform":
-        return gains_uniform(N)
-    if scheme == "dk2013":
-        return gains_dk2013(N)
+    """Gain vector for a named scheme (``SCHEMES``) or custom (explicit gains)."""
+    if scheme in SCHEMES:
+        if custom is not None:
+            raise ValueError(f"explicit gains need the custom scheme, not {scheme!r}")
+        return SCHEMES[scheme](N)
     if scheme == "custom":
         if custom is None:
             raise ValueError("custom scheme requires explicit gains")
@@ -258,9 +260,10 @@ def _contacts(a: GainVector, T: int) -> np.ndarray:
     |sin(phi)| <= 1e-10. Both are refined to 1e-13 by
     ``cycles.newton_brackets``, h with h' and phi' with phi'', which ends at
     a few rounding errors from the zero once Newton converges. Where
-    rounding splits a tangency into two sign changes of h, one to each side
-    of it within a grid step (dk2013 at N = 5 and 15), the tangency is
-    returned in their place.
+    rounding splits a tangency into sign changes of h in the two cells
+    beside the grid node nearest it (dk2013 at T = 1 and N = 5, 13, 15, 21,
+    23, 25, 29 and 31), neither cell is refined, for h there is rounding
+    noise that Newton cannot follow; the tangency is returned in their place.
 
     A zero of q on the circle (|q| <= 1e-9 times the sum of |c_j|, q(z) =
     sum c_j z^j) is a pole, not a contact: phi jumps there by T pi. For odd
@@ -295,32 +298,35 @@ def _contacts(a: GainVector, T: int) -> np.ndarray:
     def turning(e, mod, w, v):  # phi', phi''
         return M - T * w.real, T * (w + v - w * w).imag
 
-    def refine(f, vals, err):
+    def changes(vals):  # the mask of the inner grid cells where vals changes sign
+        # The end cells hold the contacts at theta = 0 and pi, which always
+        # count; a sign change there is rounding at that contact.
+        cell = (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0) & ~(err[:-1] | err[1:])
+        cell[[0, -1]] = False
+        return cell
+
+    def refine(f, vals, cell):
         def g(theta):
             e, mod, w, v, bad = at(theta)
             return (*f(e, mod, w, v), bad)
 
-        # The end cells hold the contacts at theta = 0 and pi, which always
-        # count; a sign change there is rounding at that contact.
-        i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
-        i = i[~(err[i] | err[i + 1]) & (i > 0) & (i < grid - 1)]
+        i = np.flatnonzero(cell)
         return newton_brackets(g, theta[i], theta[i + 1], vals[i], vals[i + 1], 1e-13)
 
     theta = np.linspace(0.0, np.pi, grid + 1)
     nodes = curve(theta, np.fft.rfft(cols, 2 * grid, axis=0).conj())
     err = nodes[-1]
     vals, d1 = crossing(*nodes[:4])[0], turning(*nodes[:4])[0]
-    turns = np.concatenate([theta[(d1 == 0.0) & ~err], refine(turning, d1, err)])
+    turns = np.concatenate([theta[(d1 == 0.0) & ~err], refine(turning, d1, changes(d1))])
     tangents = turns[np.abs(at(turns)[0].imag) <= 1e-10]
-    crossings = refine(crossing, vals, err)
-    # A pair of crossings within one grid step to either side of a tangency
-    # is that tangency split by rounding: the tangency stands for both.
-    k = np.searchsorted(crossings, tangents)
-    inside = (k > 0) & (k < crossings.size)
-    k, t = k[inside], tangents[inside]
-    step = np.pi / grid
-    k = k[(t - crossings[k - 1] <= step) & (crossings[k] - t <= step)]
-    crossings = np.delete(crossings, np.concatenate([k - 1, k]))
+    # Sign changes of h in both cells beside the grid node nearest a
+    # tangency are that tangency split by rounding: it stands for both. The
+    # clip keeps the cells in range; an end cell never holds a sign change.
+    cell = changes(vals)
+    node = np.clip(np.rint(tangents * (grid / np.pi)).astype(int), 1, grid - 1)
+    node = node[cell[node - 1] & cell[node]]
+    cell[node - 1] = cell[node] = False
+    crossings = refine(crossing, vals, cell)
     zeros = np.concatenate([theta[[0, -1]], theta[(vals == 0.0) & ~err], crossings, tangents])
 
     e, mod, _, _, err = at(zeros)
@@ -404,11 +410,12 @@ def min_N_to_stabilize(
 
     Each N gets the verdict of the Jury table with ``SCHUR_MARGIN``, solving
     no root. Where ``reach_table.ROWS`` has the row (uniform and dk2013,
-    T <= 4, N <= 32) and its interval (lo, hi) with interior contacts c:
-    mu <= lo - d or mu >= hi + d, d = ``END_BAND`` (1 + |mu|), is unstable;
-    lo + d < mu < hi - d with |mu - c| > ``CONTACT_BAND`` (1 + |c|) for
-    every c is stable. The Jury table runs only in between, and for every
-    row the reach table lacks. mu >= 1 is rejected at once: p(1) = 1 - mu
+    T <= 4, N <= 32), its interval (lo, hi) and whether it is clear of
+    contacts inside: mu <= lo - d or mu >= hi + d, d = ``END_BAND``
+    (1 + |mu|), is unstable; lo + d < mu < hi - d is stable in a clear row.
+    The Jury table runs only in between, inside a row with a contact (a
+    tangency, beside which the margined table can say unstable), and for
+    every row the reach table lacks. mu >= 1 is rejected at once: p(1) = 1 - mu
     <= 0 for every valid gain vector, so no N can work. A non-finite mu
     raises ValueError.
     """
@@ -418,7 +425,7 @@ def min_N_to_stabilize(
         raise ValueError(f"mu must be finite, got {mu!r}")
     if mu >= 1.0:
         return None
-    # Imported on first use: compiling the table's ~800 float literals takes
+    # Imported on first use: compiling the table's ~500 float literals takes
     # milliseconds that ``import dfclab`` should not pay.
     from .reach_table import ROWS
 
@@ -436,13 +443,11 @@ def _reach_verdict(row: tuple | None, mu: float) -> bool | None:
     decide (see ``min_N_to_stabilize``)."""
     if row is None:
         return None
-    lo, hi, interior = row
+    lo, hi, clear = row
     band = END_BAND * (1.0 + abs(mu))
     if mu <= lo - band or mu >= hi + band:
         return False
-    if lo + band < mu < hi - band and all(
-        abs(mu - c) > CONTACT_BAND * (1.0 + abs(c)) for c in interior
-    ):
+    if clear and lo + band < mu < hi - band:
         return True
     return None
 

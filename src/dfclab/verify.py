@@ -24,10 +24,6 @@ from .spectrum import (
 __all__ = [
     "CheckResult",
     "random_simplex_gains",
-    "check_closed_form",
-    "check_chain_vs_table",
-    "check_rotation_invariance",
-    "check_morgul_baseline",
     "SUITES",
     "run_suite",
 ]
@@ -70,80 +66,65 @@ def _random_tuple(rng: np.random.Generator, n_max: int = 4, t_max: int = 4):
     return N, T, gains, mus
 
 
-# Each suite passes when its largest error is at most its tolerance.
-LEMMA1_TOL = 1e-8
-CHAIN_TOL = 1e-12
-ROTATION_TOL = 1e-8
-MORGUL_TOL = 1e-10
-
-
-def check_closed_form(trials: int = 500, seed: int = 0) -> CheckResult:
+def _closed_form_error(rng: np.random.Generator) -> float:
     """Closed-form characteristic polynomial vs trace recursion on the Jacobian."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        N, T, gains, mus = _random_tuple(rng)
-        via_matrix = char_poly_faddeev(build_jacobian(N, T, gains, mus))
-        closed = char_poly_closed(N, T, gains, float(np.prod(mus)))
-        worst = max(worst, _rel_err(via_matrix.coeffs, closed.coeffs))
-    return CheckResult("lemma1", worst <= LEMMA1_TOL, trials, worst, LEMMA1_TOL)
+    N, T, gains, mus = _random_tuple(rng)
+    via_matrix = char_poly_faddeev(build_jacobian(N, T, gains, mus))
+    closed = char_poly_closed(N, T, gains, float(np.prod(mus)))
+    return _rel_err(via_matrix.coeffs, closed.coeffs)
 
 
-def check_chain_vs_table(trials: int = 500, seed: int = 0) -> CheckResult:
+def _chain_error(rng: np.random.Generator) -> float:
     """Entry-table Jacobian vs chain-rule product, elementwise."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        N, T, gains, mus = _random_tuple(rng)
-        table = build_jacobian(N, T, gains, mus)
-        chain = jacobian_via_chain(N, T, gains, mus)
-        worst = max(worst, float(np.max(np.abs(table - chain))))
-    return CheckResult("chain", worst <= CHAIN_TOL, trials, worst, CHAIN_TOL)
+    N, T, gains, mus = _random_tuple(rng)
+    table = build_jacobian(N, T, gains, mus)
+    chain = jacobian_via_chain(N, T, gains, mus)
+    return float(np.max(np.abs(table - chain)))
 
 
-def check_rotation_invariance(trials: int = 100, seed: int = 0) -> CheckResult:
+def _rotation_error(rng: np.random.Generator) -> float:
     """Characteristic polynomial is unchanged under cyclic multiplier rotation."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        N = int(rng.integers(2, 5))
-        T = 3
-        gains = random_simplex_gains(rng, N)
-        mus = rng.uniform(-3.0, 3.0, T)
-        ref = char_poly_faddeev(jacobian_via_chain(N, T, gains, mus))
-        for shift in (1, 2):
-            rolled = np.roll(mus, shift)
-            rot = char_poly_faddeev(jacobian_via_chain(N, T, gains, rolled))
-            worst = max(worst, _rel_err(rot.coeffs, ref.coeffs))
-    return CheckResult("rotation", worst <= ROTATION_TOL, trials, worst, ROTATION_TOL)
+    N = int(rng.integers(2, 5))
+    T = 3
+    gains = random_simplex_gains(rng, N)
+    mus = rng.uniform(-3.0, 3.0, T)
+    ref, *rots = (char_poly_faddeev(jacobian_via_chain(N, T, gains, np.roll(mus, k))).coeffs
+                  for k in (0, 1, 2))
+    errs = [_rel_err(rot, ref) for rot in rots]
+    return max(0.0, *errs)  # from 0.0, a NaN error is skipped as run_suite skips one
 
 
-def check_morgul_baseline(trials: int = 100, seed: int = 0) -> CheckResult:
+def _morgul_error(rng: np.random.Generator) -> float:
     """Explicit single-gain coefficients vs the chain-rule Jacobian product."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        T = int(rng.integers(1, 4))
-        mus = rng.uniform(-3.0, 3.0, T)
-        K = float(rng.uniform(-2.0, 2.0))
-        explicit = morgul_char_poly(T, mus, K)
-        via_matrix = char_poly_faddeev(morgul_jacobian_product(T, mus, K))
-        worst = max(worst, _rel_err(via_matrix.coeffs, explicit.coeffs))
-    return CheckResult("morgul", worst <= MORGUL_TOL, trials, worst, MORGUL_TOL)
+    T = int(rng.integers(1, 4))
+    mus = rng.uniform(-3.0, 3.0, T)
+    K = float(rng.uniform(-2.0, 2.0))
+    explicit = morgul_char_poly(T, mus, K)
+    via_matrix = char_poly_faddeev(morgul_jacobian_product(T, mus, K))
+    return _rel_err(via_matrix.coeffs, explicit.coeffs)
 
 
+# Each suite is a tolerance and a trial, which draws one configuration from
+# the rng and returns its error; a suite passes when its largest error is at
+# most its tolerance.
 SUITES = {
-    "lemma1": check_closed_form,
-    "chain": check_chain_vs_table,
-    "rotation": check_rotation_invariance,
-    "morgul": check_morgul_baseline,
+    "lemma1": (1e-8, _closed_form_error),
+    "chain": (1e-12, _chain_error),
+    "rotation": (1e-8, _rotation_error),
+    "morgul": (1e-10, _morgul_error),
 }
 
 
 def run_suite(name: str, trials: int = 100, seed: int = 0) -> list[CheckResult]:
-    """Run one named suite, or all of them."""
-    if name == "all":
-        return [fn(trials=trials, seed=seed) for fn in SUITES.values()]
-    if name not in SUITES:
+    """Run one named suite, or all of them, each on its own rng from seed."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return [SUITES[name](trials=trials, seed=seed)]
+    results = []
+    for suite in SUITES if name == "all" else [name]:
+        tolerance, trial = SUITES[suite]
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(trials):
+            worst = max(worst, trial(rng))  # a NaN error is skipped
+        results.append(CheckResult(suite, worst <= tolerance, trials, worst, tolerance))
+    return results

@@ -241,6 +241,17 @@ class TestCycles:
         assert (code, err) == (0, "")
         assert json.loads(out)["cycles"] == []
 
+    @pytest.mark.parametrize("argv", [
+        ["cycles", "--map", "logistic:r=nan", "--period", "1"],
+        ["stabilize", "--map", "logistic:r=inf", "--period", "1"],
+        ["simulate", "--map", "cubic:b=-inf", "--period", "1", "--N", "2", "--init", "0.3",
+         "--steps", "100"],
+    ])
+    def test_non_finite_map_parameter_is_an_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: parameter value") and "not finite" in err
+
     def test_grid_floor_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "cycles", "--map", "logistic:r=4", "--period", "1", "--grid", "10"
@@ -442,6 +453,15 @@ class TestSimulate:
         assert code == 2
         assert "--history" in err
 
+    def test_init_with_history_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--map", "logistic:r=4", "--period", "1",
+            "--N", "2", "--init", "0.3", "--history", "0.3,0.3", "--steps", "100",
+        )
+        assert (code, out) == (2, "")
+        assert err == "usage error: give one of --init or --history, not both\n"
+
 
 class TestVerify:
     def test_named_suite(self, capsys):
@@ -461,6 +481,16 @@ class TestVerify:
         assert [r["name"] for r in doc["results"]] == [
             "lemma1", "chain", "rotation", "morgul",
         ]
+
+    def test_max_errors_are_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--trials", "50", "--seed", "3")
+        assert code == 0
+        assert {r["name"]: r["max_err"] for r in json.loads(out)["results"]} == {
+            "lemma1": 7.493031664896834e-16,
+            "chain": 4.440892098500626e-16,
+            "rotation": 5.216415618680742e-16,
+            "morgul": 2.754406852133276e-14,
+        }
 
 
 class TestStabilize:

@@ -104,6 +104,19 @@ class TestParse:
         with pytest.raises(MapSyntaxError):
             parse_map("x x")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_designator_value_reports_its_position(self, value):
+        source = f"logistic: r={value}"
+        with pytest.raises(MapSyntaxError, match="not finite") as err:
+            parse_map(source)
+        assert err.value.position == source.index(value)
+
+    @pytest.mark.parametrize("source", ["r*x", "logistic"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_rejected(self, source, value):
+        with pytest.raises(MapError, match="finite"):
+            parse_map(source, params={"r": value})
+
 
 class TestEval:
     def test_logistic_fixed_point(self):

@@ -47,12 +47,20 @@ def test_check_fails_on_a_stale_table(rebuilt, monkeypatch, tmp_path, capsys):
     assert path.read_text() == stale  # --check writes nothing
 
 
+def interior(scheme, T, N):
+    """The merged contacts strictly inside the row's interval."""
+    lo, hi, _ = ROWS[(scheme, T, N)]
+    return [c for c in merged_contacts(make_gains(scheme, N), T) if lo < c < hi]
+
+
 def test_a_stale_table_reports_how_far_the_rebuild_moved(rebuilt, monkeypatch, tmp_path, capsys):
     old = dict(rebuilt)
-    lo, hi, interior = old[("dk2013", 1, 9)]
-    old[("dk2013", 1, 9)] = (lo * (1.0 + 3e-12), hi, interior[1:] + (-1234.5,))
-    lo, hi, interior = old[("dk2013", 1, 12)]
-    old[("dk2013", 1, 12)] = (lo, hi, (interior[0] * (1.0 + 2e-9),) + interior[1:])
+    lo, hi, clear = old[("dk2013", 1, 9)]
+    assert not clear and interior("dk2013", 1, 9)
+    old[("dk2013", 1, 9)] = (lo * (1.0 + 3e-12), hi, True)
+    lo, hi, clear = old[("uniform", 2, 12)]
+    assert clear and not interior("uniform", 2, 12)
+    old[("uniform", 2, 12)] = (lo, hi, False)
     path = tmp_path / "reach_table.py"
     path.write_text(reach_table.render(old))
     monkeypatch.setattr(reach_table, "TABLE", path)
@@ -61,9 +69,8 @@ def test_a_stale_table_reports_how_far_the_rebuild_moved(rebuilt, monkeypatch, t
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("largest relative move of lo: 3e-12 at ('dk2013', 1, 9)")
     assert out[1] == "largest relative move of hi: 0"
-    assert out[2].startswith("largest relative move of interior: 2e-09 at ('dk2013', 1, 12)")
-    assert out[3:5] == [f"('dk2013', 1, 9): removed {-1234.5!r}",
-                        f"('dk2013', 1, 9): added {rebuilt[('dk2013', 1, 9)][2][0]!r}"]
+    assert out[2:4] == ["('uniform', 2, 12): clear False -> True",
+                        "('dk2013', 1, 9): clear True -> False"]
     assert reach_table.parse(path.read_text()) == old
 
 
@@ -99,5 +106,10 @@ def test_dk2013_lower_end_at_T_1_is_the_closed_form():
 def test_no_row_lists_a_rounding_copy_of_one_as_an_interior_contact():
     # mu = 1 is the contact where p(1) = 1 - mu vanishes; it is each row's hi.
     assert all(hi == 1.0 for _, hi, _ in ROWS.values())
-    assert not [key for key, (_, _, interior) in ROWS.items()
-                if any(abs(c - 1.0) <= 2e-6 for c in interior)]
+    assert not [key for key in ROWS if any(abs(c - 1.0) <= 2e-6 for c in interior(*key))]
+
+
+def test_a_row_is_clear_exactly_when_no_contact_lies_inside_it():
+    assert {key for key, (_, _, clear) in ROWS.items() if not clear} == {
+        ("dk2013", 1, N) for N in range(3, 33)}
+    assert all(clear == (not interior(*key)) for key, (_, _, clear) in ROWS.items())

@@ -439,10 +439,10 @@ class TestContactsAgainstBisection:
                  (3, 10, "uniform"), (4, 8, "dk2013"), (4, 24, "uniform"), (1, 8, "dk2013"),
                  (1, 24, "dk2013")]
 
-    @pytest.mark.parametrize("T, N, scheme", BENCHMARK)
-    def test_few_passes(self, monkeypatch, T, N, scheme):
-        # Bisection from a grid step of at most pi/2048 to 1e-13 took 34
-        # passes for the crossings and 34 for the turning points.
+    @staticmethod
+    def count_passes(monkeypatch):
+        """The passes of every ``newton_brackets`` call from ``_contacts``
+        from now on, one entry per call."""
         passes = []
         real = dfclab.stability.newton_brackets
 
@@ -456,8 +456,25 @@ class TestContactsAgainstBisection:
             return real(g_counted, *bracket)
 
         monkeypatch.setattr(dfclab.stability, "newton_brackets", counted)
+        return passes
+
+    @pytest.mark.parametrize("T, N, scheme", BENCHMARK)
+    def test_few_passes(self, monkeypatch, T, N, scheme):
+        # Bisection from a grid step of at most pi/2048 to 1e-13 took 34
+        # passes for the crossings and 34 for the turning points.
+        passes = self.count_passes(monkeypatch)
         dfclab.stability._contacts(make_gains(scheme, N), T)
         assert len(passes) == 2 and max(passes) <= 10
+
+    @pytest.mark.parametrize("scheme, T", SCHEME_T)
+    def test_no_reach_row_refines_for_more_than_20_passes(self, monkeypatch, scheme, T):
+        # Where rounding splits a tangency on a grid node into two crossings
+        # (dk2013, T = 1, N = 5, 13, 15, 21, 23, 25, 29 and 31), h is noise
+        # that Newton cannot follow: refining them took 34-36 passes.
+        passes = self.count_passes(monkeypatch)
+        for N in range(1, 33):
+            dfclab.stability._contacts(make_gains(scheme, N), T)
+        assert len(passes) == 64 and max(passes) <= 20
 
     # dk2013 tangencies on a node of the contact grid, at theta = 3 pi / 8,
     # pi / 2 and 7 pi / 32: Re(mu) there, by mpmath at 40 digits, where
@@ -544,7 +561,8 @@ class TestReachTableEquivalence:
         # the margined Jury table says unstable, though mu lies well inside
         # that row's interval, so a lookup on lo and hi alone would say 4.
         mu = -5.854101966249948 * (1 + 1e-5)
-        lo, hi, interior = ROWS[("dk2013", 1, 4)]
+        lo, hi, _ = ROWS[("dk2013", 1, 4)]
+        interior = [c for c in merged_contacts(gains_dk2013(4), 1) if lo < c < hi]
         assert lo < mu < hi and min(abs(mu - c) for c in interior) < 1e-4
         assert min_N_to_stabilize(1, mu, "dk2013") == 5
         assert min_N_by_jury(1, mu, "dk2013", 32) == 5
@@ -566,7 +584,8 @@ class TestReachTableEquivalence:
         # Queries near a point of row N0 stop the search at N0: every row up
         # to it is still looked up, at a fraction of the oracle's cost.
         for N0 in range(1, 33):
-            lo, _, interior = ROWS[(scheme, T, N0)]
+            lo, hi, _ = ROWS[(scheme, T, N0)]
+            interior = [c for c in merged_contacts(make_gains(scheme, N0), T) if lo < c < hi]
             for c in (lo, *interior):
                 for k in range(2, 12):
                     for mu in (c * (1 - 10.0**-k), c * (1 + 10.0**-k)):
