@@ -3,14 +3,21 @@
 Every map is an expression over the variable ``x`` with named parameters.
 The builtins (``logistic``, ``quadratic``, ``cubic``) are stored expression
 sources addressed by a designator such as ``"logistic:r=4"``. Each MapSpec
-compiles its parsed AST once into three straight-line Python functions:
+compiles its parsed AST once into three Python functions, each built from
+the straight-line code of one step of f:
 
 - f at a float, behind ``eval_map``;
-- f over a numpy array, behind ``eval_map_array``, which returns the values
-  and a mask of the elements on which ``eval_map`` raises;
-- f and f' over a numpy array, behind ``eval_map_deriv_array`` (and
-  ``eval_map_deriv``, a call on one element), with f' exact to rounding by
-  forward-mode differentiation rather than a finite-difference estimate.
+- f^n over a numpy array, behind ``eval_map_array`` (n = 1), which returns
+  the values and a mask of the elements on which ``eval_map`` raises at some
+  step;
+- f^n and (f^n)' over a numpy array, behind ``eval_map_deriv_array`` (n = 1,
+  and ``eval_map_deriv``, a call on one element), with f' exact to rounding
+  by forward-mode differentiation rather than a finite-difference estimate,
+  and (f^n)' the product of f' along the orbit.
+
+The array forms loop over that step n times in one call, so a T-fold
+composition pays the call's fixed cost once; ``cycles`` composes f^T with
+them. For every n they equal n successive calls at n = 1 bit for bit.
 
 The array forms equal ``eval_map`` bit for bit wherever their mask is clear.
 ``+ - * /`` and ``abs`` are correctly rounded IEEE operations in numpy as in
@@ -19,7 +26,8 @@ from libm (``**`` calls C ``pow``), and numpy's vectorised kernels round
 differently in the last bit, as does ``x*x`` against ``pow(x, 2)``. So the
 array forms call libm element by element too, through ``math.pow``,
 ``math.exp``, ``math.tanh``, ``math.sin`` and ``math.cos``. The derivative
-of u^n is n u^(n-1) u' for every integer n.
+of u^n is n u^(n-1) u' for every integer n, with u^1 lowered to u and u^0
+to 1.0, which is what ``pow`` returns for them at every u.
 
 The expression grammar supports real literals, ``x``, named parameters,
 ``+ - * /``, ``^`` with an integer-literal exponent, unary minus, and the
@@ -186,9 +194,10 @@ def _fresh(v, x):
 
 
 # Globals of the generated code, besides its bound constants c0, c1, ...
-# The v-prefixed functions, divide and the rest serve the array forms.
+# The v-prefixed functions, divide, range and the rest serve the array forms.
 _CODE_GLOBALS = {
     "__builtins__": {},
+    "range": range,
     "sin": math.sin,
     "cos": math.cos,
     "exp": math.exp,
@@ -226,12 +235,17 @@ _BIN_DERIVS = {
 
 
 def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
-    """Return the lines of a function body computing ast at x, one per node.
+    """Return the source of the function ``form`` computing ast, one line per node.
 
-    ``form`` is "f" for f at a float x, "fa" for f over an array x with the
-    mask ``bad`` of the elements on which f raises, and "fda" for f and f'
-    over an array x with the mask of the elements on which either is not
-    finite. Each node yields the names of its value and derivative. The
+    ``form`` is "f" for ``f(x)`` at a float x. The array forms take an array
+    x and a step count n >= 1 and run the lines of one step of f n times:
+    "fa" gives ``fa(x, n) -> (f^n(x), bad)``, with the mask of the elements
+    on which some step of f raises, and "fda" gives
+    ``fda(x, n) -> (f^n(x), (f^n)'(x), bad)``, with the mask of the elements
+    on which f or f' is not finite at some step. (f^n)' is the product
+    1.0 * f'(x_0) * f'(x_1) * ... along the orbit, taken left to right. So
+    the array forms equal n successive calls at n = 1 bit for bit, their
+    masks or'ed. Each node yields the names of its value and derivative. The
     derivative is None for a node that does not depend on x: it enters the
     rules above as a constant with derivative 0.0; outside "fda" no node has
     one. The array forms spell f's operations with the same rounding, and
@@ -246,18 +260,18 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
 
     def let(expr: str) -> str:
         name = f"t{len(lines)}"
-        lines.append(f"    {name} = {expr}\n")
+        lines.append(f"{name} = {expr}")
         return name
 
     def flag(cond: str) -> None:
-        lines.append(f"    bad |= {cond}\n")
+        lines.append(f"bad |= {cond}")
 
     def libm(func: str, *args) -> str:
         if not array:
             return let(f"{func}({', '.join(map(str, args))})")
         v = f"t{len(lines)}"
-        lines.append(f"    {v}, raised = v{func}({', '.join(map(str, args))})\n")
-        lines.append("    if raised is not None:\n        bad |= raised\n")
+        lines.append(f"{v}, raised = v{func}({', '.join(map(str, args))})")
+        lines.append("if raised is not None: bad |= raised")
         return v
 
     def const(key, value) -> str:
@@ -294,7 +308,9 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
                 return v, None
             if n == 0:  # u^-1 would raise at u = 0
                 return v, "0.0"
-            return v, let(f"{n} * {libm('pow', b, n - 1)} * {bd}")
+            # pow(u, 1) is u and pow(u, 0) is 1.0 exactly, for every u.
+            u = b if n == 2 else "1.0" if n == 1 else libm("pow", b, n - 1)
+            return v, let(f"{n} * {u} * {bd}")
         if isinstance(node, Bin):
             l, ld = walk(node.left)
             r, rd = walk(node.right)
@@ -310,26 +326,29 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
         raise TypeError(f"unknown AST node {node!r}")
 
     unbound: set[str] = set()
-    if array:
-        lines.append("    bad = ~isfinite(x)\n")
     v, d = walk(ast)
     if unbound:
         raise MapError(
             f"unknown identifier(s) {sorted(unbound)}; bind parameters via params/--param"
         )
     if not array:
-        return "".join(lines) + f"    return {v}\n"
-    ret = [let(f"fresh({v}, x)")]
+        return "def f(x):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {v}\n"
+    head, ret = ["bad = ~isfinite(x)"], "x, bad"
     if dx is not None:
-        ret.append(let(f"fresh({d or '0.0'}, x)"))
-    for name in ret:
-        flag(f"~isfinite({name})")
-    return "".join(lines) + f"    return {', '.join(ret)}, bad\n"
+        d = let(f"fresh({d or '0.0'}, x)")
+        head.append("slope = 1.0")
+        lines += [f"bad |= ~isfinite({d})", f"slope = slope * {d}"]
+        ret = "x, slope, bad"
+    lines += [f"x = fresh({v}, x)", "bad |= ~isfinite(x)"]
+    return (f"def {form}(x, n):\n" + "".join(f"    {line}\n" for line in head)
+            + "    for _ in range(n):\n" + "".join(f"        {line}\n" for line in lines)
+            + f"    return {ret}\n")
 
 
 def _compile(ast: Node, params: dict) -> tuple[Callable, Callable, Callable]:
     """Compile ast into ``f(x) -> f`` at a float x, and over an array x into
-    ``fa(x) -> (values, bad)`` and ``fda(x) -> (values, derivatives, bad)``.
+    ``fa(x, n) -> (values, bad)`` and ``fda(x, n) -> (values, derivatives,
+    bad)`` for f^n (see ``_lower``).
 
     Constants and parameter values are bound in the functions' namespace,
     never formatted into their text, so every float keeps its exact value.
@@ -337,7 +356,7 @@ def _compile(ast: Node, params: dict) -> tuple[Callable, Callable, Callable]:
     ns = dict(_CODE_GLOBALS)
     bound: dict = {}
     forms = ("f", "fa", "fda")
-    src = "".join(f"def {form}(x):\n" + _lower(ast, params, ns, bound, form) for form in forms)
+    src = "".join(_lower(ast, params, ns, bound, form) for form in forms)
     exec(_code(src), ns)
     return tuple(ns.pop(form) for form in forms)
 
@@ -659,7 +678,7 @@ def eval_map_array(m: MapSpec, x) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        return m._fa(x)
+        return m._fa(x, 1)
 
 
 def eval_map_deriv_array(m: MapSpec, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -672,4 +691,4 @@ def eval_map_deriv_array(m: MapSpec, x) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        return m._fda(x)
+        return m._fda(x, 1)

@@ -25,16 +25,18 @@ run takes to recur; the windows are compared as bytes, in which -0.0 and
 on floating-point orbits of periods 1 to 7 and stop after 130-1,027 steps,
 computing 4,506 of the 47,000 steps asked for.
 
-``basin_fraction`` runs all its samples as one array, one
-``eval_map_array`` call per step; samples leave the array as they diverge.
-It does not stop early: in each benchmark basin job (seed 7) 11-28 of the
-64 samples do not recur within the 500 steps, so the array runs to the
-end, and at 64 columns its per-step cost is fixed overhead that dropping
-the recurred columns would not cut. Only the recursion of ``simulate`` is
-scalar: the convergence test is one array pass, every state's distance to
-the orbit as min |x - p| over the orbit's points (the IEEE subtraction and
-abs of ``Cycle.distance_to``, so the distances are the same), and
-``simulate_nearest`` ranks its candidates from those same distances.
+``basin_fraction`` runs all its samples as one array, one call of the
+map's compiled one-step array form per step, inside one ``np.errstate``;
+a sample leaves the array at the step where f errs or its sum is not
+finite. It does not stop early: in each benchmark basin job (seed 7) 11-28
+of the 64 samples do not recur within the 500 steps, so the array runs to
+the end, and at 64 columns its per-step cost is fixed overhead that
+dropping the recurred columns would not cut. Only the recursion of
+``simulate`` is scalar: the convergence test is one array pass, every
+state's distance to the orbit as min |x - p| over the orbit's points (the
+IEEE subtraction and abs of ``Cycle.distance_to``, so the distances are the
+same), and ``simulate_nearest`` ranks its candidates from those same
+distances.
 """
 
 from __future__ import annotations
@@ -259,18 +261,17 @@ def basin_fraction(
     fx = np.repeat(f0[None, ~bad], M, axis=0)
     window = np.empty((10 * T, fx.shape[1]))  # the final 10T states
     first = M + steps - 10 * T  # index of the first state in the window
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum diverges
+    bad = False  # the samples whose last f erred
+    with np.errstate(all="ignore"):  # an erring f or a non-finite sum diverges
         for k in range(M - 1, M - 1 + steps):
             if k >= M:
-                fx[k % M], bad = eval_map_array(m, x)
-                if bad.any():
-                    fx, window = fx[:, ~bad], window[:, ~bad]
+                fx[k % M], bad = m._fa(x, 1)
             x = 0.0
             for j, c in enumerate(a.coeffs):
                 x = x + c * fx[(k - j * T) % M]
-            ok = np.isfinite(x)
-            if not ok.all():
-                x, fx, window = x[ok], fx[:, ok], window[:, ok]
+            out = ~np.isfinite(x) | bad
+            if out.any():
+                x, fx, window = x[~out], fx[:, ~out], window[:, ~out]
             if k + 1 >= first:
                 window[k + 1 - first] = x
     hits = int(np.count_nonzero(np.all(_distances(window, target) <= tol, axis=0)))

@@ -208,10 +208,10 @@ class TestValidation:
 
     def test_non_map_error_propagates(self, monkeypatch):
         # Only map evaluation errors become NaN grid nodes; a bug must not be hidden.
-        def broken(m, x):
+        def broken(m, x, n, deriv=False):
             raise TypeError("broken evaluator")
 
-        monkeypatch.setattr("dfclab.cycles.eval_map_array", broken)
+        monkeypatch.setattr("dfclab.cycles._compose", broken)
         with pytest.raises(TypeError, match="broken evaluator"):
             find_cycles(parse_map("logistic:r=4"), 1, 1000)
 
@@ -394,15 +394,29 @@ def g_of(m, T):
 
 def probes_of(monkeypatch):
     """The probes of each pass of newton_brackets at T = 1: the argument of
-    every call of eval_map_deriv_array."""
+    every call of the compiled (f, f') form."""
     calls = []
-    real = dfclab.cycles.eval_map_deriv_array
+    real = dfclab.cycles._compose
 
-    def spy(m, x):
-        calls.append(np.array(x, dtype=float))
-        return real(m, x)
+    def spy(m, x, n, deriv=False):
+        if deriv:
+            calls.append(np.array(x, dtype=float))
+        return real(m, x, n, deriv)
 
-    monkeypatch.setattr(dfclab.cycles, "eval_map_deriv_array", spy)
+    monkeypatch.setattr(dfclab.cycles, "_compose", spy)
+    return calls
+
+
+def count_compositions(monkeypatch) -> list:
+    """(n, deriv) of every call of the compiled array forms from dfclab.cycles."""
+    calls = []
+    real = dfclab.cycles._compose
+
+    def spy(m, x, n, deriv=False):
+        calls.append((n, deriv))
+        return real(m, x, n, deriv)
+
+    monkeypatch.setattr(dfclab.cycles, "_compose", spy)
     return calls
 
 
@@ -481,24 +495,37 @@ class TestNewtonBrackets:
     def test_pole_brackets_are_dropped_before_the_polish(self, monkeypatch):
         # 37 of the 75 grid brackets straddle a pole of f^6. Refined and then
         # polished as if they were roots, they took 335 array calls.
-        calls = []
-        for name in ("eval_map_array", "eval_map_deriv_array"):
-            real = getattr(dfclab.cycles, name)
-            monkeypatch.setattr(dfclab.cycles, name,
-                                lambda m, x, real=real: calls.append(1) or real(m, x))
+        calls = count_compositions(monkeypatch)
         cycles = find_cycles(parse_map("0.3/x - 1.6*x", domain=(-1.0, 1.0)), 6)
         assert len(cycles) == 8 and len(calls) <= 240
 
     def test_logistic_period_nine_takes_at_most_200_array_calls(self, monkeypatch):
         # Bisection to a 1e-12 bracket, a Newton polish of its ends and the
         # re-evaluation of both took 512 (313 f, 199 f and f').
-        calls = []
-        for name in ("eval_map_array", "eval_map_deriv_array"):
-            real = getattr(dfclab.cycles, name)
-            monkeypatch.setattr(dfclab.cycles, name,
-                                lambda m, x, real=real: calls.append(1) or real(m, x))
+        calls = count_compositions(monkeypatch)
         cycles = find_cycles(parse_map("logistic:r=4"), 9)
         assert len(cycles) == 56 and len(calls) <= 200
+
+    def test_one_call_per_refinement_pass_and_polish_step(self, monkeypatch):
+        # Each g call of newton_brackets and of the polish composes f^9 and
+        # its slope in one call of the compiled form, not nine.
+        calls, per_g = count_compositions(monkeypatch), []
+        real = dfclab.cycles._orbit_g
+
+        def orbit_g(m, T):
+            g = real(m, T)
+
+            def counted(x):
+                before = len(calls)
+                out = g(x)
+                per_g.append(calls[before:])
+                return out
+
+            return counted
+
+        monkeypatch.setattr(dfclab.cycles, "_orbit_g", orbit_g)
+        assert len(find_cycles(parse_map("logistic:r=4"), 9)) == 56
+        assert len(per_g) > 5 and all(c == [(9, True)] for c in per_g)
 
 
 def bisect_and_polish(m, T, a, b, ga, gb, width):

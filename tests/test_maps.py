@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dfclab.maps
 from dfclab.maps import (
     Bin,
     Call,
@@ -389,3 +390,47 @@ class TestArrayForm:
             assert values is not xs and values.tolist() == want
             values[0] = 9.0
             assert xs.tolist() == [0.25, 0.5]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        ast=ASTS,
+        p=st.sampled_from([1.3, 0.0, -2.5, 1e200]),
+        xs=st.lists(_FLOATS, min_size=1, max_size=12),
+        n=st.integers(1, 4),
+    )
+    # 1/(x - 0.5) errs at the second step from 2.5, which the first maps to 0.5.
+    @example(ast=Bin("/", Num(1.0), Bin("-", Var("x"), Num(0.5))), p=0.0, xs=[2.5, 1.0], n=3)
+    def test_n_fold_forms_equal_n_one_step_calls(self, ast, p, xs, n):
+        # Values, the slope product and the union of the masks, bit for bit,
+        # erring elements included.
+        m = MapSpec(kind="expression", domain=(0.0, 1.0), ast=ast, params={"p": p})
+        x = np.array(xs)
+        y, bad = x, np.zeros(x.shape, dtype=bool)
+        yd, slope, bad_d = x, 1.0, np.zeros(x.shape, dtype=bool)
+        with np.errstate(all="ignore"):  # the slope product may overflow
+            for _ in range(n):
+                y, b = eval_map_array(m, y)
+                yd, d, b_d = eval_map_deriv_array(m, yd)
+                bad, slope, bad_d = bad | b, slope * d, bad_d | b_d
+            got, got_d = m._fa(x, n), m._fda(x, n)
+        assert [v.tobytes() for v in got] == [y.tobytes(), bad.tobytes()]
+        assert [v.tobytes() for v in got_d] == [yd.tobytes(), slope.tobytes(), bad_d.tobytes()]
+
+    def test_power_rule_lowers_the_first_and_zeroth_powers(self, monkeypatch):
+        # n u^(n-1) u' takes u for pow(u, 1) and 1.0 for pow(u, 0), which
+        # pow returns for every u, so f' keeps its bits and calls pow only
+        # for the value u^n.
+        exponents = []
+        vpow = dfclab.maps._CODE_GLOBALS["vpow"]
+        monkeypatch.setitem(dfclab.maps._CODE_GLOBALS, "vpow",
+                            lambda x, n: exponents.append(n) or vpow(x, n))
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.5, -3.0, 1e308, -1e308,
+                 math.inf, -math.inf, math.nan]
+        for source, n, u, du in (("x^2", 2, lambda x: x, 1.0), ("x^1", 1, lambda x: x, 1.0),
+                                 ("(-x)^2", 2, lambda x: -x, -1.0),
+                                 ("(-x)^1", 1, lambda x: -x, -1.0)):
+            exponents.clear()
+            _, derivs, _ = eval_map_deriv_array(parse_map(source), edges)
+            want = [n * math.pow(u(x), n - 1) * du for x in edges]
+            assert [d.hex() for d in derivs.tolist()] == [w.hex() for w in want], source
+            assert exponents == [n], source
