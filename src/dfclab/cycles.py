@@ -9,21 +9,21 @@ deduplicated with each orbit anchored at its smallest point. Near-tangent
 cycles (multiplier close to +1) can slip through a sign-change scan; a
 denser grid is the mitigation.
 
-Every stage runs on arrays, and every map evaluation is one call of the
-map's compiled n-fold array forms (``_compose``), bit-identical to n calls
-of ``eval_map_array`` or ``eval_map_deriv_array`` and so to ``eval_map``:
-f^T for the scan; f for the minimal-period filter and each root's orbit;
-f^T and (f^T)' in one call per refinement pass, at one probe per live
-bracket, and per Newton step of the polish of every anchor in lockstep; f
-and f' for the closure check and the multipliers. One error policy holds
-throughout: a point whose f^T raises a map error is skipped, be it a grid
-node, a refinement probe (its bracket is dropped) or a root whose orbit
-cannot be evaluated. A bracket that straddles a pole of f^T rather than a
-root is dropped before the polish. A candidate whose polished orbit has a
-lower period (Newton can land on one) or does not close to
-``CLOSURE_RTOL`` is skipped. ``newton_brackets`` takes any g that gives its
-slope with its value; ``stability`` refines the contacts of the stability
-boundary with it too.
+Every stage runs on arrays, and every map evaluation is one call of
+``maps.compose_map_array``, the map's compiled n-fold array forms,
+bit-identical to n calls of ``eval_map_array`` or ``eval_map_deriv_array``
+and so to ``eval_map``: f^T for the scan; f for the minimal-period filter
+and each root's orbit; f^T and (f^T)' in one call per refinement pass, at
+one probe per live bracket, and per Newton step of the polish of every
+anchor in lockstep; f and f' for the closure check and the multipliers.
+One error policy holds throughout: a point whose f^T raises a map error is
+skipped, be it a grid node, a refinement probe (its bracket is dropped) or
+a root whose orbit cannot be evaluated. A bracket that straddles a pole of
+f^T rather than a root is dropped before the polish. A candidate whose
+polished orbit has a lower period (Newton can land on one) or does not
+close to ``CLOSURE_RTOL`` is skipped. ``newton_brackets`` takes any g that
+gives its slope with its value; ``stability`` refines the contacts of the
+stability boundary with it too.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import MapOverflowError, MapSpec, eval_map
+from .maps import MapOverflowError, MapSpec, compose_map_array, eval_map
 
 __all__ = [
     "Cycle",
@@ -80,17 +80,9 @@ class Cycle:
         return min(abs(x - p) for p in self.points)
 
 
-def _compose(m: MapSpec, x: np.ndarray, n: int, deriv: bool = False):
-    """f^n over a float array x, with (f^n)' when ``deriv``, and the mask of
-    the points where f (or f') errs at some step: one call of the map's
-    compiled n-fold array form. Every map evaluation here goes through it."""
-    with np.errstate(all="ignore"):  # an error's values are unspecified
-        return (m._fda if deriv else m._fa)(x, n)
-
-
 def _iterate_array(m: MapSpec, x: np.ndarray, n: int) -> np.ndarray:
     """f^n over an array, NaN where an evaluation raises."""
-    x, bad = _compose(m, x, n)
+    x, bad = compose_map_array(m, x, n)
     x[bad] = np.nan
     return x
 
@@ -213,7 +205,7 @@ def _multipliers(m: MapSpec, orbits: np.ndarray, tol: float):
     """f' at every point of orbits (one orbit per column), the mask of the
     columns where f or f' errs, and the mask of the columns with a gap
     |f(x_j) - x_(j+1 mod T)| above tol * (1 + |x_j|)."""
-    fx, mus, bad = _compose(m, orbits, 1, deriv=True)
+    fx, mus, bad = compose_map_array(m, orbits, 1, deriv=True)
     nxt = orbits[(np.arange(len(orbits)) + 1) % len(orbits)]
     gap = np.abs(fx - nxt) > tol * (1.0 + np.abs(orbits))
     return mus, bad.any(axis=0), gap.any(axis=0)
@@ -224,7 +216,7 @@ def _orbit_g(m: MapSpec, T: int):
     where f or f' errs along the orbit), one T-fold composition of f and f'."""
 
     def g(x):
-        gx, slope, err = _compose(m, x, T, deriv=True)
+        gx, slope, err = compose_map_array(m, x, T, deriv=True)
         return gx - x, slope - 1.0, err
 
     return g

@@ -16,8 +16,12 @@ the straight-line code of one step of f:
   and (f^n)' the product of f' along the orbit.
 
 The array forms loop over that step n times in one call, so a T-fold
-composition pays the call's fixed cost once; ``cycles`` composes f^T with
-them. For every n they equal n successive calls at n = 1 bit for bit.
+composition pays the call's fixed cost once. For every n they equal n
+successive calls at n = 1 bit for bit. ``compose_map_array`` calls them
+under ``np.errstate(all="ignore")``; ``eval_map_array``,
+``eval_map_deriv_array`` and ``cycles`` go through it. Only the step loop
+of ``basin_fraction`` calls the one-step form directly, inside its own
+``np.errstate``.
 
 The array forms equal ``eval_map`` bit for bit wherever their mask is clear.
 ``+ - * /`` and ``abs`` are correctly rounded IEEE operations in numpy as in
@@ -55,6 +59,7 @@ __all__ = [
     "eval_map_deriv",
     "eval_map_array",
     "eval_map_deriv_array",
+    "compose_map_array",
     "format_ast",
     "BUILTIN_MAPS",
 ]
@@ -676,9 +681,7 @@ def eval_map_array(m: MapSpec, x) -> tuple[np.ndarray, np.ndarray]:
     sin or cos, and a non-finite result. Elsewhere ``values`` equals
     eval_map bit for bit; on bad elements it is unspecified.
     """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        return m._fa(x, 1)
+    return compose_map_array(m, np.asarray(x, dtype=float), 1)
 
 
 def eval_map_deriv_array(m: MapSpec, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -689,6 +692,18 @@ def eval_map_deriv_array(m: MapSpec, x) -> tuple[np.ndarray, np.ndarray, np.ndar
     ``derivatives`` is f' by forward-mode differentiation; on bad elements
     both are unspecified.
     """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        return m._fda(x, 1)
+    return compose_map_array(m, np.asarray(x, dtype=float), 1, deriv=True)
+
+
+def compose_map_array(m: MapSpec, x: np.ndarray, n: int, deriv: bool = False):
+    """f^n over a float ndarray x: ``(values, bad)``, or with ``deriv``
+    ``(values, derivatives, bad)`` with (f^n)' = f'(x_0) f'(x_1) ...
+
+    One call of the map's compiled n-fold array form, equal bit for bit to n
+    successive calls of eval_map_array (or eval_map_deriv_array, whose
+    derivatives multiply left to right from 1.0). ``bad`` marks the
+    elements on which some step raises in eval_map (or eval_map_deriv).
+    x is taken as it is, not converted.
+    """
+    with np.errstate(all="ignore"):  # an error's values are unspecified
+        return (m._fda if deriv else m._fa)(x, n)

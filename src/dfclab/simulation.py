@@ -26,17 +26,19 @@ on floating-point orbits of periods 1 to 7 and stop after 130-1,027 steps,
 computing 4,506 of the 47,000 steps asked for.
 
 ``basin_fraction`` runs all its samples as one array, one call of the
-map's compiled one-step array form per step, inside one ``np.errstate``;
-a sample leaves the array at the step where f errs or its sum is not
-finite. It does not stop early: in each benchmark basin job (seed 7) 11-28
-of the 64 samples do not recur within the 500 steps, so the array runs to
-the end, and at 64 columns its per-step cost is fixed overhead that
-dropping the recurred columns would not cut. Only the recursion of
-``simulate`` is scalar: the convergence test is one array pass, every
-state's distance to the orbit as min |x - p| over the orbit's points (the
-IEEE subtraction and abs of ``Cycle.distance_to``, so the distances are the
-same), and ``simulate_nearest`` ranks its candidates from those same
-distances.
+map's compiled one-step array form per step, inside one ``np.errstate``:
+it calls ``m._fa(x, 1)`` directly rather than through
+``maps.compose_map_array``, whose own ``np.errstate`` would cost 3% of a
+benchmark ``dynamics`` round; a sample leaves the array at the step where
+f errs or its sum is not finite. It does not stop early: in each benchmark
+basin job (seed 7) 11-28 of the 64 samples do not recur within the 500
+steps, so the array runs to the end, and at 64 columns its per-step cost
+is fixed overhead that dropping the recurred columns would not cut. Only
+the recursion of ``simulate`` is scalar: the convergence test is one array
+pass, every state's distance to the orbit as min |x - p| over the orbit's
+points (the IEEE subtraction and abs of ``Cycle.distance_to``, so the
+distances are the same), and ``simulate_nearest`` ranks its candidates
+from those same distances.
 """
 
 from __future__ import annotations

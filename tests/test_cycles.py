@@ -211,7 +211,7 @@ class TestValidation:
         def broken(m, x, n, deriv=False):
             raise TypeError("broken evaluator")
 
-        monkeypatch.setattr("dfclab.cycles._compose", broken)
+        monkeypatch.setattr("dfclab.cycles.compose_map_array", broken)
         with pytest.raises(TypeError, match="broken evaluator"):
             find_cycles(parse_map("logistic:r=4"), 1, 1000)
 
@@ -392,40 +392,38 @@ def g_of(m, T):
     return lambda x: _iterate_array(m, np.asarray(x, dtype=float), T) - x
 
 
-def probes_of(monkeypatch):
+def spy_compose(monkeypatch) -> list:
+    """(x, n, deriv) of every call of the compiled array forms from
+    dfclab.cycles, x copied as it went in."""
+    calls = []
+    real = dfclab.cycles.compose_map_array
+
+    def spy(m, x, n, deriv=False):
+        calls.append((np.array(x, dtype=float), n, deriv))
+        return real(m, x, n, deriv)
+
+    monkeypatch.setattr(dfclab.cycles, "compose_map_array", spy)
+    return calls
+
+
+def probes_of(calls) -> list:
     """The probes of each pass of newton_brackets at T = 1: the argument of
     every call of the compiled (f, f') form."""
-    calls = []
-    real = dfclab.cycles._compose
-
-    def spy(m, x, n, deriv=False):
-        if deriv:
-            calls.append(np.array(x, dtype=float))
-        return real(m, x, n, deriv)
-
-    monkeypatch.setattr(dfclab.cycles, "_compose", spy)
-    return calls
+    return [x for x, _, deriv in calls if deriv]
 
 
-def count_compositions(monkeypatch) -> list:
-    """(n, deriv) of every call of the compiled array forms from dfclab.cycles."""
-    calls = []
-    real = dfclab.cycles._compose
-
-    def spy(m, x, n, deriv=False):
-        calls.append((n, deriv))
-        return real(m, x, n, deriv)
-
-    monkeypatch.setattr(dfclab.cycles, "_compose", spy)
-    return calls
+def f_steps(calls) -> int:
+    """The array calls of f or (f, f') that the calls stand for, one per
+    step of f: an n-fold composition counts n."""
+    return sum(n for _, n, _ in calls)
 
 
 class TestNewtonBrackets:
     def test_exact_zero_ends_at_the_probe(self, monkeypatch):
-        probes = probes_of(monkeypatch)
+        calls = spy_compose(monkeypatch)
         m = parse_map("2*x - 0.5")  # g = x - 0.5, 0.0 at the first probe
         got = newton_brackets(_orbit_g(m, 1), [0.0], [1.0], [-0.5], [0.5], BRACKET_WIDTH)
-        assert got.tolist() == [0.5] and len(probes) == 1
+        assert got.tolist() == [0.5] and len(probes_of(calls)) == 1
 
     def test_an_erring_probe_drops_only_its_bracket(self):
         # g = 1/x - sign(x)/2 - x: the first probe of [-1, 1] is the pole.
@@ -471,9 +469,9 @@ class TestNewtonBrackets:
         # midpoint probe follows.
         m = parse_map("x + (x - 0.3)^3")
         g = g_of(m, 1)
-        calls = probes_of(monkeypatch)
+        calls = spy_compose(monkeypatch)
         got = newton_brackets(_orbit_g(m, 1), [a], [b], g([a]), g([b]), BRACKET_WIDTH)
-        probes = [float(x[0]) for x in calls]
+        probes = [float(x[0]) for x in probes_of(calls)]
         assert len(probes) <= math.ceil(math.log2((b - a) / BRACKET_WIDTH))
         assert abs(got[0] - 0.3) <= 1e-5 and (g(got)[0] == 0.0 or len(probes) > 1)
         lo, hi, midpoints = a, b, 0
@@ -495,21 +493,21 @@ class TestNewtonBrackets:
     def test_pole_brackets_are_dropped_before_the_polish(self, monkeypatch):
         # 37 of the 75 grid brackets straddle a pole of f^6. Refined and then
         # polished as if they were roots, they took 335 array calls.
-        calls = count_compositions(monkeypatch)
+        calls = spy_compose(monkeypatch)
         cycles = find_cycles(parse_map("0.3/x - 1.6*x", domain=(-1.0, 1.0)), 6)
-        assert len(cycles) == 8 and len(calls) <= 240
+        assert len(cycles) == 8 and f_steps(calls) <= 240
 
     def test_logistic_period_nine_takes_at_most_200_array_calls(self, monkeypatch):
         # Bisection to a 1e-12 bracket, a Newton polish of its ends and the
         # re-evaluation of both took 512 (313 f, 199 f and f').
-        calls = count_compositions(monkeypatch)
+        calls = spy_compose(monkeypatch)
         cycles = find_cycles(parse_map("logistic:r=4"), 9)
-        assert len(cycles) == 56 and len(calls) <= 200
+        assert len(cycles) == 56 and f_steps(calls) <= 200
 
     def test_one_call_per_refinement_pass_and_polish_step(self, monkeypatch):
         # Each g call of newton_brackets and of the polish composes f^9 and
         # its slope in one call of the compiled form, not nine.
-        calls, per_g = count_compositions(monkeypatch), []
+        calls, per_g = spy_compose(monkeypatch), []
         real = dfclab.cycles._orbit_g
 
         def orbit_g(m, T):
@@ -518,7 +516,7 @@ class TestNewtonBrackets:
             def counted(x):
                 before = len(calls)
                 out = g(x)
-                per_g.append(calls[before:])
+                per_g.append([(n, deriv) for _, n, deriv in calls[before:]])
                 return out
 
             return counted

@@ -21,6 +21,7 @@ from dfclab.maps import (
     Num,
     Pow,
     Var,
+    compose_map_array,
     eval_map,
     eval_map_array,
     eval_map_deriv,
@@ -412,7 +413,7 @@ class TestArrayForm:
                 y, b = eval_map_array(m, y)
                 yd, d, b_d = eval_map_deriv_array(m, yd)
                 bad, slope, bad_d = bad | b, slope * d, bad_d | b_d
-            got, got_d = m._fa(x, n), m._fda(x, n)
+            got, got_d = compose_map_array(m, x, n), compose_map_array(m, x, n, deriv=True)
         assert [v.tobytes() for v in got] == [y.tobytes(), bad.tobytes()]
         assert [v.tobytes() for v in got_d] == [yd.tobytes(), slope.tobytes(), bad_d.tobytes()]
 
