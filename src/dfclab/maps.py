@@ -23,6 +23,15 @@ under ``np.errstate(all="ignore")``; ``eval_map_array``,
 of ``basin_fraction`` calls the one-step form directly, inside its own
 ``np.errstate``.
 
+A step of an array form makes few numpy calls, since on small arrays each
+call costs about as much as its arithmetic. It keeps one running mask of
+the good elements, and'ed with ``isfinite`` of each value it checks and
+inverted once at return, and assigns its value and derivative as it made
+them wherever they depend on x. Only the bare x and a value or derivative
+free of x are copied into a new array (``fresh``), so no form returns its
+input. The derivative rules multiply in no factor that is exactly 1.0 (the
+derivative of x, or u^0 in the power rule), since y * 1.0 is y.
+
 The array forms equal ``eval_map`` bit for bit wherever their mask is clear.
 ``+ - * /`` and ``abs`` are correctly rounded IEEE operations in numpy as in
 Python. ``^``, exp, tanh, sin and cos are not: the scalar form gets them
@@ -192,9 +201,7 @@ def _elementwise(fn: Callable) -> Callable:
 
 
 def _fresh(v, x):
-    """The root value v as a new float array of x's shape (v may be x or a constant)."""
-    if isinstance(v, np.ndarray) and v.shape == x.shape and v is not x:
-        return v
+    """v, which is x or free of x, as a new float array of x's shape."""
     return np.full(x.shape, v, dtype=float)
 
 
@@ -219,64 +226,85 @@ _CODE_GLOBALS = {
     "fresh": _fresh,
 }
 
-# Forward-mode rules for the derivative of a node: {v} is the node's value,
-# {a}/{ad} the argument's value and derivative, {g} the named libm call on
-# {a}, {l}/{ld} and {r}/{rd} those of the operands, with "0.0" for the
+# Forward-mode rules for the derivative of a node: the chain rule multiplies
+# each function's derivative at {a} by the argument's derivative. {v} is the
+# node's value, {a} the argument's value and {g} the named libm call on {a};
+# l/ld and r/rd are the operands' values and derivatives, with "0.0" for the
 # derivative of an operand free of x.
 _CALL_DERIVS = {
-    "sin": ("cos", "{g} * {ad}"),
-    "cos": ("sin", "-{g} * {ad}"),
-    "exp": (None, "{v} * {ad}"),
-    "tanh": (None, "(1.0 - {v} * {v}) * {ad}"),
+    "sin": ("cos", "{g}"),
+    "cos": ("sin", "-{g}"),
+    "exp": (None, "{v}"),
+    "tanh": (None, "(1.0 - {v} * {v})"),
     # At 0 the right-hand derivative (+1) is used, by convention.
-    "abs": (None, "where({a} >= 0.0, 1.0, -1.0) * {ad}"),
+    "abs": (None, "where({a} >= 0.0, 1.0, -1.0)"),
 }
 _BIN_DERIVS = {
-    "+": "{ld} + {rd}",
-    "-": "{ld} - {rd}",
-    "*": "{l} * {rd} + {ld} * {r}",
-    "/": "divide({ld} * {r} - {l} * {rd}, {r} * {r})",
+    "+": lambda l, r, ld, rd: f"{ld} + {rd}",
+    "-": lambda l, r, ld, rd: f"{ld} - {rd}",
+    "*": lambda l, r, ld, rd: f"{_times(l, rd)} + {_times(ld, r)}",
+    "/": lambda l, r, ld, rd: f"divide({_times(ld, r)} - {_times(l, rd)}, {r} * {r})",
 }
 
 
-def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
-    """Return the source of the function ``form`` computing ast, one line per node.
+def _times(a: str, b: str) -> str:
+    """a * b, or the other factor where one is 1.0: y * 1.0 is y exactly."""
+    return b if a == "1.0" else a if b == "1.0" else f"{a} * {b}"
 
-    ``form`` is "f" for ``f(x)`` at a float x. The array forms take an array
-    x and a step count n >= 1 and run the lines of one step of f n times:
-    "fa" gives ``fa(x, n) -> (f^n(x), bad)``, with the mask of the elements
-    on which some step of f raises, and "fda" gives
+
+def _lower(ast: Node, params: dict, ns: dict, bound: dict, array: bool) -> str:
+    """Return the source of ``f(x)`` computing ast at a float x, one line per
+    node, or with ``array`` the source of the two array forms.
+
+    The array forms take an array x and a step count n >= 1 and run the
+    lines of one step of f n times: ``fa(x, n) -> (f^n(x), bad)``, with the
+    mask of the elements on which some step of f raises, and
     ``fda(x, n) -> (f^n(x), (f^n)'(x), bad)``, with the mask of the elements
     on which f or f' is not finite at some step. (f^n)' is the product
     1.0 * f'(x_0) * f'(x_1) * ... along the orbit, taken left to right. So
     the array forms equal n successive calls at n = 1 bit for bit, their
     masks or'ed. Each node yields the names of its value and derivative. The
     derivative is None for a node that does not depend on x: it enters the
-    rules above as a constant with derivative 0.0; outside "fda" no node has
-    one. The array forms spell f's operations with the same rounding, and
-    or into ``bad`` where the scalar form raises: a zero divisor, or a
-    math-module call that raises. A parameter named like the variable
-    shadows it; any other name must be a parameter. Constants are bound in
-    ``ns``; ``bound`` keeps their names.
+    rules above as a constant with derivative 0.0; in ``f`` no node has one.
+    One walk of the AST emits the step of ``fda``; the step of ``fa`` is its
+    lines less those only the derivative needs. The array forms spell f's
+    operations with the same rounding and keep a running mask ``good``,
+    inverted once at return: it starts as the finite inputs and is and'ed
+    with the finite values of each step, the nonzero divisors and the
+    elements where no math-module call raised. A step's value and
+    derivative are arrays of x's shape that the step made, and are assigned
+    as they are, wherever they depend on x; the lowering tracks which names
+    do as it emits them. ``fresh`` copies the others into a new array: the
+    bare x, and a value or derivative free of x. A parameter named like the
+    variable shadows it; any other name must be a parameter. Constants are
+    bound in ``ns``; ``bound`` keeps their names.
     """
-    lines: list[str] = []
-    dx = "1.0" if form == "fda" else None
-    array = form != "f"
+    lines: list[str] = []  # the step of fda, or of f
+    values: list[str] = []  # the step of fa: the lines f's value needs
+    dx = "1.0" if array else None
+    shaped = {"x"}  # the names of arrays of x's shape: x and what depends on it
 
-    def let(expr: str) -> str:
+    def emit(line: str, deriv: bool) -> None:
+        lines.append(line)
+        if not deriv:
+            values.append(line)
+
+    def let(expr: str, *args, deriv: bool = False) -> str:
+        # args are the names expr reads: it has x's shape if one of them has.
         name = f"t{len(lines)}"
-        lines.append(f"{name} = {expr}")
+        emit(f"{name} = {expr}", deriv)
+        if not shaped.isdisjoint(args):
+            shaped.add(name)
         return name
 
-    def flag(cond: str) -> None:
-        lines.append(f"bad |= {cond}")
-
-    def libm(func: str, *args) -> str:
+    def libm(func: str, *args, deriv: bool = False) -> str:
         if not array:
             return let(f"{func}({', '.join(map(str, args))})")
         v = f"t{len(lines)}"
-        lines.append(f"{v}, raised = v{func}({', '.join(map(str, args))})")
-        lines.append("if raised is not None: bad |= raised")
+        emit(f"{v}, raised = v{func}({', '.join(map(str, args))})", deriv)
+        emit("if raised is not None: good &= ~raised", deriv)
+        if args[0] in shaped:
+            shaped.add(v)
         return v
 
     def const(key, value) -> str:
@@ -296,38 +324,43 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
             return "x", dx
         if isinstance(node, Neg):
             v, d = walk(node.operand)
-            return let(f"-{v}"), None if d is None else let(f"-{d}")
+            return let(f"-{v}", v), None if d is None else let(f"-{d}", d, deriv=True)
         if isinstance(node, Call):
             a, ad = walk(node.arg)
-            v = let(f"abs({a})") if node.func == "abs" else libm(node.func, a)
+            v = let(f"abs({a})", a) if node.func == "abs" else libm(node.func, a)
             if ad is None:
                 return v, None
             g, rule = _CALL_DERIVS[node.func]
-            g = libm(g, a) if g else None
-            return v, let(rule.format(a=a, ad=ad, v=v, g=g))
+            g = libm(g, a, deriv=True) if g else None
+            d = _times(rule.format(a=a, v=v, g=g), ad)
+            return v, d if d in (g, v) else let(d, a, deriv=True)  # g or v needs no line
         if isinstance(node, Pow):
             b, bd = walk(node.base)
             n = node.exponent
-            v = libm("pow", b, n) if array else let(f"{b} ** {n}")
+            v = libm("pow", b, n) if array else let(f"{b} ** {n}", b)
             if bd is None:
                 return v, None
             if n == 0:  # u^-1 would raise at u = 0
                 return v, "0.0"
-            # pow(u, 1) is u and pow(u, 0) is 1.0 exactly, for every u.
-            u = b if n == 2 else "1.0" if n == 1 else libm("pow", b, n - 1)
-            return v, let(f"{n} * {u} * {bd}")
+            if n == 1:  # 1 * pow(u, 0) * u' is u' exactly, for every u
+                return v, bd
+            # pow(u, 1) is u exactly, for every u.
+            u = b if n == 2 else libm("pow", b, n - 1, deriv=True)
+            return v, let(_times(f"{n} * {u}", bd), u, bd, deriv=True)
         if isinstance(node, Bin):
             l, ld = walk(node.left)
             r, rd = walk(node.right)
             if array and node.op == "/":
-                v = let(f"divide({l}, {r})")
-                flag(f"{r} == 0.0")
+                v = let(f"divide({l}, {r})", l, r)
+                emit(f"good &= {r} != 0.0", False)
             else:
-                v = let(f"{l} {node.op} {r}")
+                v = let(f"{l} {node.op} {r}", l, r)
             if ld is None and rd is None:
                 return v, None
-            rule = _BIN_DERIVS[node.op]
-            return v, let(rule.format(l=l, r=r, ld=ld or "0.0", rd=rd or "0.0"))
+            ld, rd = ld or "0.0", rd or "0.0"
+            # The sum rules read only ld and rd, the others l and r too.
+            args = (ld, rd) if node.op in "+-" else (l, r)
+            return v, let(_BIN_DERIVS[node.op](l, r, ld, rd), *args, deriv=True)
         raise TypeError(f"unknown AST node {node!r}")
 
     unbound: set[str] = set()
@@ -338,15 +371,23 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
         )
     if not array:
         return "def f(x):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {v}\n"
-    head, ret = ["bad = ~isfinite(x)"], "x, bad"
-    if dx is not None:
-        d = let(f"fresh({d or '0.0'}, x)")
-        head.append("slope = 1.0")
-        lines += [f"bad |= ~isfinite({d})", f"slope = slope * {d}"]
-        ret = "x, slope, bad"
-    lines += [f"x = fresh({v}, x)", "bad |= ~isfinite(x)"]
-    return (f"def {form}(x, n):\n" + "".join(f"    {line}\n" for line in head)
-            + "    for _ in range(n):\n" + "".join(f"        {line}\n" for line in lines)
+    d = d or "0.0"
+    if d not in shaped:
+        d = let(f"fresh({d}, x)", deriv=True)
+    if v == "x" or v not in shaped:
+        v = f"fresh({v}, x)"
+    tail = [f"x = {v}", "good &= isfinite(x)"]
+    return (_loop("fa", [], values + tail, "x, ~good")
+            + _loop("fda", ["slope = 1.0"],
+                    lines + [f"good &= isfinite({d})", f"slope = slope * {d}"] + tail,
+                    "x, slope, ~good"))
+
+
+def _loop(form: str, head: list[str], step: list[str], ret: str) -> str:
+    """The source of ``form(x, n)``, which runs the lines of ``step`` n times."""
+    return (f"def {form}(x, n):\n    good = isfinite(x)\n"
+            + "".join(f"    {line}\n" for line in head)
+            + "    for _ in range(n):\n" + "".join(f"        {line}\n" for line in step)
             + f"    return {ret}\n")
 
 
@@ -360,10 +401,9 @@ def _compile(ast: Node, params: dict) -> tuple[Callable, Callable, Callable]:
     """
     ns = dict(_CODE_GLOBALS)
     bound: dict = {}
-    forms = ("f", "fa", "fda")
-    src = "".join(_lower(ast, params, ns, bound, form) for form in forms)
+    src = _lower(ast, params, ns, bound, False) + _lower(ast, params, ns, bound, True)
     exec(_code(src), ns)
-    return tuple(ns.pop(form) for form in forms)
+    return tuple(ns.pop(form) for form in ("f", "fa", "fda"))
 
 
 @functools.lru_cache(maxsize=256)

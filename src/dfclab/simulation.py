@@ -28,17 +28,22 @@ computing 4,506 of the 47,000 steps asked for.
 ``basin_fraction`` runs all its samples as one array, one call of the
 map's compiled one-step array form per step, inside one ``np.errstate``:
 it calls ``m._fa(x, 1)`` directly rather than through
-``maps.compose_map_array``, whose own ``np.errstate`` would cost 3% of a
-benchmark ``dynamics`` round; a sample leaves the array at the step where
-f errs or its sum is not finite. It does not stop early: in each benchmark
-basin job (seed 7) 11-28 of the 64 samples do not recur within the 500
-steps, so the array runs to the end, and at 64 columns its per-step cost
-is fixed overhead that dropping the recurred columns would not cut. Only
-the recursion of ``simulate`` is scalar: the convergence test is one array
-pass, every state's distance to the orbit as min |x - p| over the orbit's
-points (the IEEE subtraction and abs of ``Cycle.distance_to``, so the
-distances are the same), and ``simulate_nearest`` ranks its candidates
-from those same distances.
+``maps.compose_map_array``, whose own ``np.errstate`` (2 us per enter
+and exit, ``timeit``) would add about 1 ms to each 500-step basin job. A
+sample leaves the array at the step where that call's mask flags it:
+where f errs, and where the state is not finite, since the mask covers
+the input. So a sum that is not finite drops its sample one step later,
+and one the last step leaves in the final window fails the tol test
+there, as a diverged run is not converged in ``simulate``. It does not
+stop early: in each benchmark basin job (seed 7) 11-28 of the 64 samples
+do not recur within the 500 steps, so the array runs to the end, and at
+64 columns its per-step cost is fixed overhead that dropping the
+recurred columns would not cut. Only the recursion of ``simulate`` is
+scalar: the convergence test is one array pass, every state's distance
+to the orbit as min |x - p| over the orbit's points (the IEEE
+subtraction and abs of ``Cycle.distance_to``, so the distances are the
+same), and ``simulate_nearest`` ranks its candidates from those same
+distances.
 """
 
 from __future__ import annotations
@@ -263,18 +268,21 @@ def basin_fraction(
     fx = np.repeat(f0[None, ~bad], M, axis=0)
     window = np.empty((10 * T, fx.shape[1]))  # the final 10T states
     first = M + steps - 10 * T  # index of the first state in the window
-    bad = False  # the samples whose last f erred
     with np.errstate(all="ignore"):  # an erring f or a non-finite sum diverges
         for k in range(M - 1, M - 1 + steps):
             if k >= M:
+                # f's mask covers a non-finite state, so it drops a sample
+                # whose last sum was not finite too.
                 fx[k % M], bad = m._fa(x, 1)
+                if bad.any():
+                    keep = ~bad
+                    fx, window = fx[:, keep], window[:, keep]
             x = 0.0
             for j, c in enumerate(a.coeffs):
                 x = x + c * fx[(k - j * T) % M]
-            out = ~np.isfinite(x) | bad
-            if out.any():
-                x, fx, window = x[~out], fx[:, ~out], window[:, ~out]
             if k + 1 >= first:
                 window[k + 1 - first] = x
-    hits = int(np.count_nonzero(np.all(_distances(window, target) <= tol, axis=0)))
+        # A non-finite state the last step left in the window is no hit:
+        # its distance to the orbit is not <= tol.
+        hits = int(np.count_nonzero(np.all(_distances(window, target) <= tol, axis=0)))
     return hits / samples

@@ -913,6 +913,13 @@ print(counts)
         assert counts[1] > 0
         assert counts[1:] == [counts[1]] * 12
 
+    def test_package_runs_as_a_module(self, capsys):
+        # python -m dfclab is the dfclab command, as python -m dfclab.cli is.
+        argv = ["stability", "--N", "2", "--T", "1", "--mu", "-1"]
+        proc = subprocess.run([sys.executable, "-m", "dfclab", *argv], capture_output=True,
+                              text=True, env=env_with_src(), timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+
     def test_build_parser_returns_a_new_parser(self):
         assert build_parser() is not build_parser()
 

@@ -1,5 +1,6 @@
 """Tests for map parsing, evaluation, and forward-mode derivatives."""
 
+import collections
 import math
 import warnings
 
@@ -384,14 +385,6 @@ class TestArrayForm:
             assert not bad.any()
             assert values.tolist() == [eval_map(m, x) for x in xs.tolist()]
 
-    def test_root_is_a_new_array(self):
-        xs = np.array([0.25, 0.5])
-        for source, want in (("x", [0.25, 0.5]), ("2", [2.0, 2.0])):
-            values, bad = eval_map_array(parse_map(source), xs)
-            assert values is not xs and values.tolist() == want
-            values[0] = 9.0
-            assert xs.tolist() == [0.25, 0.5]
-
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
         ast=ASTS,
@@ -435,3 +428,44 @@ class TestArrayForm:
             want = [n * math.pow(u(x), n - 1) * du for x in edges]
             assert [d.hex() for d in derivs.tolist()] == [w.hex() for w in want], source
             assert exponents == [n], source
+
+    @pytest.mark.parametrize("source", ["x", "2.0", "x + 1", "-x", "abs(x)", "x^1", "x^0"])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("shape", [(4,), (2, 2)])
+    def test_forms_never_return_their_input(self, source, n, shape):
+        # A step assigns what depends on x as it is and copies the rest: the
+        # bare x and what is free of x. Either way every array is new.
+        m = parse_map(source)
+        x = np.array([0.25, -0.5, 1.5, -0.0]).reshape(shape)
+        before, want = x.tobytes(), x.ravel().tolist()
+        for _ in range(n):
+            want = [eval_map(m, v) for v in want]
+        for deriv in (False, True):
+            outs = compose_map_array(m, x, n, deriv=deriv)
+            assert outs[0].ravel().tolist() == want, (source, deriv)
+            for out in outs:
+                assert isinstance(out, np.ndarray) and out.shape == shape, (source, deriv)
+                assert not np.shares_memory(out, x), (source, deriv)
+                out[...] = 1
+                assert x.tobytes() == before, (source, deriv)
+
+    def test_fresh_is_called_only_for_values_free_of_x(self, monkeypatch):
+        # One isfinite per checked value per step and one for the input; no
+        # fresh where the step's value and derivative depend on x.
+        calls = collections.Counter()
+        for name in ("fresh", "isfinite"):
+            real = dfclab.maps._CODE_GLOBALS[name]
+            monkeypatch.setitem(dfclab.maps._CODE_GLOBALS, name,
+                                lambda *args, name=name, real=real: calls.update([name])
+                                or real(*args))
+        x = np.linspace(-0.5, 0.5, 5)
+        for source in ("logistic:r=3.9", "quadratic:c=-1.3", "cubic:b=2.8"):
+            m = parse_map(source)
+            for deriv, checks in ((False, 1 + 9), (True, 1 + 18)):
+                calls.clear()
+                compose_map_array(m, x, 9, deriv=deriv)
+                assert calls == {"isfinite": checks}, (source, deriv)
+        # The derivative of x + 1 is the constant 1.0: fresh makes it an array.
+        calls.clear()
+        compose_map_array(parse_map("x + 1"), x, 9, deriv=True)
+        assert calls == {"fresh": 9, "isfinite": 1 + 18}

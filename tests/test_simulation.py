@@ -341,6 +341,38 @@ class TestBasinFractionIsTheShareOfSimulations:
         assert simulate(m, a, 1, [0.7, 0.7], 50, target).diverged
         assert basin_fraction(m, a, 1, target, 10, 50) == 0.0
 
+    # (map, domain, gains, target, steps): custom gains whose controlled sum
+    # overflows while f stays finite.
+    # - 7.0e306 tanh(2 - 2|x|) is finite at +-inf, so a sample whose sum
+    #   overflows at step 2 (|x(0)| < about 0.6) is dropped only because
+    #   f's array form flags its non-finite input; the rest settle on the
+    #   fixed point -7.0e306 at step 3.
+    # - x + |x| is 0 left of 0 and 2x right of it, where the sum grows about
+    #   15-fold a step and overflows at step 263 or 264, inside the final
+    #   window; at 264 the non-finite state is left in the window.
+    # Each case ends with the steps at which its diverging runs first go
+    # non-finite.
+    OVERFLOW_CASES = [
+        (f"{1.25 * 2.0**1019!r}*tanh(2 - 2*abs(x))", (-1.5, 1.5), [16.0, -15.0],
+         Cycle(1, (-1.25 * 2.0**1019,), (0.0,), 0.0), 300, {2}),
+        ("x + abs(x)", (-1.5, 1.5), [8.0, -7.0], Cycle(1, (0.0,), (2.0,), 2.0), 264, {263, 264}),
+    ]
+
+    @pytest.mark.parametrize("source, domain, gains, target, steps, overflow", OVERFLOW_CASES,
+                             ids=["finite-at-inf", "in-the-window"])
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_sum_that_overflows_equals_per_sample_simulate(self, source, domain, gains,
+                                                           target, steps, overflow, seed):
+        m, a = parse_map(source, domain=domain), GainVector(gains)
+        draws = np.random.default_rng(seed).uniform(*m.domain, 40)
+        runs = [simulate(m, a, 1, [v] * 2, steps, target) for v in draws.tolist()]
+        # A diverged run holds the 2 states of its history and the steps
+        # before its first non-finite state.
+        assert {len(r.states) - 1 for r in runs if r.diverged} == overflow
+        assert any(r.converged for r in runs)
+        want = sum(r.converged for r in runs) / 40
+        assert basin_fraction(m, a, 1, target, 40, steps, seed=seed) == want
+
     def test_cases_cover_convergence_and_divergence(self):
         converged = diverged = 0
         for source, domain, T, N, index in BASIN_CASES:
