@@ -252,57 +252,50 @@ def _times(a: str, b: str) -> str:
     return b if a == "1.0" else a if b == "1.0" else f"{a} * {b}"
 
 
-def _lower(ast: Node, params: dict, ns: dict, bound: dict, array: bool) -> str:
-    """Return the source of ``f(x)`` computing ast at a float x, one line per
-    node, or with ``array`` the source of the two array forms.
+def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
+    """Return the source of the function ``form`` computing ast, one line per node.
 
-    The array forms take an array x and a step count n >= 1 and run the
-    lines of one step of f n times: ``fa(x, n) -> (f^n(x), bad)``, with the
-    mask of the elements on which some step of f raises, and
+    ``form`` is "f" for ``f(x)`` at a float x. The array forms take an array
+    x and a step count n >= 1 and run the lines of one step of f n times:
+    "fa" gives ``fa(x, n) -> (f^n(x), bad)``, with the mask of the elements
+    on which some step of f raises, and "fda" gives
     ``fda(x, n) -> (f^n(x), (f^n)'(x), bad)``, with the mask of the elements
     on which f or f' is not finite at some step. (f^n)' is the product
     1.0 * f'(x_0) * f'(x_1) * ... along the orbit, taken left to right. So
     the array forms equal n successive calls at n = 1 bit for bit, their
     masks or'ed. Each node yields the names of its value and derivative. The
     derivative is None for a node that does not depend on x: it enters the
-    rules above as a constant with derivative 0.0; in ``f`` no node has one.
-    One walk of the AST emits the step of ``fda``; the step of ``fa`` is its
-    lines less those only the derivative needs. The array forms spell f's
-    operations with the same rounding and keep a running mask ``good``,
-    inverted once at return: it starts as the finite inputs and is and'ed
-    with the finite values of each step, the nonzero divisors and the
-    elements where no math-module call raised. A step's value and
-    derivative are arrays of x's shape that the step made, and are assigned
-    as they are, wherever they depend on x; the lowering tracks which names
-    do as it emits them. ``fresh`` copies the others into a new array: the
-    bare x, and a value or derivative free of x. A parameter named like the
-    variable shadows it; any other name must be a parameter. Constants are
-    bound in ``ns``; ``bound`` keeps their names.
+    rules above as a constant with derivative 0.0; outside "fda" no node has
+    one. The array forms spell f's operations with the same rounding and
+    keep a running mask ``good``, inverted once at return: it starts as the
+    finite inputs and is and'ed with the finite values of each step, the
+    nonzero divisors and the elements where no math-module call raised. A
+    step's value and derivative are arrays of x's shape that the step made,
+    and are assigned as they are, wherever they depend on x; the lowering
+    tracks which names do as it emits them. ``fresh`` copies the others into
+    a new array: the bare x, and a value or derivative free of x. A
+    parameter named like the variable shadows it; any other name must be a
+    parameter. Constants are bound in ``ns``; ``bound`` keeps their names.
     """
-    lines: list[str] = []  # the step of fda, or of f
-    values: list[str] = []  # the step of fa: the lines f's value needs
-    dx = "1.0" if array else None
+    lines: list[str] = []
+    dx = "1.0" if form == "fda" else None
+    array = form != "f"
     shaped = {"x"}  # the names of arrays of x's shape: x and what depends on it
 
-    def emit(line: str, deriv: bool) -> None:
-        lines.append(line)
-        if not deriv:
-            values.append(line)
-
-    def let(expr: str, *args, deriv: bool = False) -> str:
+    def let(expr: str, *args) -> str:
         # args are the names expr reads: it has x's shape if one of them has.
         name = f"t{len(lines)}"
-        emit(f"{name} = {expr}", deriv)
+        lines.append(f"{name} = {expr}")
         if not shaped.isdisjoint(args):
             shaped.add(name)
         return name
 
-    def libm(func: str, *args, deriv: bool = False) -> str:
+    def libm(func: str, *args) -> str:
         if not array:
             return let(f"{func}({', '.join(map(str, args))})")
         v = f"t{len(lines)}"
-        emit(f"{v}, raised = v{func}({', '.join(map(str, args))})", deriv)
-        emit("if raised is not None: good &= ~raised", deriv)
+        lines.append(f"{v}, raised = v{func}({', '.join(map(str, args))})")
+        lines.append("if raised is not None: good &= ~raised")
         if args[0] in shaped:
             shaped.add(v)
         return v
@@ -324,16 +317,16 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, array: bool) -> str:
             return "x", dx
         if isinstance(node, Neg):
             v, d = walk(node.operand)
-            return let(f"-{v}", v), None if d is None else let(f"-{d}", d, deriv=True)
+            return let(f"-{v}", v), None if d is None else let(f"-{d}", d)
         if isinstance(node, Call):
             a, ad = walk(node.arg)
             v = let(f"abs({a})", a) if node.func == "abs" else libm(node.func, a)
             if ad is None:
                 return v, None
             g, rule = _CALL_DERIVS[node.func]
-            g = libm(g, a, deriv=True) if g else None
+            g = libm(g, a) if g else None
             d = _times(rule.format(a=a, v=v, g=g), ad)
-            return v, d if d in (g, v) else let(d, a, deriv=True)  # g or v needs no line
+            return v, d if d in (g, v) else let(d, a)  # g or v needs no line
         if isinstance(node, Pow):
             b, bd = walk(node.base)
             n = node.exponent
@@ -345,14 +338,14 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, array: bool) -> str:
             if n == 1:  # 1 * pow(u, 0) * u' is u' exactly, for every u
                 return v, bd
             # pow(u, 1) is u exactly, for every u.
-            u = b if n == 2 else libm("pow", b, n - 1, deriv=True)
-            return v, let(_times(f"{n} * {u}", bd), u, bd, deriv=True)
+            u = b if n == 2 else libm("pow", b, n - 1)
+            return v, let(_times(f"{n} * {u}", bd), u, bd)
         if isinstance(node, Bin):
             l, ld = walk(node.left)
             r, rd = walk(node.right)
             if array and node.op == "/":
                 v = let(f"divide({l}, {r})", l, r)
-                emit(f"good &= {r} != 0.0", False)
+                lines.append(f"good &= {r} != 0.0")
             else:
                 v = let(f"{l} {node.op} {r}", l, r)
             if ld is None and rd is None:
@@ -360,7 +353,7 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, array: bool) -> str:
             ld, rd = ld or "0.0", rd or "0.0"
             # The sum rules read only ld and rd, the others l and r too.
             args = (ld, rd) if node.op in "+-" else (l, r)
-            return v, let(_BIN_DERIVS[node.op](l, r, ld, rd), *args, deriv=True)
+            return v, let(_BIN_DERIVS[node.op](l, r, ld, rd), *args)
         raise TypeError(f"unknown AST node {node!r}")
 
     unbound: set[str] = set()
@@ -371,23 +364,19 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, array: bool) -> str:
         )
     if not array:
         return "def f(x):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {v}\n"
-    d = d or "0.0"
-    if d not in shaped:
-        d = let(f"fresh({d}, x)", deriv=True)
+    head, ret = ["good = isfinite(x)"], "x, ~good"
+    if dx is not None:
+        d = d or "0.0"
+        if d not in shaped:
+            d = let(f"fresh({d}, x)")
+        head.append("slope = 1.0")
+        lines += [f"good &= isfinite({d})", f"slope = slope * {d}"]
+        ret = "x, slope, ~good"
     if v == "x" or v not in shaped:
         v = f"fresh({v}, x)"
-    tail = [f"x = {v}", "good &= isfinite(x)"]
-    return (_loop("fa", [], values + tail, "x, ~good")
-            + _loop("fda", ["slope = 1.0"],
-                    lines + [f"good &= isfinite({d})", f"slope = slope * {d}"] + tail,
-                    "x, slope, ~good"))
-
-
-def _loop(form: str, head: list[str], step: list[str], ret: str) -> str:
-    """The source of ``form(x, n)``, which runs the lines of ``step`` n times."""
-    return (f"def {form}(x, n):\n    good = isfinite(x)\n"
-            + "".join(f"    {line}\n" for line in head)
-            + "    for _ in range(n):\n" + "".join(f"        {line}\n" for line in step)
+    lines += [f"x = {v}", "good &= isfinite(x)"]
+    return (f"def {form}(x, n):\n" + "".join(f"    {line}\n" for line in head)
+            + "    for _ in range(n):\n" + "".join(f"        {line}\n" for line in lines)
             + f"    return {ret}\n")
 
 
@@ -401,9 +390,10 @@ def _compile(ast: Node, params: dict) -> tuple[Callable, Callable, Callable]:
     """
     ns = dict(_CODE_GLOBALS)
     bound: dict = {}
-    src = _lower(ast, params, ns, bound, False) + _lower(ast, params, ns, bound, True)
+    forms = ("f", "fa", "fda")
+    src = "".join(_lower(ast, params, ns, bound, form) for form in forms)
     exec(_code(src), ns)
-    return tuple(ns.pop(form) for form in ("f", "fa", "fda"))
+    return tuple(ns.pop(form) for form in forms)
 
 
 @functools.lru_cache(maxsize=256)
@@ -719,9 +709,11 @@ def eval_map_array(m: MapSpec, x) -> tuple[np.ndarray, np.ndarray]:
     ``bad`` marks exactly the elements on which eval_map raises: a
     non-finite input, a zero divisor, an overflowing or invalid ``^``, exp,
     sin or cos, and a non-finite result. Elsewhere ``values`` equals
-    eval_map bit for bit; on bad elements it is unspecified.
+    eval_map bit for bit; on bad elements it is unspecified. Both are new
+    arrays, also for a 0-d x.
     """
-    return compose_map_array(m, np.asarray(x, dtype=float), 1)
+    x = np.asarray(x, dtype=float)
+    return tuple(map(np.asarray, compose_map_array(m, x, 1)))
 
 
 def eval_map_deriv_array(m: MapSpec, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -730,9 +722,10 @@ def eval_map_deriv_array(m: MapSpec, x) -> tuple[np.ndarray, np.ndarray, np.ndar
     ``bad`` marks exactly the elements on which eval_map or eval_map_deriv
     raises. Elsewhere ``values`` equals eval_map bit for bit and
     ``derivatives`` is f' by forward-mode differentiation; on bad elements
-    both are unspecified.
+    both are unspecified. All three are new arrays, also for a 0-d x.
     """
-    return compose_map_array(m, np.asarray(x, dtype=float), 1, deriv=True)
+    x = np.asarray(x, dtype=float)
+    return tuple(map(np.asarray, compose_map_array(m, x, 1, deriv=True)))
 
 
 def compose_map_array(m: MapSpec, x: np.ndarray, n: int, deriv: bool = False):
@@ -743,7 +736,8 @@ def compose_map_array(m: MapSpec, x: np.ndarray, n: int, deriv: bool = False):
     successive calls of eval_map_array (or eval_map_deriv_array, whose
     derivatives multiply left to right from 1.0). ``bad`` marks the
     elements on which some step raises in eval_map (or eval_map_deriv).
-    x is taken as it is, not converted.
+    x is taken as it is, not converted, and must have at least one
+    dimension: at a 0-d x numpy's operations return scalars, not arrays.
     """
     with np.errstate(all="ignore"):  # an error's values are unspecified
         return (m._fda if deriv else m._fa)(x, n)

@@ -385,6 +385,14 @@ class TestArrayForm:
             assert not bad.any()
             assert values.tolist() == [eval_map(m, x) for x in xs.tolist()]
 
+    def test_root_is_a_new_array(self):
+        xs = np.array([0.25, 0.5])
+        for source, want in (("x", [0.25, 0.5]), ("2", [2.0, 2.0])):
+            values, bad = eval_map_array(parse_map(source), xs)
+            assert values is not xs and values.tolist() == want
+            values[0] = 9.0
+            assert xs.tolist() == [0.25, 0.5]
+
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
         ast=ASTS,
@@ -430,24 +438,29 @@ class TestArrayForm:
             assert exponents == [n], source
 
     @pytest.mark.parametrize("source", ["x", "2.0", "x + 1", "-x", "abs(x)", "x^1", "x^0"])
-    @pytest.mark.parametrize("n", [1, 3])
-    @pytest.mark.parametrize("shape", [(4,), (2, 2)])
-    def test_forms_never_return_their_input(self, source, n, shape):
+    @pytest.mark.parametrize("shape, n", [((4,), 1), ((4,), 3), ((2, 2), 1), ((2, 2), 3), ((), 1)])
+    def test_forms_never_return_their_input(self, source, shape, n):
         # A step assigns what depends on x as it is and copies the rest: the
-        # bare x and what is free of x. Either way every array is new.
+        # bare x and what is free of x. Either way every array is new. The
+        # one-step public forms also take a 0-d x; compose_map_array does not.
         m = parse_map(source)
-        x = np.array([0.25, -0.5, 1.5, -0.0]).reshape(shape)
+        x = np.array([0.25, -0.5, 1.5, -0.0])[: math.prod(shape)].reshape(shape)
         before, want = x.tobytes(), x.ravel().tolist()
         for _ in range(n):
             want = [eval_map(m, v) for v in want]
-        for deriv in (False, True):
-            outs = compose_map_array(m, x, n, deriv=deriv)
-            assert outs[0].ravel().tolist() == want, (source, deriv)
+        forms = {"fa": lambda: compose_map_array(m, x, n),
+                 "fda": lambda: compose_map_array(m, x, n, deriv=True)} if shape else {}
+        if n == 1:
+            forms.update(eval_map_array=lambda: eval_map_array(m, x),
+                         eval_map_deriv_array=lambda: eval_map_deriv_array(m, x))
+        for form, call in forms.items():
+            outs = call()
+            assert outs[0].ravel().tolist() == want, (source, form)
             for out in outs:
-                assert isinstance(out, np.ndarray) and out.shape == shape, (source, deriv)
-                assert not np.shares_memory(out, x), (source, deriv)
+                assert isinstance(out, np.ndarray) and out.shape == shape, (source, form)
+                assert not np.shares_memory(out, x), (source, form)
                 out[...] = 1
-                assert x.tobytes() == before, (source, deriv)
+                assert x.tobytes() == before, (source, form)
 
     def test_fresh_is_called_only_for_values_free_of_x(self, monkeypatch):
         # One isfinite per checked value per step and one for the input; no
