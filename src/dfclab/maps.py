@@ -2,9 +2,32 @@
 
 Every map is an expression over the variable ``x`` with named parameters.
 The builtins (``logistic``, ``quadratic``, ``cubic``) are stored expression
-sources addressed by a designator such as ``"logistic:r=4"``. Each MapSpec
-compiles its parsed AST once into three Python functions, each built from
-the straight-line code of one step of f:
+sources addressed by a designator such as ``"logistic:r=4"``. ``parse_map``
+reads either from one list of tokens over the source, whitespace between
+tokens ignored::
+
+    source     = designator | expr
+    designator = builtin [":" [item] {"," [item]}]
+    item       = key "=" value
+    expr       = term {("+" | "-") term}
+    term       = factor {("*" | "/") factor}
+    factor     = ("-" | "+") factor | atom {"^" ["+" | "-"] number}
+    atom       = number | name | function "(" expr ")" | "(" expr ")"
+    function   = "sin" | "cos" | "exp" | "tanh" | "abs"
+
+A source is a designator when its first token is the name of a builtin
+followed by ":" or by the end. Blank items are skipped. A key is the text
+before an item's first "=", and a value the text from there to the item's
+end, read by ``float()``; it must be finite. A number is digits and dots
+with an optional exponent (e or E, then a sign or a digit, then digits and
+dots), and must read as a float; an exponent after "^" must be an integer.
+A name is a letter or "_", then letters, digits and "_"; ``x`` is the
+variable, and any other name must be bound as a parameter. A
+``MapSyntaxError``'s ``position`` is the 0-based offset of the fault in the
+source as passed, leading whitespace included.
+
+Each MapSpec compiles its parsed AST once into three Python functions, each
+built from the straight-line code of one step of f:
 
 - f at a float, behind ``eval_map``;
 - f^n over a numpy array, behind ``eval_map_array`` (n = 1), which returns
@@ -41,10 +64,6 @@ array forms call libm element by element too, through ``math.pow``,
 ``math.exp``, ``math.tanh``, ``math.sin`` and ``math.cos``. The derivative
 of u^n is n u^(n-1) u' for every integer n, with u^1 lowered to u and u^0
 to 1.0, which is what ``pow`` returns for them at every u.
-
-The expression grammar supports real literals, ``x``, named parameters,
-``+ - * /``, ``^`` with an integer-literal exponent, unary minus, and the
-functions sin, cos, exp, tanh, abs.
 """
 
 from __future__ import annotations
@@ -52,8 +71,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -79,7 +99,8 @@ class MapError(Exception):
 
 
 class MapSyntaxError(MapError):
-    """Malformed map source; ``position`` is the 0-based offset of the fault."""
+    """Malformed map source; ``position`` is the 0-based offset of the fault
+    in the source as passed to ``parse_map``, leading whitespace included."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
@@ -407,86 +428,61 @@ def _code(src: str):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Token:
-    kind: str  # num, ident, op, lparen, rparen, end
+# One token per match, after any whitespace: a number is digits and dots, with
+# an exponent only where a digit or sign follows e/E; a name is a letter or _
+# then letters, digits and _; every other non-space character is a token of
+# its own, of kind "bad" where no rule reads it.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>[\d.]+(?:[eE](?=[\d+-])[+-]?[\d.]*)?)|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<sym>[-+*/^(),:=])|(?P<bad>\S))"
+)
+
+
+class _Token(NamedTuple):
+    kind: str  # num, ident, bad, end, or a symbol's own text
     text: str
     pos: int
-    value: float = 0.0
+
+    @property
+    def end(self) -> int:
+        return self.pos + len(self.text)
 
 
 def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            seen_e = False
-            while j < n:
-                cj = source[j]
-                if cj.isdigit() or cj == ".":
-                    j += 1
-                elif cj in "eE" and not seen_e and j + 1 < n and (
-                    source[j + 1].isdigit() or source[j + 1] in "+-"
-                ):
-                    seen_e = True
-                    j += 2 if source[j + 1] in "+-" else 1
-                else:
-                    break
-            text = source[i:j]
-            try:
-                value = float(text)
-            except ValueError:
-                raise MapSyntaxError(f"bad number literal {text!r}", i) from None
-            tokens.append(_Token("num", text, i, value))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", source[i:j], i))
-            i = j
-        elif c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(_Token("lparen", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token("rparen", c, i))
-            i += 1
-        else:
-            raise MapSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
+    """The tokens of source at their offsets in it, then an "end" token where
+    the last one ends (at 0 in a blank source)."""
+    tokens = []
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m[m.lastgroup]
+        tokens.append(_Token(text if kind == "sym" else kind, text, m.start(kind)))
+    return tokens + [_Token("end", "", tokens[-1].end if tokens else 0)]
 
 
 class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
         self.i = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
 
-    def next(self) -> _Token:
+    def take(self, *kinds: str) -> _Token | None:
+        """The next token, consumed, if its kind is one of kinds; else None."""
         tok = self.tokens[self.i]
+        if tok.kind not in kinds:
+            return None
         self.i += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            what = text or kind
-            raise MapSyntaxError(f"expected {what!r}", tok.pos)
-        return self.next()
-
     def parse(self) -> Node:
+        for tok in self.tokens:  # a token no rule reads is an error before any other
+            if tok.kind == "num":
+                try:
+                    float(tok.text)
+                except ValueError:
+                    raise MapSyntaxError(f"bad number literal {tok.text!r}", tok.pos) from None
+            elif tok.kind in ("bad", ":", "=", ","):
+                raise MapSyntaxError(f"unexpected character {tok.text!r}", tok.pos)
         node = self.expr()
         tok = self.peek()
         if tok.kind != "end":
@@ -495,68 +491,55 @@ class _Parser:
 
     def expr(self) -> Node:
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            node = Bin(op, node, self.term())
+        while op := self.take("+", "-"):
+            node = Bin(op.text, node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            node = Bin(op, node, self.factor())
+        while op := self.take("*", "/"):
+            node = Bin(op.text, node, self.factor())
         return node
 
     def factor(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
+        if self.take("-"):
             return Neg(self.factor())
-        if tok.kind == "op" and tok.text == "+":
-            self.next()
+        if self.take("+"):
             return self.factor()
-        return self.power()
-
-    def power(self) -> Node:
         node = self.atom()
-        while self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
+        while self.take("^"):
             node = Pow(node, self.int_exponent())
         return node
 
     def int_exponent(self) -> int:
-        sign = 1
+        sign = self.take("+", "-")
         tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.next()
-            if tok.text == "-":
-                sign = -1
-            tok = self.peek()
         if tok.kind != "num":
             raise MapSyntaxError("expected integer exponent", tok.pos)
-        if not float(tok.value).is_integer():
+        value = float(tok.text)
+        if not value.is_integer():
             raise MapSyntaxError("non-integer exponent", tok.pos)
-        self.next()
-        return sign * int(tok.value)
+        self.i += 1
+        return -int(value) if sign and sign.kind == "-" else int(value)
 
     def atom(self) -> Node:
-        tok = self.next()
+        tok = self.peek()
+        self.i += 1
         if tok.kind == "num":
-            return Num(tok.value)
-        if tok.kind == "ident":
-            if self.peek().kind == "lparen":
-                if tok.text not in _FUNCTIONS:
-                    raise MapSyntaxError(f"unknown function {tok.text!r}", tok.pos)
-                self.next()
-                arg = self.expr()
-                self.expect("rparen")
-                return Call(tok.text, arg)
+            return Num(float(tok.text))
+        if tok.kind == "ident" and not self.take("("):
             return Var(tok.text)
-        if tok.kind == "lparen":
+        if tok.kind == "ident":
+            if tok.text not in _FUNCTIONS:
+                raise MapSyntaxError(f"unknown function {tok.text!r}", tok.pos)
+            node = Call(tok.text, self.expr())
+        elif tok.kind == "(":
             node = self.expr()
-            self.expect("rparen")
-            return node
-        raise MapSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+        else:
+            raise MapSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+        if not self.take(")"):
+            raise MapSyntaxError("expected 'rparen'", self.peek().pos)
+        return node
 
 
 # ---------------------------------------------------------------------------
@@ -614,61 +597,69 @@ def parse_map(
     params: dict[str, float] | None = None,
     domain: tuple[float, float] | None = None,
 ) -> MapSpec:
-    """Parse a map designator or expression into a MapSpec.
+    """Parse a builtin designator or an expression in x into a MapSpec (see
+    the module docstring for the grammar).
 
-    Designator format for builtins: ``"name:key=val,key=val"`` (e.g.
-    ``"logistic:r=4"``). Anything else is treated as an expression in ``x``;
-    free identifiers must be bound through ``params``.
+    Free identifiers of an expression must be bound through ``params``; a
+    designator's own values override them. A source nested too deeply to
+    parse or compile within Python's recursion limit is a MapError.
     """
     params = dict(params or {})
-    text = source.strip()
-    head = text.split(":", 1)[0].strip()
-    if head in BUILTIN_MAPS:
-        required, expr, default_domain = BUILTIN_MAPS[head]
-        if ":" in text:
-            for item in text.split(":", 1)[1].split(","):
-                item = item.strip()
-                if not item:
-                    continue
-                if "=" not in item:
-                    raise MapSyntaxError(
-                        f"expected key=val in designator, got {item!r}",
-                        source.find(item),
-                    )
-                key, val = item.split("=", 1)
-                try:
-                    value = float(val)
-                except ValueError:
-                    raise MapSyntaxError(
-                        f"bad parameter value {val!r}", source.find(val)
-                    ) from None
-                if not math.isfinite(value):
-                    raise MapSyntaxError(
-                        f"parameter value {val!r} is not finite", source.find(val)
-                    )
-                params[key.strip()] = value
+    tokens = _tokenize(source)
+    head = tokens[0]
+    if head.kind == "ident" and head.text in BUILTIN_MAPS and tokens[1].kind in (":", "end"):
+        kind, name = "builtin", head.text
+        required, expr, default_domain = BUILTIN_MAPS[name]
+        params.update(_designator_params(source, tokens[2:]))
         missing = [p for p in required if p not in params]
         if missing:
-            raise MapError(f"builtin {head!r} missing parameter(s): {missing}")
+            raise MapError(f"builtin {name!r} missing parameter(s): {missing}")
         extra = [p for p in params if p not in required]
         if extra:
-            raise MapError(f"builtin {head!r} got unknown parameter(s): {extra}")
-        return MapSpec(
-            kind="builtin",
-            domain=domain or default_domain,
-            name=head,
-            params=params,
-            ast=_Parser(expr).parse(),
-            source=text,
-        )
+            raise MapError(f"builtin {name!r} got unknown parameter(s): {extra}")
+        tokens = _tokenize(expr)
+    else:
+        kind, name, default_domain = "expression", None, _DEFAULT_EXPR_DOMAIN
+    try:
+        ast = _Parser(tokens).parse()
+        if name is None:
+            params = {k: float(v) for k, v in params.items()}
+        return MapSpec(kind=kind, domain=domain or default_domain, name=name, params=params,
+                       ast=ast, source=source.strip())
+    except RecursionError:
+        raise MapError("map source is nested too deeply to parse and compile") from None
 
-    return MapSpec(
-        kind="expression",
-        domain=domain or _DEFAULT_EXPR_DOMAIN,
-        ast=_Parser(text).parse(),
-        params={k: float(v) for k, v in params.items()},
-        source=text,
-    )
+
+def _designator_params(source: str, tokens: list[_Token]) -> dict[str, float]:
+    """The key=val items of a designator, from its tokens after the colon.
+
+    Items are split at the "," tokens, and an item at its first "=" token;
+    blank items are skipped. A value is the text of source from the "=" to
+    the item's last token, read by float(), and must be finite.
+    """
+    params = {}
+    item: list[_Token] = []
+    for tok in tokens:
+        if tok.kind not in (",", "end"):
+            item.append(tok)
+            continue
+        if item:
+            kinds = [t.kind for t in item]
+            if "=" not in kinds:
+                text = source[item[0].pos : item[-1].end]
+                raise MapSyntaxError(f"expected key=val in designator, got {text!r}", item[0].pos)
+            eq = kinds.index("=")
+            val = source[item[eq].end : item[-1].end]
+            at = (item + [tok])[eq + 1].pos  # the value's first token, or the item's end
+            try:
+                value = float(val)
+            except ValueError:
+                raise MapSyntaxError(f"bad parameter value {val!r}", at) from None
+            if not math.isfinite(value):
+                raise MapSyntaxError(f"parameter value {val!r} is not finite", at)
+            params[source[item[0].pos : item[eq].pos].strip()] = value
+        item = []
+    return params
 
 
 def eval_map(m: MapSpec, x: float) -> float:

@@ -19,7 +19,7 @@ import dfclab.cli
 import dfclab.simulation
 import dfclab.stability
 from dfclab.cli import build_parser, main
-from dfclab.maps import parse_map
+from dfclab.maps import MapSyntaxError, parse_map
 from dfclab.spectrum import char_poly_closed
 
 
@@ -258,6 +258,48 @@ class TestCycles:
         )
         assert code == 2
         assert "--grid" in err
+
+
+DEEP_MAPS = {"1000-term sum": "+".join(["x"] * 1000), "300 parentheses": "(" * 300 + "x" + ")" * 300}
+
+
+class TestMapErrors:
+    """A malformed --map exits 1 with one error line and, for a syntax
+    error, the position parse_map reports in the source as passed."""
+
+    @pytest.mark.parametrize("source, position", [
+        ("x $ 2", 2),
+        ("x^", 2),
+        ("sinh(x)", 0),
+        ("logistic:r=l", 11),
+        ("logistic:r=4,i", 13),
+        ("   x^", 5),
+        ("  sinh(x)", 2),
+        ("cubic: b=1e999", 9),
+    ])
+    def test_syntax_error(self, capsys, source, position):
+        with pytest.raises(MapSyntaxError) as exc:
+            parse_map(source)
+        assert exc.value.position == position
+        code, out, err = run_cli(capsys, "cycles", "--map", source, "--period", "1")
+        assert (code, out, err) == (1, "", f"error: {exc.value}\n")
+        assert err.endswith(f" at position {position}\n")
+
+    @pytest.mark.parametrize("source, message", [
+        ("a*x", "unknown identifier"),
+        ("logistic", "missing parameter"),
+        *((source, "nested too deeply") for source in DEEP_MAPS.values()),
+    ], ids=["unknown identifier", "missing parameter", *DEEP_MAPS])
+    def test_map_error(self, capsys, source, message):
+        code, out, err = run_cli(capsys, "cycles", "--map", source, "--period", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("source", DEEP_MAPS.values(), ids=list(DEEP_MAPS))
+    def test_too_deep_a_map_prints_no_traceback(self, source):
+        code, out, err = run_fresh_process("cycles", "--map", source, "--period", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: map source is nested too deeply to parse and compile\n"
 
 
 class TestSweep:

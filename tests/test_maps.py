@@ -120,6 +120,82 @@ class TestParse:
         with pytest.raises(MapError, match="finite"):
             parse_map(source, params={"r": value})
 
+    def test_designator_with_spaces_and_blank_items(self):
+        m = parse_map("  cubic : , b = 2.8 ,, ")
+        assert (m.name, m.params, m.source) == ("cubic", {"b": 2.8}, "cubic : , b = 2.8 ,,")
+
+
+WHITESPACE = st.text(" \t\n", max_size=3)
+VALID_EXPRESSIONS = ["x", "2.5*x", "sin(x) - x^2", "r*x*(1-x)", "abs(x)/3"]
+# A token that may not follow a complete expression, and a bad operand of an operator.
+STRAY_TOKENS = ["$", ")", "x", "sinh(x)", "1.2.3", ":", "=", ",", "?"]
+BAD_ATOMS = ["sinh(x)", "$", ")", "^", "1.2.3", "1e+"]
+BAD_VALUES = ["l", "x", "1.2.3", "4$", "nan", "inf", "-inf", "1e999", "4 5", "r", "1:2"]
+BAD_ITEMS = ["r", "r 4", "4", "$"]
+
+
+@st.composite
+def faulty_sources(draw):
+    """(source, offending text): a source whose first fault is a token
+    starting with that text, amid random whitespace."""
+    ws = [draw(WHITESPACE) for _ in range(4)]
+    kind = draw(st.sampled_from(["stray", "atom", "value", "item"]))
+    if kind in ("stray", "atom"):
+        expr = draw(st.sampled_from(VALID_EXPRESSIONS))
+        if kind == "stray":
+            bad = draw(st.sampled_from(STRAY_TOKENS))
+            body = f"{expr}{ws[1] or ' '}{bad}"
+        else:
+            bad = draw(st.sampled_from(BAD_ATOMS))
+            body = f"{expr}{ws[1]}{draw(st.sampled_from('+-*/'))}{ws[2]}{bad}"
+        return f"{ws[0]}{body}{ws[3]}", bad
+    name, key = draw(st.sampled_from([("logistic", "r"), ("quadratic", "c"), ("cubic", "b")]))
+    good = draw(st.sampled_from(["", f"{key}=1.5,{ws[2]}"]))
+    if kind == "value":
+        bad = draw(st.sampled_from(BAD_VALUES))
+        item = f"{key}{ws[1]}={ws[2]}{bad}"
+    else:
+        bad = draw(st.sampled_from(BAD_ITEMS))
+        item = bad
+    return f"{ws[0]}{name}{ws[1]}:{ws[2]}{good}{item}{ws[3]}", bad
+
+
+class TestErrorPositions:
+    """A MapSyntaxError's position is a 0-based offset into the source as
+    passed, leading whitespace included."""
+
+    @pytest.mark.parametrize("source, position", [
+        ("logistic:r=l", 11),
+        ("logistic:r=4,i", 13),
+        ("   x^", 5),
+        ("  sinh(x)", 2),
+    ])
+    def test_pinned_positions(self, source, position):
+        with pytest.raises(MapSyntaxError) as err:
+            parse_map(source)
+        assert err.value.position == position
+
+    @given(faulty_sources())
+    @settings(max_examples=300, deadline=None)
+    @example(("logistic:r=l", "l"))
+    @example(("   x^ $", "$"))
+    def test_position_starts_the_offending_token(self, case):
+        source, bad = case
+        with pytest.raises(MapSyntaxError) as err:
+            parse_map(source, params={"r": 2.0})
+        assert source[err.value.position:].startswith(bad)
+
+
+class TestDeepSources:
+    @pytest.mark.parametrize("source", ["+".join(["x"] * 1000), "(" * 300 + "x" + ")" * 300],
+                             ids=["1000-term sum", "300 parentheses"])
+    def test_too_deep_a_source_is_a_map_error(self, source):
+        with pytest.raises(MapError, match="nested too deeply"):
+            parse_map(source)
+
+    def test_a_900_term_sum_still_works(self):
+        assert eval_map(parse_map("+".join(["x"] * 900)), 0.5) == 450.0
+
 
 class TestEval:
     def test_logistic_fixed_point(self):

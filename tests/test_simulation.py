@@ -214,6 +214,21 @@ class TestSimulateNearest:
         with pytest.raises(ValueError, match="candidate"):
             simulate_nearest(logistic4, gains_uniform(1), 1, [0.3], 100, [])
 
+    def test_an_overflowing_mean_distance_ranks_last(self):
+        # The run leaves for infinity from states near 1e308: the window's
+        # distances to the first cycle sum past the largest float, and those
+        # to the second overflow one by one. Neither may warn; both rank as
+        # inf, behind the finite key of the third candidate.
+        m = parse_map("5.617791046444737e+307*tanh(1 - abs(x))", domain=(-2, 2))
+        a, history = GainVector([3.0, -2.0]), [0.5, 0.5]
+        far = Cycle(1, (-5.617791046444737e307,), (0.0,), 0.0)
+        farther = Cycle(1, (-1.7e308,), (0.0,), 0.0)
+        near = Cycle(1, (0.0,), (0.0,), 0.0)
+        traj = simulate(m, a, 1, history, 300, far)
+        assert traj.diverged and not traj.converged
+        assert simulate_nearest(m, a, 1, history, 300, [far, farther]).target is far
+        assert simulate_nearest(m, a, 1, history, 300, [far, farther, near]).target is near
+
 
 # (map, domain, T, N, index of the target among find_cycles' orbits). Some
 # samples of each converge; the logistic map at r = 4.5 and cubic maps
