@@ -38,8 +38,6 @@ from collections.abc import Sequence
 from dataclasses import asdict
 from fractions import Fraction
 
-import numpy as np
-
 from .cycles import find_cycles
 from .maps import MapError, MapSpec, parse_map
 from .polynomials import poly_roots
@@ -155,8 +153,8 @@ def _parse_domain(text: str | None) -> tuple[float, float] | None:
     if text is None:
         return None
     vals = _parse_float_list(text, "--domain")
-    if len(vals) != 2 or not vals[0] < vals[1]:
-        raise UsageError("--domain expects lo,hi with lo < hi")
+    if len(vals) != 2 or not (vals[0] < vals[1] and math.isfinite(vals[1] - vals[0])):
+        raise UsageError("--domain expects lo,hi with lo < hi and a finite width hi - lo")
     return (vals[0], vals[1])
 
 
@@ -297,7 +295,7 @@ def _cmd_charpoly(args) -> int:
     mults = _parse_float_list(args.multipliers, "--multipliers")
     if len(mults) != args.T:
         raise UsageError(f"--multipliers expects {args.T} values, got {len(mults)}")
-    mu = float(np.prod(mults))
+    mu = math.prod(mults)  # inf on overflow, which char_poly_closed names
     p = char_poly_closed(args.N, args.T, gains, mu)
     return _report(
         args,

@@ -72,7 +72,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -120,36 +120,63 @@ class MapOverflowError(MapEvalError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """An AST node whose repr, == and hash walk the tree with a stack rather
+    than recursion, so every tree that parse_map builds prints and compares,
+    however deep. Nodes are equal when their reprs are: alike in shape and
+    names, with constants alike to the bit (0.0 and -0.0 differ)."""
+
+    def __repr__(self) -> str:
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):  # text already rendered
+                out.append(item)
+                continue
+            parts = [f"{type(item).__qualname__}("]
+            for i, f in enumerate(fields(item)):
+                v = getattr(item, f.name)
+                parts += [", " * (i > 0) + f"{f.name}=", v if isinstance(v, _Node) else repr(v)]
+            todo += reversed(parts + [")"])
+        return "".join(out)
+
+    def __eq__(self, other):
+        return repr(self) == repr(other) if isinstance(other, _Node) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(repr(self))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Bin:
+@dataclass(frozen=True, eq=False, repr=False)
+class Bin(_Node):
     op: str  # one of + - * /
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Pow:
+@dataclass(frozen=True, eq=False, repr=False)
+class Pow(_Node):
     base: "Node"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Node):
     operand: "Node"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False, repr=False)
+class Call(_Node):
     func: str
     arg: "Node"
 
@@ -564,9 +591,9 @@ class MapSpec:
     finite numbers (a non-finite one is a MapError).
     ``kind`` and ``name`` are descriptive: ``"builtin"`` with the builtin's
     name, or ``"expression"`` with name None. ``domain`` is the closed
-    interval searched for cycles. The AST is compiled once, at construction,
-    into the functions behind eval_map, eval_map_array and
-    eval_map_deriv_array.
+    interval searched for cycles, lo < hi with a finite width hi - lo (a
+    ValueError otherwise). The AST is compiled once, at construction, into
+    the functions behind eval_map, eval_map_array and eval_map_deriv_array.
     """
 
     kind: str
@@ -581,8 +608,8 @@ class MapSpec:
 
     def __post_init__(self):
         lo, hi = self.domain
-        if not (lo < hi):
-            raise ValueError(f"domain requires lo < hi, got [{lo}, {hi}]")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"domain requires lo < hi and a finite width hi - lo, got [{lo}, {hi}]")
         if self.ast is None:
             raise ValueError("MapSpec requires a parsed ast (see parse_map)")
         bad = {k: v for k, v in self.params.items() if not math.isfinite(v)}

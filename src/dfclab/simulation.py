@@ -44,8 +44,9 @@ recurred columns would not cut. Only the recursion of ``simulate`` is
 scalar: the convergence test is one array pass, every state's distance
 to the orbit as min |x - p| over the orbit's points (the IEEE
 subtraction and abs of ``Cycle.distance_to``, so the distances are the
-same), and ``simulate_nearest`` ranks its candidates from those same
-distances.
+same). ``simulate_nearest`` ranks its candidates from those same
+distances: for each it takes their mean over the final 10*T states and the
+settle step, and it builds the ``Trajectory`` of the chosen one only.
 """
 
 from __future__ import annotations
@@ -128,38 +129,36 @@ def simulate_nearest(
         raise ValueError("simulate_nearest requires at least one candidate cycle")
     states, controls, diverged = _iterate(m, a, T, init_history, steps)
     states = np.asarray(states)
-    best = None
+    ranked = []
     for cyc in candidates:
         # Distances and their mean among states near 1e308 may overflow: inf ranks last.
         with np.errstate(over="ignore"):
             dist = _distances(states, cyc)
             # states always holds the history, so the window is never empty.
             mean = float(np.mean(dist[-10 * T :]))
-        traj = _classify(states, controls, diverged, T, cyc, tol, dist)
-        key = (not traj.converged, mean)
-        if best is None or key < best[0]:
-            best = (key, traj)
-    return best[1]
+        settle = None if diverged else _settle_step(dist, T, tol)
+        ranked.append((settle is None, mean, settle, cyc))
+    _, _, settle, target = min(ranked, key=lambda r: r[:2])  # min keeps the earliest tie
+    return Trajectory(states, np.asarray(controls), settle is not None, settle, target, diverged)
 
 
 def _iterate(m: MapSpec, a: GainVector, T: int, init_history, steps: int):
     """Run the controlled recursion: (states, controls, diverged).
 
     The trajectory does not depend on the target orbit, so one run serves
-    every candidate that ``_classify`` tests it against. Once the last M
+    every candidate that ``simulate_nearest`` ranks. Once the last M
     states equal, bit for bit, the M states ending at Brent's checkpoint,
     the run repeats with the period between the two, and its remaining
     states and controls are copied, not computed.
     """
     N = len(a)
     M = (N - 1) * T + 1
-    history = [float(v) for v in init_history]
-    if len(history) != M:
-        raise ValueError(f"init_history must have length {M}, got {len(history)}")
+    states = [float(v) for v in init_history]
+    if len(states) != M:
+        raise ValueError(f"init_history must have length {M}, got {len(states)}")
     if steps < 10 * T:
         raise ValueError(f"steps must be at least 10*T = {10 * T}")
 
-    states = list(history)
     fx: list = [None] * M  # f(states[i]), evaluated when a step first needs it
     controls: list[float] = []
     diverged = False
@@ -206,39 +205,15 @@ def _distances(states: np.ndarray, target: Cycle) -> np.ndarray:
     return np.min(np.abs(states[..., None] - np.asarray(target.points)), axis=-1)
 
 
-def _classify(
-    states: np.ndarray,
-    controls: list[float],
-    diverged: bool,
-    T: int,
-    target: Cycle,
-    tol: float,
-    dist: np.ndarray,
-) -> Trajectory:
-    """The Trajectory of an iterated run, with convergence to ``target`` tested.
-
-    ``dist`` holds each state's distance to the target orbit. A run that did
-    not diverge holds all its steps, at least 10*T beyond the history, so
-    the final window always exists; it settles one past the last state
-    outside the tol band.
+def _settle_step(dist: np.ndarray, T: int, tol: float) -> int | None:
+    """The settle step of a run that did not diverge: one past the last state
+    outside tol of the orbit, given each state's distance ``dist`` to it (NaN
+    is outside). None when that state lies in the final 10*T, so the run did
+    not converge; a diverged run has none either, which its caller decides.
     """
-    converged = False
-    settle: int | None = None
-    if not diverged:
-        outside = np.flatnonzero(~(dist <= tol))
-        settle = int(outside[-1]) + 1 if outside.size else 0
-        converged = settle <= dist.size - 10 * T
-        if not converged:
-            settle = None
-
-    return Trajectory(
-        states=states,
-        controls=np.asarray(controls),
-        converged=converged,
-        settle_step=settle,
-        target=target,
-        diverged=diverged,
-    )
+    outside = np.flatnonzero(~(dist <= tol))
+    settle = int(outside[-1]) + 1 if outside.size else 0
+    return settle if settle <= dist.size - 10 * T else None
 
 
 def basin_fraction(

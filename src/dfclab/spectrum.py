@@ -160,8 +160,10 @@ def char_poly_closed(N: int, T: int, a: GainVector, mu: float) -> Polynomial:
 
     p(lambda) = lambda^((N-1)T+1) - mu * q(lambda)^T with q the gain
     polynomial; q^T is computed by repeated convolution. Depends on the
-    multipliers only through their product mu.
+    multipliers only through their product mu, which must be finite.
     """
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}: p would have non-finite coefficients")
     M = _check_dims(N, T, a)
     q_pow = a.q_polynomial() ** T
     coeffs = np.zeros(M + 1)

@@ -114,12 +114,16 @@ def spectral_radii(N: int, T: int, a: GainVector, mus) -> np.ndarray:
     p is affine in mu, so every row is lambda^M - mu q^T from one q^T, by
     the same multiply and subtract as ``char_poly_closed`` (bit-identical
     coefficients), and all rows are solved by one ``poly_roots_stack`` call.
+    Every mu must be finite.
     """
     e_M = char_poly_closed(N, T, a, 0.0).coeffs  # validates dimensions
+    mus = np.asarray(mus, dtype=float).reshape(-1, 1)
+    if not np.isfinite(mus).all():
+        raise ValueError(f"mu must be finite, got {float(mus[~np.isfinite(mus)][0])!r}")
     qT = np.zeros_like(e_M)
     q_pow = (a.q_polynomial() ** T).coeffs
     qT[: q_pow.size] = q_pow
-    rows = e_M - np.asarray(mus, dtype=float).reshape(-1, 1) * qT
+    rows = e_M - mus * qT
     return np.max(np.abs(poly_roots_stack(rows)), axis=1)
 
 

@@ -1136,3 +1136,20 @@ class TestFlagSurface:
             ("stabilize", "--param"): param,
             ("stabilize", "--N-max"): ("n_max", None, "_StoreAction"),
         }
+
+
+class TestOverflowingInputs:
+    @pytest.mark.parametrize("domain", ["--domain=-1e308,1e308", "--domain=-1.7e308,1.7e308"])
+    def test_a_domain_whose_width_overflows_is_a_usage_error(self, capsys, domain):
+        code, out, err = run_cli(capsys, "cycles", "--map", "x^2 - 1", domain, "--period", "1")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --domain expects lo,hi with lo < hi and a finite width hi - lo\n"
+
+    @pytest.mark.parametrize("mults, bad", [("1e200,1e200", "inf"), ("-1e200,1e200", "-inf"),
+                                            ("1e200,1e200,0", "nan")])
+    def test_an_overflowing_product_of_multipliers_names_mu(self, capsys, mults, bad):
+        argv = ["charpoly", "--N", "2", "--T", str(mults.count(",") + 1), "--gains", "0.5,0.5",
+                f"--multipliers={mults}"]
+        want = f"error: mu must be finite, got {bad}: p would have non-finite coefficients\n"
+        assert run_cli(capsys, *argv) == (1, "", want)
+        assert run_fresh_process(*argv) == (1, "", want)

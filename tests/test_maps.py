@@ -558,3 +558,46 @@ class TestArrayForm:
         calls.clear()
         compose_map_array(parse_map("x + 1"), x, 9, deriv=True)
         assert calls == {"fresh": 9, "isfinite": 1 + 18}
+
+
+class TestDomainWidth:
+    @pytest.mark.parametrize("domain", [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308),
+                                        (-math.inf, math.inf)])
+    def test_a_domain_whose_width_overflows_is_rejected(self, domain):
+        # The fixed points of x^2 - 1 lie inside each, but hi - lo is inf.
+        with pytest.raises(ValueError, match="finite width"):
+            parse_map("x^2 - 1", domain=domain)
+
+    def test_the_widest_finite_domain_is_accepted(self):
+        assert parse_map("x^2 - 1", domain=(-8e307, 8e307)).domain == (-8e307, 8e307)
+
+
+class TestDeepSpecsPrintAndCompare:
+    def test_a_900_term_sum_prints_compares_and_hashes(self):
+        source = "+".join(["x"] * 900)
+        m, again = parse_map(source), parse_map(source)
+        assert repr(m).count("Var(name='x')") == 900
+        assert m == again and hash(m.ast) == hash(again.ast)
+        assert m != parse_map("+".join(["x"] * 899 + ["1"]))
+
+    def test_repr_reads_as_the_dataclass_fields(self):
+        ast = Bin("+", Var("x"), Pow(Neg(Call("sin", Num(-0.5))), 2))
+        assert repr(ast) == ("Bin(op='+', left=Var(name='x'), right=Pow(base=Neg(operand="
+                             "Call(func='sin', arg=Num(value=-0.5))), exponent=2))")
+
+    @pytest.mark.parametrize("other", [
+        Bin("-", Var("x"), Num(1.0)),
+        Bin("+", Num(1.0), Var("x")),
+        Bin("+", Var("x"), Num(-1.0)),
+        Bin("+", Var("y"), Num(1.0)),
+        Call("cos", Var("x")),
+    ])
+    def test_different_trees_compare_unequal(self, other):
+        ast = Bin("+", Var("x"), Num(1.0))
+        assert ast == Bin("+", Var("x"), Num(1.0)) and ast != other
+        spec = MapSpec(kind="expression", domain=(0.0, 1.0), ast=ast, params={"y": 0.0})
+        assert spec != MapSpec(kind="expression", domain=(0.0, 1.0), ast=other, params={"y": 0.0})
+
+    def test_constants_compare_to_the_bit(self):
+        assert Num(0.0) != Num(-0.0) and Num(0.5) == Num(0.5)
+        assert Num(0.5) != 0.5

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from dfclab import simulation
 from dfclab.cycles import Cycle, find_cycles
 from dfclab.maps import MapEvalError, eval_map, parse_map
 from dfclab.simulation import (
-    _classify,
+    Trajectory,
     _distances,
     _iterate,
+    _settle_step,
     basin_fraction,
     simulate,
     simulate_nearest,
@@ -230,6 +232,28 @@ class TestSimulateNearest:
         assert simulate_nearest(m, a, 1, history, 300, [far, farther, near]).target is near
 
 
+class TestSimulateNearestBuildsOneTrajectory:
+    def test_three_candidates_build_one(self, logistic4, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return Trajectory(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "Trajectory", counted)
+        cycles = find_cycles(logistic4, 4, 1000)
+        got = simulate_nearest(logistic4, gains_uniform(2), 4, [0.3] * 5, 400, cycles)
+        assert len(cycles) == 3
+        assert len(built) == 1 and isinstance(got, Trajectory)
+
+    def test_settle_step_counts_nan_as_outside(self):
+        dist = np.zeros(20)
+        dist[9] = math.nan
+        assert _settle_step(dist, 1, 1e-6) == 10
+        dist[10] = math.nan
+        assert _settle_step(dist, 1, 1e-6) is None
+
+
 # (map, domain, T, N, index of the target among find_cycles' orbits). Some
 # samples of each converge; the logistic map at r = 4.5 and cubic maps
 # overflow, and near the pole of the last map the run leaves for infinity.
@@ -247,7 +271,8 @@ BASIN_CASES = [
 
 def _classified(states, T, target, diverged=False, tol=1e-6):
     xs = np.asarray(states, dtype=float)
-    return _classify(xs, [], diverged, T, target, tol, _distances(xs, target))
+    settle = None if diverged else _settle_step(_distances(xs, target), T, tol)
+    return Trajectory(xs, np.array([]), settle is not None, settle, target, diverged)
 
 
 class TestArrayConvergenceCheck:

@@ -251,3 +251,10 @@ class TestRotationInvariance:
                 )
                 scale = max(1.0, np.max(np.abs(ref.coeffs)))
                 assert np.max(np.abs(rot.coeffs - ref.coeffs)) <= 1e-8 * scale
+
+
+class TestNonFiniteMu:
+    @pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+    def test_char_poly_closed_names_mu(self, mu):
+        with pytest.raises(ValueError, match=f"^mu must be finite, got {mu!r}"):
+            char_poly_closed(2, 2, GainVector([0.5, 0.5]), mu)

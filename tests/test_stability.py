@@ -621,3 +621,11 @@ class TestAnalyze:
         report = analyze(p)
         for r in report.roots:
             assert abs(complex(p(r))) < 1e-9
+
+
+class TestSpectralRadiiRejectNonFiniteMu:
+    @pytest.mark.parametrize("mus, bad", [([math.inf, 0.5], "inf"), ([0.5, -math.inf], "-inf"),
+                                          ([0.1, math.nan, 0.2], "nan")])
+    def test_names_the_first_non_finite_mu(self, mus, bad):
+        with pytest.raises(ValueError, match=f"^mu must be finite, got {bad}$"):
+            dfclab.stability.spectral_radii(2, 2, gains_uniform(2), mus)
