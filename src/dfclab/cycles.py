@@ -129,6 +129,11 @@ def find_cycles(m: MapSpec, period: int, grid_points: int = 1000) -> list[Cycle]
     a root found on the domain; its other points may lie outside. The Newton
     re-polish of the anchor never steps outside the domain, so an anchor
     that lies outside it is reported as the orbit's iteration gave it.
+
+    A grid node where f^T overflows is skipped as any erring node is, which
+    can hide every root of a domain near the float limit: on (-8e307, 8e307)
+    the nodes lie about 1.6e305 apart, so for x^2 - 1 the nodes next to its
+    fixed points overflow in x^2 and the result is empty.
     """
     if period < 1:
         raise ValueError("period must be a positive integer")
@@ -140,8 +145,13 @@ def find_cycles(m: MapSpec, period: int, grid_points: int = 1000) -> list[Cycle]
     # Grid scan of g = f^T - x for sign changes / exact nodes; NaN marks a
     # node whose map errors.
     n = grid_points
-    xs = lo + (hi - lo) * np.arange(n) / (n - 1)
     with np.errstate(over="ignore"):
+        span = (hi - lo) * np.arange(n)
+        xs = lo + span / (n - 1)
+        if not math.isfinite(span[-1]):  # |span| grows with i: it overflows from some i on
+            # On a domain near the float limit those nodes scale i first.
+            wide = np.flatnonzero(~np.isfinite(span))
+            xs[wide] = lo + (hi - lo) * (wide / (n - 1))
         gs = _iterate_array(m, xs, T) - xs
         exact = np.abs(gs) <= 1e-13 * (1.0 + np.abs(xs))
         ga, gb = gs[:-1], gs[1:]
@@ -268,7 +278,7 @@ def newton_brackets(g, a, b, ga, gb, width: float) -> np.ndarray:
         w, wide = b - a, w
         halved = w <= 0.5 * wide
         end = err | (gx == 0.0) | (w <= width)
-        if end.any():  # settle the brackets that end here, then drop them
+        if np.count_nonzero(end):  # settle the brackets that end here, then drop them
             zero = (gx == 0.0) & ~err
             roots[rows[zero]] = x[zero]
             done = ~(err | zero) & (w <= width)
@@ -288,7 +298,7 @@ def newton_brackets(g, a, b, ga, gb, width: float) -> np.ndarray:
         nxt, hair = x + step, 0.01 * w
         budget -= 1
         newton = (a - hair < nxt) & (nxt < b + hair) & (slow < 2) & (budget > 0)
-        nxt = np.clip(nxt, a + 0.5 * width, b - 0.5 * width)
+        nxt = np.minimum(np.maximum(nxt, a + 0.5 * width), b - 0.5 * width)
         moved = np.where(newton, np.abs(nxt - x), 0.5 * w)
         x = np.where(newton, nxt, 0.5 * (a + b))
         slow[~newton] = 0

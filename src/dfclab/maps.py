@@ -50,9 +50,19 @@ A step of an array form makes few numpy calls, since on small arrays each
 call costs about as much as its arithmetic. It keeps one running mask of
 the good elements, and'ed with ``isfinite`` of each value it checks and
 inverted once at return, and assigns its value and derivative as it made
-them wherever they depend on x. Only the bare x and a value or derivative
-free of x are copied into a new array (``fresh``), so no form returns its
-input. The derivative rules multiply in no factor that is exactly 1.0 (the
+them wherever they depend on x. Most maps carry a non-finite x to a
+non-finite value, since ``+ - *``, unary minus, abs, u^n with n >= 1 and
+a division of such a value do, and sin and cos raise on +-inf: all three
+builtins do. Then a step that is not finite leaves every later one not
+finite, and one ``isfinite`` of the value after the last step stands for
+the input's and every step's. A map that reaches its value only through
+exp, tanh, u^0, u^-n or a divisor that depends on x (exp(-inf) is 0.0,
+1/inf is 0.0) checks the input and each step's value, as does a map free
+of x. The derivative factor of every step is checked either way, so the
+mask of (f^n)' is the union of the one-step masks even where the product
+overflows. Only the bare x and a value or derivative free of x are copied
+into a new array (``fresh``), so no form returns its input. The
+derivative rules multiply in no factor that is exactly 1.0 (the
 derivative of x, or u^0 in the power rule), since y * 1.0 is y.
 
 The array forms equal ``eval_map`` bit for bit wherever their mask is clear.
@@ -61,9 +71,12 @@ Python. ``^``, exp, tanh, sin and cos are not: the scalar form gets them
 from libm (``**`` calls C ``pow``), and numpy's vectorised kernels round
 differently in the last bit, as does ``x*x`` against ``pow(x, 2)``. So the
 array forms call libm element by element too, through ``math.pow``,
-``math.exp``, ``math.tanh``, ``math.sin`` and ``math.cos``. The derivative
-of u^n is n u^(n-1) u' for every integer n, with u^1 lowered to u and u^0
-to 1.0, which is what ``pow`` returns for them at every u.
+``math.exp``, ``math.tanh``, ``math.sin`` and ``math.cos``: one ``map``
+over the list of x's elements, with the exponent of ``pow`` bound as a
+float so that no element converts it, and a second, guarded pass only
+where some element raised. The derivative of u^n is n u^(n-1) u' for
+every integer n, with u^1 lowered to u and u^0 to 1.0, which is what
+``pow`` returns for them at every u.
 """
 
 from __future__ import annotations
@@ -218,34 +231,53 @@ def format_ast(node: Node) -> str:
 
 
 def _elementwise(fn: Callable) -> Callable:
-    """``fn`` of Python's math module applied element by element to its first
-    argument, an array or a float; any further arguments are scalars.
+    """``fn`` of Python's math module applied element by element to an array
+    x, or to a float free of x (a constant argument) read as a 0-d array.
 
-    Returns the float results, shaped like the first argument, and the mask
-    of the elements on which fn raised, or None when none did. Errors are
-    rare, so a call first runs unguarded and is repeated with a guard round
-    each element only when some element raised.
+    Returns the float results, shaped like x, and the mask of the elements
+    on which fn raised, or None when none did. Errors are rare, so a call
+    first runs unguarded and is repeated with a guard round each element
+    (``_guarded``) only when some element raised.
     """
 
-    def guarded(*args):
+    def call(x):
+        if type(x) is not np.ndarray:
+            x = np.asarray(x, dtype=float)
+        try:
+            return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape), None
+        except (ArithmeticError, ValueError):
+            return _guarded(fn, x)
+
+    return call
+
+
+def _vpow(x, e: float):
+    """``math.pow`` of each element of x and the exponent e, as ``_elementwise``
+    calls a function of one argument. e is a float, so that pow does not
+    convert it on every element."""
+    if type(x) is not np.ndarray:
+        x = np.asarray(x, dtype=float)
+    try:
+        out = np.fromiter(map(math.pow, x.ravel().tolist(), itertools.repeat(e)), float, x.size)
+        return out.reshape(x.shape), None
+    except (ArithmeticError, ValueError):
+        return _guarded(math.pow, x, e)
+
+
+def _guarded(fn: Callable, x: np.ndarray, *scalars):
+    """fn of each element of x and the scalars, NaN where it raises: the
+    results shaped like x, and the mask of the elements on which fn raised."""
+
+    def one(*args):
         try:
             return fn(*args)
         except (ArithmeticError, ValueError):
             return math.nan
 
-    def call(x, *scalars):
-        x = np.asarray(x, dtype=float)
-        xs = x.ravel().tolist()
-        try:
-            out = np.fromiter(map(fn, xs, *map(itertools.repeat, scalars)), float, x.size)
-            return out.reshape(x.shape), None
-        except (ArithmeticError, ValueError):
-            out = np.fromiter(map(guarded, xs, *map(itertools.repeat, scalars)), float, x.size)
-            out = out.reshape(x.shape)
-            # No call here returns NaN from a non-NaN argument without raising.
-            return out, np.isnan(out) & ~np.isnan(x)
-
-    return call
+    out = np.fromiter(map(one, x.ravel().tolist(), *map(itertools.repeat, scalars)), float, x.size)
+    out = out.reshape(x.shape)
+    # No call here returns NaN from a non-NaN argument without raising.
+    return out, np.isnan(out) & ~np.isnan(x)
 
 
 def _fresh(v, x):
@@ -267,7 +299,7 @@ _CODE_GLOBALS = {
     "vcos": _elementwise(math.cos),
     "vexp": _elementwise(math.exp),
     "vtanh": _elementwise(math.tanh),
-    "vpow": _elementwise(math.pow),
+    "vpow": _vpow,
     "divide": np.divide,
     "where": np.where,
     "isfinite": np.isfinite,
@@ -315,20 +347,26 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
     derivative is None for a node that does not depend on x: it enters the
     rules above as a constant with derivative 0.0; outside "fda" no node has
     one. The array forms spell f's operations with the same rounding and
-    keep a running mask ``good``, inverted once at return: it starts as the
-    finite inputs and is and'ed with the finite values of each step, the
-    nonzero divisors and the elements where no math-module call raised. A
-    step's value and derivative are arrays of x's shape that the step made,
-    and are assigned as they are, wherever they depend on x; the lowering
-    tracks which names do as it emits them. ``fresh`` copies the others into
-    a new array: the bare x, and a value or derivative free of x. A
-    parameter named like the variable shadows it; any other name must be a
-    parameter. Constants are bound in ``ns``; ``bound`` keeps their names.
+    keep a running mask ``good``, inverted once at return. It is and'ed with
+    the nonzero divisors, the elements where no math-module call raised
+    and, in "fda", the finite derivative factors of each step. Where f
+    carries a non-finite x to a non-finite value, it starts as True and is
+    and'ed with the finite values after the last step; the lowering tracks
+    in the same walk which names carry x's non-finite elements. Otherwise
+    it starts as the finite inputs and is and'ed with the finite values of
+    each step. A step's value and derivative are arrays of x's shape that
+    the step made, and are assigned as they are, wherever they depend on x;
+    the lowering tracks which names do as it emits them. ``fresh`` copies
+    the others into a new array: the bare x, and a value or derivative free
+    of x. A parameter named like the variable shadows it; any other name
+    must be a parameter. Constants, the float exponents of ``pow`` among
+    them, are bound in ``ns``; ``bound`` keeps their names.
     """
     lines: list[str] = []
     dx = "1.0" if form == "fda" else None
     array = form != "f"
     shaped = {"x"}  # the names of arrays of x's shape: x and what depends on it
+    carried = {"x"}  # the names of values not finite (or flagged) wherever x is not
 
     def let(expr: str, *args) -> str:
         # args are the names expr reads: it has x's shape if one of them has.
@@ -340,9 +378,9 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
 
     def libm(func: str, *args) -> str:
         if not array:
-            return let(f"{func}({', '.join(map(str, args))})")
+            return let(f"{func}({', '.join(args)})")
         v = f"t{len(lines)}"
-        lines.append(f"{v}, raised = v{func}({', '.join(map(str, args))})")
+        lines.append(f"{v}, raised = v{func}({', '.join(args)})")
         lines.append("if raised is not None: good &= ~raised")
         if args[0] in shaped:
             shaped.add(v)
@@ -364,11 +402,16 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
                 unbound.add(node.name)
             return "x", dx
         if isinstance(node, Neg):
-            v, d = walk(node.operand)
-            return let(f"-{v}", v), None if d is None else let(f"-{d}", d)
+            u, d = walk(node.operand)
+            v = let(f"-{u}", u)
+            if u in carried:
+                carried.add(v)
+            return v, None if d is None else let(f"-{d}", d)
         if isinstance(node, Call):
             a, ad = walk(node.arg)
             v = let(f"abs({a})", a) if node.func == "abs" else libm(node.func, a)
+            if a in carried and node.func in ("abs", "sin", "cos"):  # sin, cos raise on +-inf
+                carried.add(v)
             if ad is None:
                 return v, None
             g, rule = _CALL_DERIVS[node.func]
@@ -378,7 +421,9 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
         if isinstance(node, Pow):
             b, bd = walk(node.base)
             n = node.exponent
-            v = libm("pow", b, n) if array else let(f"{b} ** {n}", b)
+            v = libm("pow", b, const(("pow", n), float(n))) if array else let(f"{b} ** {n}", b)
+            if b in carried and n >= 1:
+                carried.add(v)
             if bd is None:
                 return v, None
             if n == 0:  # u^-1 would raise at u = 0
@@ -386,7 +431,7 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
             if n == 1:  # 1 * pow(u, 0) * u' is u' exactly, for every u
                 return v, bd
             # pow(u, 1) is u exactly, for every u.
-            u = b if n == 2 else libm("pow", b, n - 1)
+            u = b if n == 2 else libm("pow", b, const(("pow", n - 1), float(n - 1)))
             return v, let(_times(f"{n} * {u}", bd), u, bd)
         if isinstance(node, Bin):
             l, ld = walk(node.left)
@@ -396,6 +441,8 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
                 lines.append(f"good &= {r} != 0.0")
             else:
                 v = let(f"{l} {node.op} {r}", l, r)
+            if l in carried or (r in carried and node.op != "/"):  # c / inf is 0.0
+                carried.add(v)
             if ld is None and rd is None:
                 return v, None
             ld, rd = ld or "0.0", rd or "0.0"
@@ -412,7 +459,12 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
         )
     if not array:
         return "def f(x):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {v}\n"
-    head, ret = ["good = isfinite(x)"], "x, ~good"
+    # Where f carries a non-finite x to a non-finite value, a step that is
+    # not finite leaves x_n not finite: one check after the loop covers every
+    # step and the input. Other maps check the input and every step.
+    check = "good &= isfinite(x)"
+    once = v in carried
+    head, ret = ["good = True" if once else "good = isfinite(x)"], "x, ~good"
     if dx is not None:
         d = d or "0.0"
         if d not in shaped:
@@ -422,10 +474,12 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
         ret = "x, slope, ~good"
     if v == "x" or v not in shaped:
         v = f"fresh({v}, x)"
-    lines += [f"x = {v}", "good &= isfinite(x)"]
+    lines.append(f"x = {v}")
+    if not once:
+        lines.append(check)
     return (f"def {form}(x, n):\n" + "".join(f"    {line}\n" for line in head)
             + "    for _ in range(n):\n" + "".join(f"        {line}\n" for line in lines)
-            + f"    return {ret}\n")
+            + (f"    {check}\n" if once else "") + f"    return {ret}\n")
 
 
 def _compile(ast: Node, params: dict) -> tuple[Callable, Callable, Callable]:

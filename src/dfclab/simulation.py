@@ -31,10 +31,15 @@ computing 4,506 of the 47,000 steps asked for.
 map's compiled one-step array form per step, inside one ``np.errstate``:
 it calls ``m._fa(x, 1)`` directly rather than through
 ``maps.compose_map_array``, whose own ``np.errstate`` (2 us per enter
-and exit, ``timeit``) would add about 1 ms to each 500-step basin job. A
-sample leaves the array at the step where that call's mask flags it:
-where f errs, and where the state is not finite, since the mask covers
-the input. So a sum that is not finite drops its sample one step later,
+and exit, ``timeit``) would add about 1 ms to each 500-step basin job.
+f of the last M states is a Python list of M rows, each the array an
+f call returned, and the sum takes its N terms left to right from the
+precomputed pairs (a_j, (j-1)T), with no numpy indexing per term. A
+sample leaves the array at the step where that call's mask flags it
+(one ``np.count_nonzero`` of the mask per step, about a third of the
+cost of ``.any()`` on 64 samples, ``timeit``): where f errs, and where the state is not
+finite, since the mask covers the input. So a sum that is not finite
+drops its sample one step later,
 and one the last step leaves in the final window fails the tol test
 there, as a diverged run is not converged in ``simulate``. It does not
 stop early: in each benchmark basin job (seed 7) 11-28 of the 64 samples
@@ -243,23 +248,24 @@ def basin_fraction(
     rng = np.random.default_rng(seed)
     lo, hi = m.domain
     f0, bad = eval_map_array(m, rng.uniform(lo, hi, samples))
-    # One column per sample still running. fx holds f of its last M states,
+    # One column per sample still running. rows holds f of its last M states,
     # state i in row i % M; all M states of a constant history share f0.
-    fx = np.repeat(f0[None, ~bad], M, axis=0)
-    window = np.empty((10 * T, fx.shape[1]))  # the final 10T states
+    rows = [f0[~bad]] * M
+    terms = [(c, j * T) for j, c in enumerate(a.coeffs)]
+    window = np.empty((10 * T, rows[0].size))  # the final 10T states
     first = M + steps - 10 * T  # index of the first state in the window
     with np.errstate(all="ignore"):  # an erring f or a non-finite sum diverges
         for k in range(M - 1, M - 1 + steps):
             if k >= M:
                 # f's mask covers a non-finite state, so it drops a sample
                 # whose last sum was not finite too.
-                fx[k % M], bad = m._fa(x, 1)
-                if bad.any():
+                rows[k % M], bad = m._fa(x, 1)
+                if np.count_nonzero(bad):
                     keep = ~bad
-                    fx, window = fx[:, keep], window[:, keep]
+                    rows, window = [row[keep] for row in rows], window[:, keep]
             x = 0.0
-            for j, c in enumerate(a.coeffs):
-                x = x + c * fx[(k - j * T) % M]
+            for c, lag in terms:
+                x = x + c * rows[(k - lag) % M]
             if k + 1 >= first:
                 window[k + 1 - first] = x
         # A non-finite state the last step left in the window is no hit:

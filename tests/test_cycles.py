@@ -1,6 +1,8 @@
 """Tests for periodic-orbit detection against brute-force and analytic oracles."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -385,6 +387,35 @@ class TestBisectBrackets:
         assert np.all((xs[i] <= got) & (got <= xs[i + 1]))
         left, right = g(got - width / 2), g(got + width / 2)
         assert np.all((g(got) == 0.0) | (left * right <= 0.0))
+
+
+class TestScanGrid:
+    def test_a_domain_near_the_float_limit_scans_without_overflow(self, monkeypatch):
+        # hi - lo is 1.6e308, so (hi - lo) * i overflows for every i >= 2;
+        # those nodes scale i first. The nodes next to the fixed points -0.618 and 1.618
+        # lie about 8e304 from them and overflow in x^2, so none is found.
+        calls = spy_compose(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_cycles(parse_map("x^2 - 1", domain=(-8e307, 8e307)), 1) == []
+        grid = calls[0][0]
+        assert np.isfinite(grid).all() and (np.diff(grid) > 0).all()
+        assert grid[0] == -8e307 and abs(grid[-1] - 8e307) <= 1e-15 * 8e307
+
+    def test_ordinary_domains_keep_their_grid(self, monkeypatch):
+        calls = spy_compose(monkeypatch)
+        rng = np.random.default_rng(4)
+        m = parse_map("x^2 - 1")
+        for _ in range(200):
+            # Widths up to 1e304, so (hi - lo) * (n - 1) stays finite.
+            lo = rng.uniform(-10.0, 10.0) * 10.0 ** rng.integers(-5, 300)
+            hi = lo + 10.0 ** rng.uniform(-12, 304)
+            n = int(rng.integers(100, 2000))
+            if not lo < hi:  # the width was lost to rounding
+                continue
+            calls.clear()
+            find_cycles(dataclasses.replace(m, domain=(lo, hi)), 1, n)
+            assert calls[0][0].tobytes() == (lo + (hi - lo) * np.arange(n) / (n - 1)).tobytes()
 
 
 def g_of(m, T):

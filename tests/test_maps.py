@@ -539,8 +539,11 @@ class TestArrayForm:
                 assert x.tobytes() == before, (source, form)
 
     def test_fresh_is_called_only_for_values_free_of_x(self, monkeypatch):
-        # One isfinite per checked value per step and one for the input; no
-        # fresh where the step's value and derivative depend on x.
+        # The builtins and x + 1 carry a non-finite x to a non-finite value,
+        # so the value is checked once, after the n = 9 steps, and the input
+        # not at all: 1 isfinite for fa. fda also checks the derivative
+        # factor of each step: 9 + 1. No fresh where the step's value and
+        # derivative depend on x.
         calls = collections.Counter()
         for name in ("fresh", "isfinite"):
             real = dfclab.maps._CODE_GLOBALS[name]
@@ -550,14 +553,134 @@ class TestArrayForm:
         x = np.linspace(-0.5, 0.5, 5)
         for source in ("logistic:r=3.9", "quadratic:c=-1.3", "cubic:b=2.8"):
             m = parse_map(source)
-            for deriv, checks in ((False, 1 + 9), (True, 1 + 18)):
+            for deriv, checks in ((False, 1), (True, 9 + 1)):
                 calls.clear()
                 compose_map_array(m, x, 9, deriv=deriv)
                 assert calls == {"isfinite": checks}, (source, deriv)
         # The derivative of x + 1 is the constant 1.0: fresh makes it an array.
         calls.clear()
         compose_map_array(parse_map("x + 1"), x, 9, deriv=True)
-        assert calls == {"fresh": 9, "isfinite": 1 + 18}
+        assert calls == {"fresh": 9, "isfinite": 9 + 1}
+
+
+def one_step_calls(m, x, n):
+    """f^n and (f^n)' by n calls of the one-step public forms, the masks or'ed:
+    (values, bad) and (values, slopes, bad)."""
+    y, bad = x, np.zeros(x.shape, dtype=bool)
+    yd, slope, bad_d = x, 1.0, np.zeros(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):  # the slope product may overflow
+        for _ in range(n):
+            y, b = eval_map_array(m, y)
+            yd, d, b_d = eval_map_deriv_array(m, yd)
+            bad, slope, bad_d = bad | b, slope * d, bad_d | b_d
+    return (y, bad), (yd, slope, bad_d)
+
+
+class TestFinitenessChecks:
+    """A map that carries a non-finite x to a non-finite value checks its
+    value once, after the last step; any other checks the input and every
+    step. Either way the n-fold masks equal n one-step calls'."""
+
+    @pytest.mark.parametrize("source, x0, n", [
+        ("1e308/x", 0.5, 2),  # inf, then 1e308/inf = 0
+        ("1e308*exp(-x)", -1.0, 2),  # inf, then 1e308*exp(-inf) = 0
+        ("1e308*(1 - tanh(x))", -2.0, 2),  # inf, then 1 - tanh(inf) = 0
+        ("1e308*x^-2", 0.5, 2),  # inf, then inf^-2 = 0
+        ("x^0", math.inf, 3),  # a non-finite input, then 1.0
+        ("x^0", math.nan, 3),
+        ("2.5", math.inf, 3),  # free of x: the input is checked
+        ("exp(1e308*(1 - x))", -10.0, 2),  # exp(inf) = inf, then exp(-inf) = 0
+    ])
+    def test_a_step_turned_finite_later_stays_flagged(self, source, x0, n):
+        m = parse_map(source)
+        x = np.array([x0, 0.25])
+        (y, bad), (yd, slope, bad_d) = one_step_calls(m, x, n)
+        assert bad[0] and bad_d[0] and np.isfinite(y[0]), source  # the case is exercised
+        with np.errstate(all="ignore"):
+            got, got_d = compose_map_array(m, x, n), compose_map_array(m, x, n, deriv=True)
+        assert [v.tobytes() for v in got] == [y.tobytes(), bad.tobytes()], source
+        assert [v.tobytes() for v in got_d] == [yd.tobytes(), slope.tobytes(),
+                                                bad_d.tobytes()], source
+
+    @pytest.mark.parametrize("source, x0", [
+        ("quadratic:c=-1.3", 1e200),  # pow overflows and raises at the first step
+        ("quadratic:c=-1.3", 1e100),  # ... at the second
+        ("cubic:b=2.8", 1e120),
+        ("logistic:r=3.9", 1e200),  # -inf from numpy's multiply, no raise
+        ("logistic:r=3.9", -1e160),  # finite, then -inf
+        ("x + exp(-x)", -800.0),  # exp raises, x + NaN stays NaN
+    ])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_an_overflow_chain_is_flagged_once_at_the_end(self, source, x0, n):
+        m = parse_map(source)
+        x = np.array([x0, -x0, 0.25, math.inf, math.nan])
+        (y, bad), (yd, slope, bad_d) = one_step_calls(m, x, n)
+        with np.errstate(all="ignore"):
+            got, got_d = compose_map_array(m, x, n), compose_map_array(m, x, n, deriv=True)
+        assert [v.tobytes() for v in got] == [y.tobytes(), bad.tobytes()]
+        assert [v.tobytes() for v in got_d] == [yd.tobytes(), slope.tobytes(), bad_d.tobytes()]
+        assert bad[0] and bad[3:].all()
+
+    @pytest.mark.parametrize("source, once", [
+        ("logistic:r=3.9", True), ("x + exp(-x)", True), ("sin(x)*abs(x) - x^3", True),
+        ("x/(1 + x*x)", True), ("-cos(x)", True),
+        ("1/x", False), ("exp(x)", False), ("tanh(x)", False), ("x^0", False),
+        ("x^-2", False), ("2.5", False), ("(x - 1)^0 * x", True),
+    ])
+    def test_where_the_value_is_checked(self, source, once, monkeypatch):
+        checks = []
+        isfinite = dfclab.maps._CODE_GLOBALS["isfinite"]
+        monkeypatch.setitem(dfclab.maps._CODE_GLOBALS, "isfinite",
+                            lambda v: checks.append(v) or isfinite(v))
+        compose_map_array(parse_map(source), np.array([0.25, 0.5]), 4)
+        assert len(checks) == (1 if once else 1 + 4), source
+
+
+class TestLibmCalls:
+    BASES = [1e200, -1e200, 2.0, -3.0, 1e-300, 0.0, -0.0, 1e154, math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("e", [2.0, 3.0, -2.0, 0.0, 1.0])
+    def test_pow_of_array_equals_math_pow_and_power_operator(self, e):
+        got, raised = dfclab.maps._vpow(np.array(self.BASES).reshape(1, -1), e)
+        assert got.shape == (1, len(self.BASES))
+        raised = np.zeros(got.shape, dtype=bool) if raised is None else raised
+        for b, v, r in zip(self.BASES, got[0].tolist(), raised[0].tolist()):
+            try:
+                want = math.pow(b, e)
+            except (ArithmeticError, ValueError):
+                assert r and math.isnan(v), (b, e)
+                with pytest.raises((ArithmeticError, ValueError)):
+                    b ** int(e)
+                continue
+            assert not r and v.hex() == want.hex() == (b ** int(e)).hex(), (b, e)
+
+    def test_pow_of_finite_bases_raises_nothing(self):
+        got, raised = dfclab.maps._vpow(np.array([2.0, -3.0, 0.5]), 3.0)
+        assert raised is None and got.tolist() == [8.0, -27.0, 0.125]
+
+    @pytest.mark.parametrize("base, e", [(1.5, 3.0), (-2.0, 2.0), (1e200, 2.0), (0.0, -1.0)])
+    def test_a_float_base_free_of_x(self, base, e):
+        got, raised = dfclab.maps._vpow(base, e)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        try:
+            want = math.pow(base, e)
+        except (ArithmeticError, ValueError):
+            assert raised and math.isnan(got)
+            return
+        assert raised is None and float(got).hex() == want.hex() == (base ** int(e)).hex()
+
+    def test_a_constant_power_in_a_map(self):
+        m = parse_map("2^3*x + (-1.5)^2")
+        xs = [0.25, -1.0, 3.0]
+        values, bad = eval_map_array(m, xs)
+        assert not bad.any() and values.tolist() == [eval_map(m, x) for x in xs]
+        assert eval_map_array(parse_map("1e200^2 + x"), xs)[1].tolist() == [True] * 3
+
+    def test_unary_call_keeps_the_shape(self):
+        x = np.array([[0.5, -1.0], [math.inf, 2.0]])
+        got, raised = dfclab.maps._CODE_GLOBALS["vsin"](x)
+        assert raised.tolist() == [[False, False], [True, False]]
+        assert got[0].tolist() == [math.sin(0.5), math.sin(-1.0)] and got[1, 1] == math.sin(2.0)
 
 
 class TestDomainWidth:

@@ -255,8 +255,13 @@ class TestSimulateNearestBuildsOneTrajectory:
 
 
 # (map, domain, T, N, index of the target among find_cycles' orbits). Some
-# samples of each converge; the logistic map at r = 4.5 and cubic maps
-# overflow, and near the pole of the last map the run leaves for infinity.
+# samples of most cases converge; the logistic map at r = 4.5 and cubic maps
+# overflow, and near the pole of the 0.01/x map the run leaves for infinity.
+# The cases at T = 2 and 3 with N = 3 and 4 keep more rows of f than terms
+# (M = (N - 1)T + 1 > N) and drop samples during the run: logistic outside
+# [0, 1], and a map of tanh steps whose 3-cycle 0 -> 1 -> 2 is flat and
+# whose exp term sends samples near 3.5 to overflow.
+TANH_STEPS = "1 + 0.5*(tanh(20*(x - 0.5)) + 1) - (tanh(20*(x - 1.5)) + 1) + 1e-4*exp(x^2)"
 BASIN_CASES = [
     ("logistic:r=3.9", None, 1, 2, 1),
     ("logistic:r=4.5", None, 1, 1, 1),
@@ -266,6 +271,10 @@ BASIN_CASES = [
     ("logistic:r=3.5", None, 2, 2, 0),
     ("0.01/x + 3.2*x*(1-x)", (-0.3, 1.0), 1, 2, 0),
     ("0.01/x + 3.2*x*(1-x)", (-0.3, 1.0), 1, 1, 0),
+    ("logistic:r=3.5", (-0.1, 1.1), 2, 3, 0),
+    ("logistic:r=3.5", (-0.1, 1.1), 2, 4, 0),
+    ("logistic:r=4.5", None, 3, 3, 0),
+    (TANH_STEPS, (-0.5, 3.5), 3, 4, 0),
 ]
 
 
