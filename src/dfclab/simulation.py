@@ -13,10 +13,14 @@ states do not depend on which one computed them.
 
 ``simulate`` iterates one trajectory in scalar Python: for a single run an
 array's per-step overhead dominates. On logistic:r=3.9 with N = 2 and 3,000
-steps, ``basin_fraction`` with one sample took 30-35 ms, about 10 us a step,
-and ``simulate`` from x = 0.25 took 1.7-2.1 ms for the 2,051 steps it
-computes before the recurrence exit below, about 1 us a step (best of 7 in
-one process, three processes, 2-core Xeon, numpy 2.4). The loop stops once
+steps, ``basin_fraction`` with one sample took 20.3-21.0 ms, about 7 us a
+step, and ``simulate`` from x = 0.25 took 1.67-1.70 ms for the 2,051 steps
+it computes before the recurrence exit below, about 0.8 us a step (best of 7
+in one process, six processes, 2-core x86_64, numpy 2.4; one process read
+3.4 ms in the host's slow state). On cubic:b=2.8 with N = 3 the one-sample
+run took 22.8-25.5 ms, and 64 samples over 500 steps 4.6-9.3 ms, about 9 us
+a step at best. Before ``^`` ran on ``np.float_power`` they took 25.6-44.5
+and 7.5-12.9 ms (three processes each side, alternated). The loop stops once
 the window of the last M = (N-1)T + 1 states recurs bit for bit. x(k+1)
 reads only that window, through the same float operations every time, so
 from there on the run repeats with the period between the two windows, and
