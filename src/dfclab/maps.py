@@ -50,16 +50,18 @@ A step of an array form makes few numpy calls, since on small arrays each
 call costs about as much as its arithmetic. It keeps one running mask of
 the good elements, and'ed with ``isfinite`` of each value it checks and
 inverted once at return, and assigns its value and derivative as it made
-them wherever they depend on x. Most maps carry a non-finite x to a
-non-finite value, since ``+ - *``, unary minus, abs, u^n with n >= 1 and
-a division of such a value do, and sin and cos raise on +-inf: all three
-builtins do. Then a step that is not finite leaves every later one not
-finite, and one ``isfinite`` of the value after the last step stands for
-the input's and every step's. A map that reaches its value only through
-exp, tanh, u^0, u^-n or a divisor that depends on x (exp(-inf) is 0.0,
-1/inf is 0.0) checks the input and each step's value, as does a map free
-of x. The derivative factor of every step is checked either way, so the
-mask of (f^n)' is the union of the one-step masks even where the product
+them wherever they depend on x. Where the checks go is decided once per
+map. A map *absorbs* when it has an exp or tanh call, a quotient, a power
+u^n with n <= 0, or a value free of x: each may take a non-finite operand
+to a finite value (exp(-inf) is 0.0, 1/inf is 0.0, inf^0 is 1.0). Every
+other operation carries a non-finite operand to a non-finite value:
+``+ - *``, unary minus, abs and u^n with n >= 1 do, and sin and cos raise
+on +-inf. In a map that does not absorb, all three builtins among them, a
+step that is not finite leaves every later one not finite, and one
+``isfinite`` of the value after the last step stands for the input's and
+every step's. A map that absorbs checks the input and each step's value.
+The derivative factor of every step is checked either way, so the mask
+of (f^n)' is the union of the one-step masks even where the product
 overflows. Only the bare x and a value or derivative free of x are copied
 into a new array (``fresh``), so no form returns its input. The
 derivative rules multiply in no factor that is exactly 1.0 (the
@@ -67,15 +69,11 @@ derivative of x, or u^0 in the power rule), since y * 1.0 is y.
 
 ``^`` raises in the scalar form exactly where its base is finite and its
 value is not: an overflow, or 0 to a negative power. The array forms get
-+-inf there. The same walk that lowers a map tracks which pows reach the
-value or the derivative factor that the form checks. A pow reaches them
-through the operations that carry a non-finite operand to a non-finite
-result (see above), and through every factor of a derivative rule. Such a
-pow flags itself where it raises, so it costs no extra line. Any other pow
-gets a mask line of its own in the step, ``isfinite(t) | ~isfinite(b)``.
-That covers a pow under exp or tanh, in a divisor, or as the base of u^-n.
-In all three builtins every pow reaches a checked name: x^2 + c, b*x - x^3
-and 3*x^2.
++-inf there. In a map that does not absorb, that value reaches the
+checked one and is flagged there, at no extra line; the u^(n-1) of a
+power rule overflows only where u^n does. A map that absorbs gives each
+pow but u^0 and u^1 a mask line of its own in the step,
+``isfinite(t) | ~isfinite(b)``.
 
 The array forms equal ``eval_map`` bit for bit wherever their mask is clear.
 ``+ - * /`` and ``abs`` are correctly rounded IEEE operations in numpy as in
@@ -348,44 +346,40 @@ def _times(a: str, b: str) -> str:
 def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
     """Return the source of the function ``form`` computing ast, one line per node.
 
-    ``form`` is "f" for ``f(x)`` at a float x. The array forms take an array
-    x and a step count n >= 1 and run the lines of one step of f n times:
-    "fa" gives ``fa(x, n) -> (f^n(x), bad)``, with the mask of the elements
-    on which some step of f raises, and "fda" gives
-    ``fda(x, n) -> (f^n(x), (f^n)'(x), bad)``, with the mask of the elements
-    on which f or f' is not finite at some step. (f^n)' is the product
-    1.0 * f'(x_0) * f'(x_1) * ... along the orbit, taken left to right. So
-    the array forms equal n successive calls at n = 1 bit for bit, their
-    masks or'ed. Each node yields the names of its value and derivative,
-    each with the bits of the sources whose non-finite elements it reaches:
-    1 for x, and a bit for each pow of the array forms that may raise. The
-    derivative is None for a node that does not depend on x: it enters the
-    rules above as a constant with derivative 0.0; outside "fda" no node has
-    one. The array forms spell f's operations with the same rounding and
-    keep a running mask ``good``, inverted once at return. It is and'ed with
-    the nonzero divisors, the elements where no exp, tanh, sin or cos call
-    raised and, in "fda", the finite derivative factors of each step. Where
-    f carries a non-finite x to a non-finite value (its value reaches x), it
-    starts as True and is and'ed with the finite values after the last
-    step. Otherwise it starts as the finite inputs and is and'ed with the
-    finite values of each step. ``float_power`` returns +-inf where ``**``
-    raises: a pow whose value reaches the checked value or, in "fda", the
-    derivative factor is flagged by that check. Any other is and'ed with
-    ``isfinite(t) | ~isfinite(b)`` for its value t and base b. u^0 and u^1
-    never raise. Values at flagged elements are unspecified. A step's value
-    and derivative are arrays of x's shape that the step made, and are
-    assigned as they are, wherever they depend on x; the lowering tracks
-    which names do as it emits them. ``fresh`` copies the others into a new
-    array: the bare x, and a value or derivative free of x. A parameter
-    named like the variable shadows it; any other name must be a parameter.
-    Constants, the float exponents of ``pow`` among them, are bound in
-    ``ns``; ``bound`` keeps their names.
+    ``form`` is "f" for ``f(x)`` at a float x. The array forms take an array x
+    and a step count n >= 1 and run the lines of one step of f n times: "fa"
+    gives ``fa(x, n) -> (f^n(x), bad)``, with the mask of the elements on which
+    some step of f raises, and "fda" gives ``fda(x, n) -> (f^n(x), (f^n)'(x),
+    bad)``, with the mask of the elements on which f or f' is not finite at
+    some step. (f^n)' is the product 1.0 * f'(x_0) * f'(x_1) * ... along the
+    orbit, taken left to right. So the array forms equal n successive calls at
+    n = 1 bit for bit, their masks or'ed. Each node yields the names of its
+    value and derivative. The derivative is None for a node that does not
+    depend on x: it enters the rules above as a constant with derivative 0.0;
+    outside "fda" no node has one. The array forms spell f's operations with
+    the same rounding and keep a running mask ``good``, inverted once at
+    return. It is and'ed with the nonzero divisors, the elements where no exp,
+    tanh, sin or cos call raised and, in "fda", the finite derivative factors
+    of each step. Where f does not absorb (see the module docstring), it starts
+    as True and is and'ed with the finite values after the last step. Otherwise
+    it starts as the finite inputs and is and'ed with the finite values of each
+    step and, for each pow but u^0 and u^1, with ``isfinite(t) | ~isfinite(b)``
+    for its value t and base b: ``float_power`` returns +-inf where ``**``
+    raises. Values at flagged elements are unspecified. A step's value and
+    derivative are arrays of x's shape that the step made, and are assigned as
+    they are, wherever they depend on x; the lowering tracks which names do as
+    it emits them. ``fresh`` copies the others into a new array: the bare x,
+    and a value or derivative free of x. A parameter named like the variable
+    shadows it; any other name must be a parameter. Constants, the float
+    exponents of ``pow`` among them, are bound in ``ns``; ``bound`` keeps their
+    names.
     """
     lines: list[str] = []
     dx = "1.0" if form == "fda" else None
     array = form != "f"
     shaped = {"x"}  # the names of arrays of x's shape: x and what depends on it
     pows: list[tuple[str, str]] = []  # the value and base of each pow that may raise
+    absorbs = False  # set by a construct that may take a non-finite operand to a finite value
 
     def let(expr: str, *args) -> str:
         # args are the names expr reads: it has x's shape if one of them has.
@@ -405,17 +399,13 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
             shaped.add(v)
         return v
 
-    def power(b: str, n: int, reach: int) -> tuple[str, int]:
-        # u^n and what it reaches: its base's sources for n >= 1, since
-        # pow(inf, n) is not finite there only, and itself where it may raise.
-        reach = reach if n > 0 else 0
+    def power(b: str, n: int) -> str:
         if not array:
-            return let(f"{b} ** {n}", b), reach
+            return let(f"{b} ** {n}", b)
         v = let(f"float_power({b}, {const(('pow', n), float(n))})", b)
         if n not in (0, 1):  # pow(u, 0) is 1.0 and pow(u, 1) is u: neither raises
             pows.append((v, b))
-            reach |= 1 << len(pows)
-        return v, reach
+        return v
 
     def const(key, value) -> str:
         if key not in bound:
@@ -423,85 +413,80 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
             ns[bound[key]] = value
         return bound[key]
 
-    def walk(node: Node) -> tuple[str, int, str | None, int]:
+    def walk(node: Node) -> tuple[str, str | None]:
+        nonlocal absorbs
         if isinstance(node, Num):
-            return const(id(node), node.value), 0, None, 0
+            return const(id(node), node.value), None
         if isinstance(node, Var):
             if node.name in params:
-                return const(node.name, params[node.name]), 0, None, 0
+                return const(node.name, params[node.name]), None
             if node.name != "x":
                 unbound.add(node.name)
-            return "x", 1, dx, 0
+            return "x", dx
         if isinstance(node, Neg):
-            u, ur, d, dr = walk(node.operand)
-            return let(f"-{u}", u), ur, None if d is None else let(f"-{d}", d), dr
+            u, d = walk(node.operand)
+            return let(f"-{u}", u), None if d is None else let(f"-{d}", d)
         if isinstance(node, Call):
-            a, ar, ad, adr = walk(node.arg)
+            a, ad = walk(node.arg)
             v = let(f"abs({a})", a) if node.func == "abs" else libm(node.func, a)
-            # abs carries a non-finite a, and sin and cos raise on +-inf.
-            vr = 0 if node.func in ("exp", "tanh") else ar
+            absorbs |= node.func in ("exp", "tanh")  # exp(-inf) is 0.0, tanh(inf) 1.0
             if ad is None:
-                return v, vr, None, 0
+                return v, None
             g, rule = _CALL_DERIVS[node.func]
             g = libm(g, a) if g else None
-            # The factor g is cos or sin of a; abs' where(a >= 0.0, ...) is
-            # finite at every a, and exp's and tanh's v reach nothing.
-            dr = (ar if g else 0) | adr
             d = _times(rule.format(a=a, v=v, g=g), ad)
-            return v, vr, d if d in (g, v) else let(d, a), dr  # g or v needs no line
+            return v, d if d in (g, v) else let(d, a)  # g or v needs no line
         if isinstance(node, Pow):
-            b, br, bd, bdr = walk(node.base)
+            b, bd = walk(node.base)
             n = node.exponent
-            v, vr = power(b, n, br)
+            v = power(b, n)
+            absorbs |= n <= 0  # pow(inf, 0) is 1.0 and pow(inf, -n) is 0.0
             if bd is None:
-                return v, vr, None, 0
+                return v, None
             if n == 0:  # u^-1 would raise at u = 0
-                return v, vr, "0.0", 0
+                return v, "0.0"
             if n == 1:  # 1 * pow(u, 0) * u' is u' exactly, for every u
-                return v, vr, bd, bdr
+                return v, bd
             # pow(u, 1) is u exactly, for every u.
-            u, ur = (b, br) if n == 2 else power(b, n - 1, br)
-            return v, vr, let(_times(f"{n} * {u}", bd), u, bd), ur | bdr
+            u = b if n == 2 else power(b, n - 1)
+            return v, let(_times(f"{n} * {u}", bd), u, bd)
         if isinstance(node, Bin):
-            l, lr, ld, ldr = walk(node.left)
-            r, rr, rd, rdr = walk(node.right)
+            l, ld = walk(node.left)
+            r, rd = walk(node.right)
             if array and node.op == "/":
                 v = let(f"divide({l}, {r})", l, r)
                 lines.append(f"good &= {r} != 0.0")
             else:
                 v = let(f"{l} {node.op} {r}", l, r)
-            vr = lr if node.op == "/" else lr | rr  # c / inf is 0.0
+            absorbs |= node.op == "/"  # c / inf is 0.0
             if ld is None and rd is None:
-                return v, vr, None, 0
+                return v, None
             ld, rd = ld or "0.0", rd or "0.0"
-            # The sum rules read only ld and rd, the others l and r too. A
-            # rule reaches what all of the operands it reads reach.
+            # The sum rules read only ld and rd, the others l and r too.
             if node.op in "+-":
-                return v, vr, let(_BIN_DERIVS[node.op](l, r, ld, rd), ld, rd), ldr | rdr
-            d = let(_BIN_DERIVS[node.op](l, r, ld, rd), l, r)
-            return v, vr, d, lr | rr | ldr | rdr
+                return v, let(_BIN_DERIVS[node.op](l, r, ld, rd), ld, rd)
+            return v, let(_BIN_DERIVS[node.op](l, r, ld, rd), l, r)
         raise TypeError(f"unknown AST node {node!r}")
 
     unbound: set[str] = set()
-    v, vr, d, dr = walk(ast)
+    v, d = walk(ast)
     if unbound:
         raise MapError(
             f"unknown identifier(s) {sorted(unbound)}; bind parameters via params/--param"
         )
     if not array:
         return "\n    ".join(["def f(x):", *lines, f"return {v}"]) + "\n"
-    # Where f carries a non-finite x to a non-finite value, a step that is
-    # not finite leaves x_n not finite: one check after the loop covers every
-    # step and the input. Other maps check the input and every step.
+    # A map whose value is free of x absorbs too. One that does not absorb
+    # carries a non-finite x or pow to a non-finite value, so a step that is
+    # not finite leaves x_n not finite: one check after the loop covers the
+    # input, every step and every pow. A map that absorbs checks the input
+    # and every step, and masks each pow where it raises: where its base is
+    # finite and its value is not.
+    absorbs |= v not in shaped
     check = "good &= isfinite(x)"
-    once = vr & 1
-    # pow raises where its base is finite and its value is not. Such a value
-    # flags itself where it reaches the checked value or derivative factor;
-    # any other pow gets a mask line of its own.
-    for i, (t, b) in enumerate(pows, 1):
-        if not (vr | dr) >> i & 1:
-            lines.append(f"good &= isfinite({t}) | ~isfinite({b})")
-    head, ret = ["good = True" if once else "good = isfinite(x)"], "x, ~good"
+    if absorbs:
+        lines += [f"good &= isfinite({t}) | ~isfinite({b})" for t, b in pows]
+    head, ret = ["good = isfinite(x)" if absorbs else "good = True"], "x, ~good"
     if dx is not None:
         d = d or "0.0"
         if d not in shaped:
@@ -512,10 +497,10 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
     if v == "x" or v not in shaped:
         v = f"fresh({v}, x)"
     lines.append(f"x = {v}")
-    if not once:
+    if absorbs:
         lines.append(check)
     loop = "for _ in range(n):\n        " + "\n        ".join(lines)
-    tail = [check, f"return {ret}"] if once else [f"return {ret}"]
+    tail = [f"return {ret}"] if absorbs else [check, f"return {ret}"]
     return "\n    ".join([f"def {form}(x, n):", *head, loop, *tail]) + "\n"
 
 
@@ -719,10 +704,12 @@ def parse_map(
     the module docstring for the grammar).
 
     Free identifiers of an expression must be bound through ``params``; a
-    designator's own values override them. A source nested too deeply to
+    designator's own values override them. Each value of ``params`` is read
+    by ``float()``, on both paths, so one it cannot read is a ValueError.
+    A source nested too deeply to
     parse or compile within Python's recursion limit is a MapError.
     """
-    params = dict(params or {})
+    params = {k: float(v) for k, v in (params or {}).items()}
     tokens = _tokenize(source)
     head = tokens[0]
     if head.kind == "ident" and head.text in BUILTIN_MAPS and tokens[1].kind in (":", "end"):
@@ -740,8 +727,6 @@ def parse_map(
         kind, name, default_domain = "expression", None, _DEFAULT_EXPR_DOMAIN
     try:
         ast = _Parser(tokens).parse()
-        if name is None:
-            params = {k: float(v) for k, v in params.items()}
         return MapSpec(kind=kind, domain=domain or default_domain, name=name, params=params,
                        ast=ast, source=source.strip())
     except RecursionError:

@@ -19,12 +19,11 @@ it computes before the recurrence exit below, about 0.8 us a step (best of 7
 in one process, six processes, 2-core x86_64, numpy 2.4; one process read
 3.4 ms in the host's slow state). On cubic:b=2.8 with N = 3 the one-sample
 run took 22.8-25.5 ms, and 64 samples over 500 steps 4.6-9.3 ms, about 9 us
-a step at best. Before ``^`` ran on ``np.float_power`` they took 25.6-44.5
-and 7.5-12.9 ms (three processes each side, alternated). The loop stops once
-the window of the last M = (N-1)T + 1 states recurs bit for bit. x(k+1)
-reads only that window, through the same float operations every time, so
-from there on the run repeats with the period between the two windows, and
-its remaining states and controls are copied. A Brent checkpoint (Brent, BIT 20, 1980) finds
+a step at best. The loop stops once the window of the last M = (N-1)T + 1
+states recurs bit for bit. x(k+1) reads only that window, through the same
+float operations every time, so from there on the run repeats with the
+period between the two windows, and its remaining states and controls are
+copied. A Brent checkpoint (Brent, BIT 20, 1980) finds
 the recurrence whatever its period, within about three times the steps the
 run takes to recur; the windows are compared as bytes, in which -0.0 and
 0.0 differ. The 11 runs of a benchmark ``pipeline`` round (seed 7) settle

@@ -66,6 +66,14 @@ class TestParse:
         assert m.kind == "expression"
         assert eval_map(m, 0.25) == pytest.approx(0.75, abs=1e-15)
 
+    @pytest.mark.parametrize("source", ["logistic", "r*x"])
+    def test_params_are_read_as_floats_on_both_paths(self, source):
+        for value in (4, "4", " 4.0 "):
+            params = parse_map(source, params={"r": value}).params
+            assert params == {"r": 4.0} and type(params["r"]) is float, (source, value)
+        with pytest.raises(ValueError, match="could not convert string to float: 'four'"):
+            parse_map(source, params={"r": "four"})
+
     def test_dangling_power_reports_position(self):
         with pytest.raises(MapSyntaxError) as err:
             parse_map("x^")
@@ -577,9 +585,10 @@ def one_step_calls(m, x, n):
 
 
 class TestFinitenessChecks:
-    """A map that carries a non-finite x to a non-finite value checks its
-    value once, after the last step; any other checks the input and every
-    step. Either way the n-fold masks equal n one-step calls'."""
+    """A map that absorbs (has exp, tanh, a quotient, u^n with n <= 0 or a
+    value free of x) checks its input and every step; any other carries a
+    non-finite x to a non-finite value and checks its value once, after the
+    last step. Either way the n-fold masks equal n one-step calls'."""
 
     @pytest.mark.parametrize("source, x0, n", [
         ("1e308/x", 0.5, 2),  # inf, then 1e308/inf = 0
@@ -621,32 +630,40 @@ class TestFinitenessChecks:
         assert [v.tobytes() for v in got_d] == [yd.tobytes(), slope.tobytes(), bad_d.tobytes()]
         assert bad[0] and bad[3:].all()
 
-    @pytest.mark.parametrize("source, once", [
-        ("logistic:r=3.9", True), ("x + exp(-x)", True), ("sin(x)*abs(x) - x^3", True),
-        ("x/(1 + x*x)", True), ("-cos(x)", True),
-        ("1/x", False), ("exp(x)", False), ("tanh(x)", False), ("x^0", False),
-        ("x^-2", False), ("2.5", False), ("(x - 1)^0 * x", True),
+    # isfinite calls of fa over 4 steps: 1 after the loop where the map does
+    # not absorb; else 1 for the input, 1 a step and 2 a step for each pow
+    # mask (every pow but u^0 and u^1).
+    @pytest.mark.parametrize("source, checks", [
+        ("logistic:r=3.9", 1), ("sin(x)*abs(x) - x^3", 1), ("-cos(x)", 1),
+        ("abs(x)", 1), ("sin(x)", 1), ("cos(x)", 1), ("x^3 - 2*x^2", 1),
+        ("x + exp(-x)", 1 + 4), ("exp(x)", 1 + 4), ("tanh(x)", 1 + 4),
+        ("x + tanh(x)", 1 + 4), ("1/x", 1 + 4), ("x/(1 + x*x)", 1 + 4),
+        ("x^2/3", 1 + 4 + 2 * 4), ("x^0", 1 + 4), ("(x - 1)^0 * x", 1 + 4),
+        ("x^-2", 1 + 4 + 2 * 4), ("x + x^-1", 1 + 4 + 2 * 4), ("2.5", 1 + 4),
+        ("exp(-x^2) + x^3", 1 + 4 + 2 * 2 * 4),
     ])
-    def test_where_the_value_is_checked(self, source, once, monkeypatch):
-        checks = []
+    def test_where_the_value_is_checked(self, source, checks, monkeypatch):
+        calls = []
         isfinite = dfclab.maps._CODE_GLOBALS["isfinite"]
         monkeypatch.setitem(dfclab.maps._CODE_GLOBALS, "isfinite",
-                            lambda v: checks.append(v) or isfinite(v))
+                            lambda v: calls.append(v) or isfinite(v))
         compose_map_array(parse_map(source), np.array([0.25, 0.5]), 4)
-        assert len(checks) == (1 if once else 1 + 4), source
+        assert len(calls) == checks, source
 
 
 class TestPowMasks:
-    """pow raises where its base is finite and its value is not. A pow whose
-    value reaches the checked value or derivative factor flags itself there;
-    only the others get a mask line of their own."""
+    """pow raises where its base is finite and its value is not. In a map
+    that does not absorb, its value reaches the checked value and flags
+    itself there; a map that absorbs gives every pow but u^0 and u^1 a mask
+    line of its own."""
 
     POINTS = [0.0, 0.5, -0.5, 1e103, -1e103, 1e155, -1e155, 1e200, -1e200]
 
     # x^3 overflows at +-1e103 and x^2 at +-1e155, where tanh, exp, abs' sign
-    # and a divisor turn inf into a finite value: those pows need a mask. In
-    # x^-2*x (inf * 0 at 0) and 1e200^2 + x the overflow reaches the value,
-    # so no mask is emitted and the check still flags it.
+    # and a divisor turn inf into a finite value: those maps absorb and mask
+    # their pows. x^-2*x absorbs too and masks x^-2 (inf at 0). In 1e200^2 + x
+    # the overflow reaches the value, so no mask is emitted and the check
+    # after the last step flags it.
     @pytest.mark.parametrize("source", ["tanh(x^3)", "exp(-x^2)", "x + tanh(x^3)", "1/x^2 + x",
                                         "tanh(abs(x^3))", "x^-2*x", "1e200^2 + x"])
     @pytest.mark.parametrize("n", [1, 3])
@@ -668,13 +685,18 @@ class TestPowMasks:
             if deriv:
                 assert got[1][i].hex() == slope.hex(), (source, x0)
 
-    @pytest.mark.parametrize("source", ["logistic:r=3.9", "quadratic:c=-1.3", "cubic:b=2.8"])
+    @pytest.mark.parametrize("source", ["logistic:r=3.9", "quadratic:c=-1.3", "cubic:b=2.8",
+                                        "r*x*(1-x)"])
     def test_the_builtins_emit_no_pow_mask(self, source):
         # x^2 + c, b*x - x^3 and the factor 3*x^2 of cubic' reach the
-        # checked value or derivative factor.
-        m = parse_map(source)
+        # checked value or derivative factor. None of these maps absorbs, so
+        # fa checks its value once, after the loop.
+        m = parse_map(source, params={"r": 4.0} if source == "r*x*(1-x)" else None)
         for form in ("fa", "fda"):
             assert "~isfinite" not in dfclab.maps._lower(m.ast, m.params, {}, {}, form), form
+        lines = dfclab.maps._lower(m.ast, m.params, {}, {}, "fa").splitlines()
+        assert [line for line in lines if "isfinite" in line] == ["    good &= isfinite(x)"]
+        assert lines[-2:] == ["    good &= isfinite(x)", "    return x, ~good"]
 
     @pytest.mark.parametrize("source", ["quadratic:c=-1.3", "cubic:b=2.8"])
     def test_a_builtin_step_makes_one_pow_call(self, source, monkeypatch):
