@@ -265,43 +265,51 @@ def newton_brackets(g, a, b, ga, gb, width: float) -> np.ndarray:
     roots = np.full(a.size, np.nan)  # per bracket: where it ended, NaN if dropped
     rows = np.arange(a.size)
     start = np.maximum(np.abs(ga), np.abs(gb))
+    # lo holds the rows a and g(a), hi the rows b and g(b), so that a probe
+    # moves either end with one np.where. g keeps its sign at a: a probe
+    # replaces a only where g has that sign there.
+    neg, lo, hi = ga < 0.0, np.array((a, ga)), np.array((b, gb))
     w = b - a
     x = 0.5 * (a + b)
     moved = 0.5 * w  # the move from the last probe to x
-    slow = np.zeros(a.size, dtype=int)  # passes in a row without progress
+    stalled = np.zeros(a.size, dtype=bool)  # the last pass made no progress
     budget = 2 * math.ceil(math.log2(max(np.max(w, initial=0.0), width) / width))
     while rows.size:
         gx, slope, err = g(x)
-        left = (ga < 0.0) != (gx < 0.0)  # the sign change lies in [a, x]
-        a, ga = np.where(left, a, x), np.where(left, ga, gx)
-        b, gb = np.where(left, x, b), np.where(left, gx, gb)
-        w, wide = b - a, w
+        left = neg != (gx < 0.0)  # the sign change lies in [a, x]
+        probe = np.array((x, gx))
+        lo, hi = np.where(left, lo, probe), np.where(left, probe, hi)
+        w, wide = hi[0] - lo[0], w
         halved = w <= 0.5 * wide
         end = err | (gx == 0.0) | (w <= width)
         if np.count_nonzero(end):  # settle the brackets that end here, then drop them
             zero = (gx == 0.0) & ~err
             roots[rows[zero]] = x[zero]
             done = ~(err | zero) & (w <= width)
-            pole = done & (np.minimum(np.abs(ga), np.abs(gb)) > start)
-            done &= ~pole
-            roots[rows[done]] = np.where(np.abs(ga) <= np.abs(gb), a, b)[done]
-            live = ~end
-            rows, a, b, ga, gb, w, x, gx, slope, moved, halved, slow, start = (
-                v[live] for v in (rows, a, b, ga, gb, w, x, gx, slope, moved, halved, slow, start))
-            if not rows.size:
+            at_a, at_b = np.abs(lo[1]), np.abs(hi[1])
+            done &= ~(np.minimum(at_a, at_b) > start)  # not a pole
+            roots[rows[done]] = np.where(at_a <= at_b, lo[0], hi[0])[done]
+            keep = (~end).nonzero()[0]
+            if not keep.size:
                 break
-        step = np.divide(-gx, slope, out=np.full(x.size, np.nan),
-                         where=np.isfinite(slope) & (slope != 0.0))
-        slow = np.where(halved | (np.abs(step) <= 0.5 * moved), 0, slow + 1)
+            lo, hi = lo.take(keep, axis=1), hi.take(keep, axis=1)
+            rows, neg, w, x, gx, slope, moved, halved, stalled, start = (
+                v[keep] for v in (rows, neg, w, x, gx, slope, moved, halved, stalled, start))
+        # A Newton step, NaN where the slope is infinite (-gx / slope would be
+        # +-0.0) and +-inf where it is 0.0: neither is taken.
+        step = -gx / slope
+        step[np.isinf(slope)] = np.nan
+        progress = halved | (np.abs(step) <= 0.5 * moved)
         step += np.where(np.abs(step) < 0.5 * width, np.copysign(0.5 * width, step), 0.0)
         # A target a hair past an end puts the root at that end: probe just inside.
+        a, b = lo[0], hi[0]
         nxt, hair = x + step, 0.01 * w
         budget -= 1
-        newton = (a - hair < nxt) & (nxt < b + hair) & (slow < 2) & (budget > 0)
+        newton = (a - hair < nxt) & (nxt < b + hair) & (progress | ~stalled) & (budget > 0)
         nxt = np.minimum(np.maximum(nxt, a + 0.5 * width), b - 0.5 * width)
         moved = np.where(newton, np.abs(nxt - x), 0.5 * w)
         x = np.where(newton, nxt, 0.5 * (a + b))
-        slow[~newton] = 0
+        stalled = newton & ~progress
     return roots[~np.isnan(roots)]
 
 
@@ -323,7 +331,8 @@ def _newton_polish(m: MapSpec, x0: np.ndarray, T: int, lo: float, hi: float) -> 
         start = x[live]
         val, slope, err = g(start)
         # A zero slope takes a zero step, which stops the point where it is.
-        step = np.divide(val, slope, out=np.zeros(live.size), where=slope != 0.0)
+        step = val / slope
+        step[slope == 0.0] = 0.0
         nxt = start - step
         nxt[err] = np.nan
         inside = (lo - slack <= nxt) & (nxt <= hi + slack)

@@ -46,25 +46,39 @@ under ``np.errstate(all="ignore")``; ``eval_map_array``,
 of ``basin_fraction`` calls the one-step form directly, inside its own
 ``np.errstate``.
 
-A step of an array form makes few numpy calls, since on small arrays each
-call costs about as much as its arithmetic. It keeps one running mask of
-the good elements, and'ed with ``isfinite`` of each value it checks and
-inverted once at return, and assigns its value and derivative as it made
-them wherever they depend on x. Where the checks go is decided once per
-map. A map *absorbs* when it has an exp or tanh call, a quotient, a power
-u^n with n <= 0, or a value free of x: each may take a non-finite operand
-to a finite value (exp(-inf) is 0.0, 1/inf is 0.0, inf^0 is 1.0). Every
-other operation carries a non-finite operand to a non-finite value:
-``+ - *``, unary minus, abs and u^n with n >= 1 do, and sin and cos raise
-on +-inf. In a map that does not absorb, all three builtins among them, a
-step that is not finite leaves every later one not finite, and one
-``isfinite`` of the value after the last step stands for the input's and
-every step's. A map that absorbs checks the input and each step's value.
-The derivative factor of every step is checked either way, so the mask
-of (f^n)' is the union of the one-step masks even where the product
-overflows. Only the bare x and a value or derivative free of x are copied
-into a new array (``fresh``), so no form returns its input. The
-derivative rules multiply in no factor that is exactly 1.0 (the
+A step of an array form makes few numpy calls, since on small arrays
+each call costs about as much as its arithmetic. Every constant it reads
+is a read-only 0-d float64 array: the parameters, the numbers and the
+pow exponents, which are bound per map, and the float literals of its
+code (the 0.0 and 1.0 of the derivative rules, after Python's constant
+folding), which ``_code`` swaps in once per map shape. numpy converts a
+Python float operand on every call: on 64 elements with numpy 2.4 an op
+with one cost 590 ns, and with a 0-d float64 array 390 ns, for the same
+bits. The price is an op between two constants, such as 2*3, which
+becomes a numpy call on two 0-d arrays that gives a numpy scalar; none
+of the builtins has one. The scalar form keeps Python floats, on which
+Python's own arithmetic is the fast path.
+
+A step keeps one running mask of the good elements, and'ed with
+``isfinite`` of each value it checks and inverted once at return, and
+assigns its value and derivative as it made them wherever they depend on
+x. Where the checks go is decided once per map. A map *absorbs* when it
+has an exp or tanh call, a quotient, a power u^n with n <= 0, or a value
+free of x: each may take a non-finite operand to a finite value
+(exp(-inf) is 0.0, 1/inf is 0.0, inf^0 is 1.0). Every other operation
+carries a non-finite operand to a non-finite value: ``+ - *``, unary
+minus, abs and u^n with n >= 1 do, and sin and cos raise on +-inf. In a
+map that does not absorb, all three builtins among them, a step that is
+not finite leaves every later one not finite, and one ``isfinite`` of
+the value after the last step stands for the input's and every step's.
+Where the step of ``fa`` has no mask line (no sin or cos call, whose
+raises it masks), that check is assigned as the mask rather than and'ed
+into True, one call fewer. A map that absorbs checks the input and each
+step's value. The derivative factor of every step is checked either way,
+so the mask of (f^n)' is the union of the one-step masks even where the
+product overflows. Only the bare x and a value or derivative free of x
+are copied into a new array (``fresh``), so no form returns its input.
+The derivative rules multiply in no factor that is exactly 1.0 (the
 derivative of x, or u^0 in the power rule), since y * 1.0 is y.
 
 ``^`` raises in the scalar form exactly where its base is finite and its
@@ -80,9 +94,9 @@ The array forms equal ``eval_map`` bit for bit wherever their mask is clear.
 Python. ``^``, exp, tanh, sin and cos are not. The scalar form gets them
 from libm (``**`` calls C ``pow``), and a numpy loop equals that only where
 it calls libm once per element. ``np.float_power`` is numpy's generic
-``dd->d`` loop over C ``pow``, so ``^`` lowers to it. The exponent is
-bound as a float, so no call converts it. It matched ``math.pow`` bit for
-bit on 1.5 million bases for each exponent from -6 to 12. The bases
+``dd->d`` loop over C ``pow``, so ``^`` lowers to it, with its exponent
+bound as a 0-d float64 array. It matched ``math.pow`` bit for bit on 1.5
+million bases for each exponent from -6 to 12 (given as floats). The bases
 included +-0.0, subnormals, +-inf, NaN and overflowing values, and the
 non-finite values at finite bases fell exactly where ``math.pow`` raises.
 ``tests/test_maps.py`` holds this as a property. ``np.power`` is not a
@@ -102,6 +116,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import types
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Union
 
@@ -361,7 +376,8 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
     return. It is and'ed with the nonzero divisors, the elements where no exp,
     tanh, sin or cos call raised and, in "fda", the finite derivative factors
     of each step. Where f does not absorb (see the module docstring), it starts
-    as True and is and'ed with the finite values after the last step. Otherwise
+    as True and is and'ed with the finite values after the last step, or, in
+    an "fa" whose step has no mask line, is assigned them there. Otherwise
     it starts as the finite inputs and is and'ed with the finite values of each
     step and, for each pow but u^0 and u^1, with ``isfinite(t) | ~isfinite(b)``
     for its value t and base b: ``float_power`` returns +-inf where ``**``
@@ -371,8 +387,10 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
     it emits them. ``fresh`` copies the others into a new array: the bare x,
     and a value or derivative free of x. A parameter named like the variable
     shadows it; any other name must be a parameter. Constants, the float
-    exponents of ``pow`` among them, are bound in ``ns``; ``bound`` keeps their
-    names.
+    exponents of ``pow`` among them, are bound in ``ns``, as floats for "f"
+    and as read-only 0-d arrays (``_constant``) for the array forms, which
+    read n of a power rule's factor n u^(n-1) from its exponent's; ``bound``
+    keeps their names.
     """
     lines: list[str] = []
     dx = "1.0" if form == "fda" else None
@@ -410,7 +428,7 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
     def const(key, value) -> str:
         if key not in bound:
             bound[key] = f"c{len(bound)}"
-            ns[bound[key]] = value
+            ns[bound[key]] = _constant(value) if array else value
         return bound[key]
 
     def walk(node: Node) -> tuple[str, str | None]:
@@ -449,7 +467,7 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
                 return v, bd
             # pow(u, 1) is u exactly, for every u.
             u = b if n == 2 else power(b, n - 1)
-            return v, let(_times(f"{n} * {u}", bd), u, bd)
+            return v, let(_times(f"{const(('pow', n), float(n))} * {u}", bd), u, bd)
         if isinstance(node, Bin):
             l, ld = walk(node.left)
             r, rd = walk(node.right)
@@ -486,7 +504,7 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
     check = "good &= isfinite(x)"
     if absorbs:
         lines += [f"good &= isfinite({t}) | ~isfinite({b})" for t, b in pows]
-    head, ret = ["good = isfinite(x)" if absorbs else "good = True"], "x, ~good"
+    head, ret = [], "x, ~good"
     if dx is not None:
         d = d or "0.0"
         if d not in shaped:
@@ -500,8 +518,12 @@ def _lower(ast: Node, params: dict, ns: dict, bound: dict, form: str) -> str:
     if absorbs:
         lines.append(check)
     loop = "for _ in range(n):\n        " + "\n        ".join(lines)
-    tail = [f"return {ret}"] if absorbs else [check, f"return {ret}"]
-    return "\n    ".join([f"def {form}(x, n):", *head, loop, *tail]) + "\n"
+    if "good &=" in loop:
+        head.insert(0, "good = isfinite(x)" if absorbs else "good = True")
+        tail = [] if absorbs else [check]
+    else:  # no mask line in the step: the one check after it is the mask
+        tail = ["good = isfinite(x)"]
+    return "\n    ".join([f"def {form}(x, n):", *head, loop, *tail, f"return {ret}"]) + "\n"
 
 
 def _compile(ast: Node, params: dict) -> tuple[Callable, Callable, Callable]:
@@ -509,21 +531,41 @@ def _compile(ast: Node, params: dict) -> tuple[Callable, Callable, Callable]:
     ``fa(x, n) -> (values, bad)`` and ``fda(x, n) -> (values, derivatives,
     bad)`` for f^n (see ``_lower``).
 
-    Constants and parameter values are bound in the functions' namespace,
-    never formatted into their text, so every float keeps its exact value.
+    Constants and parameter values are bound in the functions' namespaces,
+    never formatted into their text, so every float keeps its exact value:
+    as floats in the scalar form's, and as read-only 0-d arrays in the one
+    the array forms share.
     """
-    ns = dict(_CODE_GLOBALS)
+    scalar, arrays = dict(_CODE_GLOBALS), dict(_CODE_GLOBALS)
     bound: dict = {}
-    forms = ("f", "fa", "fda")
-    src = "".join(_lower(ast, params, ns, bound, form) for form in forms)
-    exec(_code(src), ns)
-    return tuple(ns.pop(form) for form in forms)
+    exec(_code(_lower(ast, params, scalar, {}, "f"), False), scalar)
+    exec(_code(_lower(ast, params, arrays, bound, "fa")
+               + _lower(ast, params, arrays, bound, "fda"), True), arrays)
+    return scalar.pop("f"), arrays.pop("fa"), arrays.pop("fda")
 
 
 @functools.lru_cache(maxsize=256)
-def _code(src: str):
-    # Maps of one shape (a builtin at any parameter value) share their text.
-    return compile(src, "<map>", "exec")
+def _code(src: str, arrays: bool):
+    """src compiled; with ``arrays``, each float literal of its functions
+    (after Python's constant folding) is a read-only 0-d float64 array
+    (``_constant``). Maps of one shape (a builtin at any parameter value)
+    share their text, and so this code and its literals."""
+    code = compile(src, "<map>", "exec")
+    if not arrays:
+        return code
+    forms = tuple(c.replace(co_consts=tuple(_constant(v) if type(v) is float else v
+                                            for v in c.co_consts))
+                  if isinstance(c, types.CodeType) else c
+                  for c in code.co_consts)
+    return code.replace(co_consts=forms)
+
+
+def _constant(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array, as the array forms read their
+    constants: numpy converts a Python float operand on every call."""
+    c = np.array(float(value))
+    c.setflags(write=False)
+    return c
 
 
 # ---------------------------------------------------------------------------

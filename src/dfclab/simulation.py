@@ -13,20 +13,20 @@ states do not depend on which one computed them.
 
 ``simulate`` iterates one trajectory in scalar Python: for a single run an
 array's per-step overhead dominates. On logistic:r=3.9 with N = 2 and 3,000
-steps, ``basin_fraction`` with one sample took 20.3-21.0 ms, about 7 us a
-step, and ``simulate`` from x = 0.25 took 1.67-1.70 ms for the 2,051 steps
+steps, ``basin_fraction`` with one sample took 13.1-14.0 ms, about 4.5 us a
+step, and ``simulate`` from x = 0.25 took 1.56-1.59 ms for the 2,051 steps
 it computes before the recurrence exit below, about 0.8 us a step (best of 7
-in one process, six processes, 2-core x86_64, numpy 2.4; one process read
-3.4 ms in the host's slow state). On cubic:b=2.8 with N = 3 the one-sample
-run took 22.8-25.5 ms, and 64 samples over 500 steps 4.6-9.3 ms, about 9 us
-a step at best. The loop stops once the window of the last M = (N-1)T + 1
-states recurs bit for bit. x(k+1) reads only that window, through the same
-float operations every time, so from there on the run repeats with the
-period between the two windows, and its remaining states and controls are
-copied. A Brent checkpoint (Brent, BIT 20, 1980) finds
-the recurrence whatever its period, within about three times the steps the
-run takes to recur; the windows are compared as bytes, in which -0.0 and
-0.0 differ. The 11 runs of a benchmark ``pipeline`` round (seed 7) settle
+in one process, seven processes, 2-core x86_64, numpy 2.4; two processes
+read 2.7 ms in the host's slow state). On cubic:b=2.8 with N = 3 the
+one-sample run took 15.7-16.5 ms, and 64 samples over 500 steps 3.1-3.3 ms,
+about 6.3 us a step (one process read 28.8 and 5.8 ms). The loop stops once
+the window of the last M = (N-1)T + 1 states recurs bit for bit. x(k+1)
+reads only that window, through the same float operations every time, so
+from there on the run repeats with the period between the two windows, and
+its remaining states and controls are copied. A Brent checkpoint (Brent,
+BIT 20, 1980) finds the recurrence whatever its period, within about three
+times the steps the run takes to recur; the windows are compared as bytes,
+in which -0.0 and 0.0 differ. The 11 runs of a benchmark ``pipeline`` round (seed 7) settle
 on floating-point orbits of periods 1 to 7 and stop after 130-1,027 steps,
 computing 4,506 of the 47,000 steps asked for.
 
@@ -37,7 +37,9 @@ it calls ``m._fa(x, 1)`` directly rather than through
 and exit, ``timeit``) would add about 1 ms to each 500-step basin job.
 f of the last M states is a Python list of M rows, each the array an
 f call returned, and the sum takes its N terms left to right from the
-precomputed pairs (a_j, (j-1)T), with no numpy indexing per term. A
+precomputed pairs (a_j, (j-1)T), with no numpy indexing per term. The
+gains a_j and the sum's start, 0.0, are 0-d float64 arrays, for the
+reason ``maps`` gives for its constants. A
 sample leaves the array at the step where that call's mask flags it
 (one ``np.count_nonzero`` of the mask per step, about a third of the
 cost of ``.any()`` on 64 samples, ``timeit``): where f errs, and where the state is not
@@ -254,7 +256,8 @@ def basin_fraction(
     # One column per sample still running. rows holds f of its last M states,
     # state i in row i % M; all M states of a constant history share f0.
     rows = [f0[~bad]] * M
-    terms = [(c, j * T) for j, c in enumerate(a.coeffs)]
+    terms = [(np.array(c), j * T) for j, c in enumerate(a.coeffs)]
+    zero = np.array(0.0)
     window = np.empty((10 * T, rows[0].size))  # the final 10T states
     first = M + steps - 10 * T  # index of the first state in the window
     with np.errstate(all="ignore"):  # an erring f or a non-finite sum diverges
@@ -266,7 +269,7 @@ def basin_fraction(
                 if np.count_nonzero(bad):
                     keep = ~bad
                     rows, window = [row[keep] for row in rows], window[:, keep]
-            x = 0.0
+            x = zero
             for c, lag in terms:
                 x = x + c * rows[(k - lag) % M]
             if k + 1 >= first:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dfclab.cycles
 import dfclab.maps
@@ -24,6 +26,7 @@ from dfclab.cycles import (
 from dfclab.maps import MapEvalError, eval_map, eval_map_array, parse_map
 
 from bisection import bisect_brackets
+from newton_reference import newton_brackets as reference_newton_brackets
 
 
 def brute_force_roots(m, T, n_grid=200_000):
@@ -246,6 +249,13 @@ class TestArrayPath:
         pole = parse_map("0.3/x - 1.6*x", domain=(-1.0, 1.0))
         got = _newton_polish(pole, np.array([0.0, 0.3]), 1, -1.0, 1.0)
         assert got[0] == 0.0 and abs(got[1] - math.sqrt(0.3 / 2.6)) <= 1e-15
+
+    def test_a_zero_slope_keeps_a_start_of_negative_zero(self):
+        # g = x^2 + 0.5 has g' = 0.0 at -0.0: the step is +0.0, and
+        # -0.0 - 0.0 is -0.0, where -0.0 - -0.0 would be +0.0.
+        m = parse_map("x + x^2 + 0.5", domain=(-1.0, 1.0))
+        got = _newton_polish(m, np.array([-0.0, 0.5]), 1, -1.0, 1.0)
+        assert got[0] == 0.0 and math.copysign(1.0, got[0]) == -1.0
 
 
 def minimal_period_points(m, T, n_grid):
@@ -555,6 +565,105 @@ class TestNewtonBrackets:
         monkeypatch.setattr(dfclab.cycles, "_orbit_g", orbit_g)
         assert len(find_cycles(parse_map("logistic:r=4"), 9)) == 56
         assert len(per_g) > 5 and all(c == [(9, True)] for c in per_g)
+
+
+def recorded(g):
+    """g, and the list of (x, g, g', err) of every call of it, copied."""
+    calls = []
+
+    def record(x):
+        out = g(x)
+        calls.append(tuple(np.array(v) for v in (x, *out)))
+        return out
+
+    return record, calls
+
+
+def refine_both(case):
+    """The case's brackets, the sign changes of g between its grid nodes;
+    then (calls of g, roots) of newton_brackets and of the reference."""
+    source, domain, T, nodes, width = case
+    m = parse_map(source, domain=domain)
+    xs = np.array(nodes)
+    gs = g_of(m, T)(xs)
+    ga, gb = gs[:-1], gs[1:]
+    change = np.sign(ga) * np.sign(gb) < 0.0  # False at NaN, where f^T errs
+    bracket = [v[change] for v in (xs[:-1], xs[1:], ga, gb)]
+    runs = []
+    for refine in (newton_brackets, reference_newton_brackets):
+        g, calls = recorded(_orbit_g(m, T))
+        runs.append((calls, refine(g, *(v.copy() for v in bracket), width)))
+    return bracket, *runs
+
+
+# Maps whose refinement meets each branch of a pass, on their domains. The
+# examples below pin one bracket set per branch; test_each_branch_is_met
+# shows that the reference meets it there.
+PROBE_MAPS = [
+    ("1/x - 0.5*abs(x)/x", (-2.0, 2.0), 1),  # an erring probe: the pole at 0
+    ("2*x - 0.5", (0.0, 1.0), 1),  # an exact zero
+    ("x + (x - 1)^3 + 0.1", (0.0, 2.0), 1),  # g' = 3 (x - 1)^2 is 0.0 at x = 1
+    ("1e300*sin(x)", (-1.0, 1.0), 2),  # (f^2)' overflows while f^2 is finite
+    ("x + 1/(x - 0.3) - 2", (0.0, 1.0), 1),  # a sign change across a pole
+    ("x + (x - 0.3)^3", (0.0, 0.6), 1),  # a triple root: Newton stalls
+    ("x + 1e12*(x - 0.3)^5", (0.0, 0.6), 1),  # a quintic root: the budget runs out
+    ("logistic:r=4", (0.0, 1.0), 6),
+    ("cubic:b=2.8", (-2.0, 2.0), 3),
+]
+BRANCHES = {
+    "erring probe": (("1/x - 0.5*abs(x)/x", (-2.0, 2.0), 1, [-1.0, 1.0, 2.0], 1e-12),
+                     lambda calls, roots, n: any(err.any() for *_, err in calls)),
+    "exact zero": (("2*x - 0.5", (0.0, 1.0), 1, [0.0, 1.0], 1e-12),
+                   lambda calls, roots, n: any((gx == 0.0).any() for _, gx, _, _ in calls)),
+    "zero slope": (("x + (x - 1)^3 + 0.1", (0.0, 2.0), 1, [0.5, 1.5], 1e-12),
+                   lambda calls, roots, n: any((s == 0.0).any() for _, _, s, _ in calls)),
+    "infinite slope": (("1e300*sin(x)", (-1.0, 1.0), 2, [0.3, 0.31, 0.32, 0.33], 1e-12),
+                       lambda calls, roots, n: any((np.isinf(s) & ~err).any()
+                                                   for _, _, s, err in calls)),
+    "pole bracket": (("x + 1/(x - 0.3) - 2", (0.0, 1.0), 1, [0.0, 0.5, 0.6, 1.0], 1e-12),
+                     lambda calls, roots, n: roots.size < n
+                     and not any(err.any() for *_, err in calls)),
+    # The budget is 2 ceil(log2(0.3 / 1e-5)) = 30 passes.
+    "budget runs out": (("x + 1e12*(x - 0.3)^5", (0.0, 0.6), 1, [0.2, 0.5], 1e-5),
+                        lambda calls, roots, n: len(calls) > 30),
+}
+
+
+@st.composite
+def probe_cases(draw):
+    """A map of PROBE_MAPS, sorted grid nodes on its domain and a width."""
+    source, (lo, hi), T = draw(st.sampled_from(PROBE_MAPS))
+    nodes = draw(st.lists(st.floats(lo, hi), min_size=2, max_size=40, unique=True))
+    width = draw(st.sampled_from([1e-12, 1e-9, 1e-5, 1e-3]))
+    return source, (lo, hi), T, sorted(nodes), width
+
+
+class TestSameProbesAsTheReference:
+    """newton_brackets probes the points the reference probes, pass for pass,
+    and returns the roots it returns, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=probe_cases())
+    @example(case=BRANCHES["erring probe"][0])
+    @example(case=BRANCHES["exact zero"][0])
+    @example(case=BRANCHES["zero slope"][0])
+    @example(case=BRANCHES["infinite slope"][0])
+    @example(case=BRANCHES["pole bracket"][0])
+    @example(case=BRANCHES["budget runs out"][0])
+    # test_triple_root_takes_no_more_passes_than_bisection's widest bracket.
+    @example(case=("x + (x - 0.3)^3", (0.0, 0.6), 1, [0.0, 0.4], BRACKET_WIDTH))
+    def test_probes_and_roots_are_the_reference_s(self, case):
+        _, (calls, roots), (want_calls, want_roots) = refine_both(case)
+        assert len(calls) == len(want_calls)
+        for got, want in zip(calls, want_calls):
+            assert got[0].tobytes() == want[0].tobytes()
+        assert roots.tobytes() == want_roots.tobytes()
+
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    def test_each_branch_is_met(self, branch):
+        case, met = BRANCHES[branch]
+        bracket, _, (calls, roots) = refine_both(case)
+        assert bracket[0].size and met(calls, roots, bracket[0].size), branch
 
 
 def bisect_and_polish(m, T, a, b, ga, gb, width):

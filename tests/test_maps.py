@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 import warnings
 
 import numpy as np
@@ -521,12 +522,15 @@ class TestArrayForm:
             assert [d.hex() for d in derivs.tolist()] == [w.hex() for w in want], source
             assert exponents == [n], source
 
-    @pytest.mark.parametrize("source", ["x", "2.0", "x + 1", "-x", "abs(x)", "x^1", "x^0"])
+    @pytest.mark.parametrize("source", ["x", "2.0", "x + 1", "-x", "abs(x)", "x^1", "x^0",
+                                        "2*3 + x", "x*(1-1)"])
     @pytest.mark.parametrize("shape, n", [((4,), 1), ((4,), 3), ((2, 2), 1), ((2, 2), 3), ((), 1)])
     def test_forms_never_return_their_input(self, source, shape, n):
         # A step assigns what depends on x as it is and copies the rest: the
         # bare x and what is free of x. Either way every array is new. The
         # one-step public forms also take a 0-d x; compose_map_array does not.
+        # An op between two constants, 0-d arrays in the array forms, gives a
+        # numpy scalar, as 2*3 and 1-1 do here.
         m = parse_map(source)
         x = np.array([0.25, -0.5, 1.5, -0.0])[: math.prod(shape)].reshape(shape)
         before, want = x.tobytes(), x.ravel().tolist()
@@ -545,6 +549,26 @@ class TestArrayForm:
                 assert not np.shares_memory(out, x), (source, form)
                 out[...] = 1
                 assert x.tobytes() == before, (source, form)
+
+    @pytest.mark.parametrize("source", ["logistic:r=3.9", "cubic:b=2.8", "x*(1-1) + tanh(x)^2/3",
+                                        "abs(x) - 2*3", "-(x^0) + x"])
+    def test_array_forms_read_read_only_0d_constants(self, source):
+        # Parameters, numbers, pow exponents and the literals of the
+        # derivative rules; the scalar form keeps Python floats.
+        m = parse_map(source)
+        for form in (m._fa, m._fda):
+            code = form.__code__
+            consts = [form.__globals__[name] for name in code.co_names
+                      if re.fullmatch(r"c\d+", name)]
+            consts += [v for v in code.co_consts if isinstance(v, (float, np.ndarray))]
+            assert consts, source
+            for c in consts:
+                assert type(c) is np.ndarray and c.shape == () and c.dtype == np.float64, source
+                assert not c.flags.writeable, source
+        scalar = [m._f.__globals__[name] for name in m._f.__code__.co_names
+                  if re.fullmatch(r"c\d+", name)]
+        assert all(type(c) is float for c in scalar), source
+        assert type(m._f(0.25)) is float and type(eval_map(m, 0.25)) is float, source
 
     def test_fresh_is_called_only_for_values_free_of_x(self, monkeypatch):
         # The builtins and x + 1 carry a non-finite x to a non-finite value,
@@ -689,14 +713,15 @@ class TestPowMasks:
                                         "r*x*(1-x)"])
     def test_the_builtins_emit_no_pow_mask(self, source):
         # x^2 + c, b*x - x^3 and the factor 3*x^2 of cubic' reach the
-        # checked value or derivative factor. None of these maps absorbs, so
-        # fa checks its value once, after the loop.
+        # checked value or derivative factor. None of these maps absorbs, and
+        # their step has no mask line, so fa's mask is the one check of its
+        # value, assigned after the loop.
         m = parse_map(source, params={"r": 4.0} if source == "r*x*(1-x)" else None)
         for form in ("fa", "fda"):
             assert "~isfinite" not in dfclab.maps._lower(m.ast, m.params, {}, {}, form), form
         lines = dfclab.maps._lower(m.ast, m.params, {}, {}, "fa").splitlines()
-        assert [line for line in lines if "isfinite" in line] == ["    good &= isfinite(x)"]
-        assert lines[-2:] == ["    good &= isfinite(x)", "    return x, ~good"]
+        assert [line for line in lines if "isfinite" in line] == ["    good = isfinite(x)"]
+        assert lines[-2:] == ["    good = isfinite(x)", "    return x, ~good"]
 
     @pytest.mark.parametrize("source", ["quadratic:c=-1.3", "cubic:b=2.8"])
     def test_a_builtin_step_makes_one_pow_call(self, source, monkeypatch):
