@@ -1,15 +1,15 @@
 """Write src/dfclab/reach_table.py, the stable mu interval of each named-scheme row.
 
 One row per (scheme, T, N) for the gain schemes of ``stability.SCHEMES``,
-T <= 4 and N <= 32: ``stable_mu_interval``'s (lo, hi) and whether it is
-clear, no ``merged_contacts`` value lying strictly inside it.
-``min_N_to_stabilize`` reads its verdicts there. Floats are written by
-``repr``, so the module reads back bit for bit. With ``--check`` the script
-writes nothing and exits 1 when the committed module differs from a fresh
-build (after a change to the contacts, the interval or ``SCHUR_MARGIN``).
-Whenever the rebuild differs from the committed module, it prints how far
-its numbers moved: the largest relative move of lo and of hi, and every row
-whose clear flag flipped. Run it from anywhere:
+T <= 4 and N <= 32: ``stability.reach`` of the scheme's gains, (lo, hi,
+clear). ``min_N_to_stabilize`` reads its verdicts there. Floats are
+written by ``repr``, so the module reads back bit for bit. With
+``--check`` the script writes nothing and exits 1 when the committed
+module differs from a fresh build (after a change to the contacts, the
+interval or ``SCHUR_MARGIN``). Whenever the rebuild differs from the
+committed module, it prints how far its numbers moved: the largest
+relative move of lo and of hi, and every row whose clear flag flipped.
+Run it from anywhere:
 
     python3 scripts/reach_table.py [--check]
 """
@@ -25,7 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from dfclab.stability import SCHEMES, merged_contacts, stable_mu_interval  # noqa: E402
+from dfclab.stability import SCHEMES, reach  # noqa: E402
 
 TABLE = ROOT / "src" / "dfclab" / "reach_table.py"
 T_MAX = 4
@@ -44,16 +44,9 @@ ROWS = {{
 '''
 
 
-def row(scheme: str, T: int, N: int) -> tuple[float, float, bool]:
-    """(lo, hi, clear) of one (scheme, T, N)."""
-    a = SCHEMES[scheme](N)
-    iv = stable_mu_interval(N, T, a, scheme)
-    return iv.lo, iv.hi, not any(iv.lo < c < iv.hi for c in merged_contacts(a, T))
-
-
 def rows() -> dict[tuple[str, int, int], tuple[float, float, bool]]:
     """Every row of the table, in the order the module lists them."""
-    return {(s, T, N): row(s, T, N)
+    return {(s, T, N): reach(SCHEMES[s](N), T)
             for s in SCHEMES for T in range(1, T_MAX + 1) for N in range(1, N_MAX + 1)}
 
 

@@ -200,6 +200,15 @@ def char_poly_faddeev(matrix: np.ndarray) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def _morgul_multipliers(T: int, multipliers) -> list[float]:
+    mus = [float(m) for m in multipliers]
+    if T < 1:
+        raise ValueError("T must be a positive integer")
+    if len(mus) != T:
+        raise ValueError(f"need {T} multipliers, got {len(mus)}")
+    return mus
+
+
 def _morgul_step(T: int, mu: float, K: float) -> np.ndarray:
     S = np.zeros((T + 1, T + 1))
     for i in range(T):
@@ -215,11 +224,7 @@ def morgul_jacobian_product(T: int, multipliers, K: float) -> np.ndarray:
     Product of T single-step (T+1)x(T+1) Jacobians (shift rows; last row
     has -K at column 1 and mu_j + K at column T+1), earliest step first.
     """
-    mus = [float(m) for m in multipliers]
-    if T < 1:
-        raise ValueError("T must be a positive integer")
-    if len(mus) != T:
-        raise ValueError(f"need {T} multipliers, got {len(mus)}")
+    mus = _morgul_multipliers(T, multipliers)
     J = np.eye(T + 1)
     for mu in mus:
         J = _morgul_step(T, mu, K) @ J
@@ -235,11 +240,7 @@ def morgul_char_poly(T: int, multipliers, K: float) -> Polynomial:
     c_T = -prod_i (mu_i + K). Equals the characteristic polynomial of
     ``morgul_jacobian_product``.
     """
-    mus = [float(m) for m in multipliers]
-    if T < 1:
-        raise ValueError("T must be a positive integer")
-    if len(mus) != T:
-        raise ValueError(f"need {T} multipliers, got {len(mus)}")
+    mus = _morgul_multipliers(T, multipliers)
     shifted = [m + K for m in mus]
     # elem[k] = e_k(shifted), from prod_i (x + v_i)
     elem = np.array([1.0])

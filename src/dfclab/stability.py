@@ -13,8 +13,8 @@ interval around mu = 0 takes one table probe per gap, and gamma (T = 1) is
 the nearest negative contact.
 
 For the named schemes (``SCHEMES``) at T <= 4 and N <= 32,
-``reach_table.ROWS`` holds each stable interval (lo, hi) and whether no
-merged contact lies strictly inside it, written by
+``reach_table.ROWS`` holds the ``reach`` row of each: the stable interval
+(lo, hi) and whether no merged contact lies strictly inside it, written by
 ``scripts/reach_table.py``; each such stable set is that one interval.
 ``min_N_to_stabilize`` takes its verdict for N from there when mu is
 farther than 1e-6 (1 + |mu|) from the row's ends, outside the interval or
@@ -52,6 +52,7 @@ __all__ = [
     "make_gains",
     "gamma_t1",
     "stable_mu_interval",
+    "reach",
     "merged_contacts",
     "min_N_to_stabilize",
     "pipeline_stabilize",
@@ -59,7 +60,7 @@ __all__ = [
 
 SCHUR_MARGIN = 1e-9
 MARGINAL_BAND = 1e-6
-MU_FLOOR = -1e6  # stable_mu_interval reports no lower endpoint below this
+MU_FLOOR = -1e6  # reach reports no lower endpoint below this
 # min_N_to_stabilize trusts a reach-table row only this far (relative) from
 # the row's ends; nearer, the Jury table decides.
 END_BAND = 1e-6
@@ -111,19 +112,16 @@ def spectral_radius(p: Polynomial) -> float:
 def spectral_radii(N: int, T: int, a: GainVector, mus) -> np.ndarray:
     """Spectral radius of ``char_poly_closed(N, T, a, mu)`` for every mu in mus.
 
-    p is affine in mu, so every row is lambda^M - mu q^T from one q^T, by
-    the same multiply and subtract as ``char_poly_closed`` (bit-identical
-    coefficients), and all rows are solved by one ``poly_roots_stack`` call.
-    Every mu must be finite.
+    p is affine in mu, so every row is p(0) - mu q^T with q^T = p(0) - p(1),
+    exact in floats; the rows are the coefficients ``char_poly_closed`` gives
+    bit for bit, and all are solved by one ``poly_roots_stack`` call. Every
+    mu must be finite.
     """
-    e_M = char_poly_closed(N, T, a, 0.0).coeffs  # validates dimensions
+    e_M, p_1 = (char_poly_closed(N, T, a, mu).coeffs for mu in (0.0, 1.0))
     mus = np.asarray(mus, dtype=float).reshape(-1, 1)
     if not np.isfinite(mus).all():
         raise ValueError(f"mu must be finite, got {float(mus[~np.isfinite(mus)][0])!r}")
-    qT = np.zeros_like(e_M)
-    q_pow = (a.q_polynomial() ** T).coeffs
-    qT[: q_pow.size] = q_pow
-    rows = e_M - mus * qT
+    rows = e_M - mus * (e_M - p_1)
     return np.max(np.abs(poly_roots_stack(rows)), axis=1)
 
 
@@ -370,18 +368,23 @@ def merged_contacts(a: GainVector, T: int) -> list[float]:
     return merged
 
 
-def stable_mu_interval(N: int, T: int, a: GainVector, scheme: str = "custom") -> MuInterval:
-    """The stable interval of multipliers around mu = 0.
+def reach(a: GainVector, T: int) -> tuple[float, float, bool]:
+    """The reach row (lo, hi, clear) of gains a at period T.
 
-    mu = 0 gives lambda^M, always stable, and the verdict changes only at a
+    (lo, hi) is the stable interval of multipliers around mu = 0. mu = 0
+    gives lambda^M, always stable, and the verdict changes only at a
     contact (``merged_contacts``). Walking out from 0, one Jury-table probe
     per gap (its midpoint, or 2c beyond the last contact c) settles it; each
     endpoint is the nearest contact whose far side probes unstable, so
     tangencies inside are stepped over. ``lo`` is -inf when no such contact
     lies above the fixed floor ``MU_FLOOR``; ``hi`` is 1 when none lies
-    below it (p(1) = 1 - mu).
+    below it (p(1) = 1 - mu). ``clear`` is True when no merged contact lies
+    strictly inside (lo, hi), the rows where ``_reach_verdict`` may say
+    stable without the Jury table.
     """
-    _ = char_poly_closed(N, T, a, 0.0)  # validates dimensions
+    if T < 1:
+        raise ValueError("T must be a positive integer")
+    N = len(a)
 
     def stable(mu: float) -> bool:
         return jury_stable(char_poly_closed(N, T, a, mu), SCHUR_MARGIN)
@@ -404,6 +407,13 @@ def stable_mu_interval(N: int, T: int, a: GainVector, scheme: str = "custom") ->
             hi = c
             break
 
+    return lo, hi, not any(lo < c < hi for c in merged)
+
+
+def stable_mu_interval(N: int, T: int, a: GainVector, scheme: str = "custom") -> MuInterval:
+    """The stable interval of multipliers around mu = 0: (lo, hi) of ``reach``."""
+    _ = char_poly_closed(N, T, a, 0.0)  # validates dimensions
+    lo, hi, _ = reach(a, T)
     return MuInterval(lo=lo, hi=hi, scheme=scheme, N=N, T=T)
 
 
@@ -443,7 +453,7 @@ def min_N_to_stabilize(
 
 
 def _reach_verdict(row: tuple | None, mu: float) -> bool | None:
-    """A reach-table row's verdict on mu, or None where the Jury table must
+    """A ``reach`` row's verdict on mu, or None where the Jury table must
     decide (see ``min_N_to_stabilize``)."""
     if row is None:
         return None

@@ -3,8 +3,10 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -602,6 +604,16 @@ class TestStabilize:
         )
         assert code == 0
         assert json.loads(out)["entries"] == []
+
+    def test_readme_example_is_the_cli_stdout(self, capsys):
+        lines = (SRC.parent / "README.md").read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("    $ "))
+        argv = shlex.split(lines[start].partition(" -m dfclab ")[2])
+        assert argv == ["stabilize", "--map", "logistic:r=4", "--period", "1"]
+        block = itertools.takewhile(lambda line: line.startswith("    "), lines[start + 1:])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == "".join(line[4:] + "\n" for line in block)
 
 
 class TestDeterminism:

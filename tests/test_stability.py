@@ -1,6 +1,7 @@
 """Tests for Schur stability, gain schemes, and multiplier-interval scans."""
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -23,6 +24,7 @@ from dfclab.stability import (
     make_gains,
     merged_contacts,
     min_N_to_stabilize,
+    reach,
     spectral_radius,
     stable_mu_interval,
 )
@@ -553,6 +555,30 @@ def min_N_by_jury(T, mu, scheme, N_max):
         if jury_stable(char_poly_closed(N, T, make_gains(scheme, N), mu), SCHUR_MARGIN):
             return N
     return None
+
+
+class TestReach:
+    @staticmethod
+    def assert_row(a, T):
+        with mock.patch.object(dfclab.stability, "_contacts", wraps=dfclab.stability._contacts) as spy:
+            lo, hi, clear = reach(a, T)
+        assert spy.call_count == 1
+        iv = stable_mu_interval(len(a), T, a)
+        assert (lo, hi) == (iv.lo, iv.hi)
+        assert clear == (not any(lo < c < hi for c in merged_contacts(a, T)))
+        return clear
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(N=st.integers(1, 8), T=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_is_the_interval_and_its_clear_flag_from_one_contact_pass(self, N, T, seed):
+        self.assert_row(random_simplex_gains(np.random.default_rng(seed), N), T)
+
+    def test_a_tangency_inside_makes_the_row_not_clear(self):
+        assert not self.assert_row(gains_dk2013(4), 1)
+
+    def test_rejects_a_period_below_one(self):
+        with pytest.raises(ValueError, match="T must be a positive integer"):
+            reach(gains_uniform(2), 0)
 
 
 class TestReachTableEquivalence:
