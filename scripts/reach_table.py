@@ -2,7 +2,8 @@
 
 One row per (scheme, T, N) for the gain schemes of ``stability.SCHEMES``,
 T <= 4 and N <= 32: ``stability.reach`` of the scheme's gains, (lo, hi,
-clear). ``min_N_to_stabilize`` reads its verdicts there. Floats are
+clear). ``min_N_to_stabilize`` reads its verdicts there, and
+``stable_mu_interval`` the interval of gains equal to a row's. Floats are
 written by ``repr``, so the module reads back bit for bit. With
 ``--check`` the script writes nothing and exits 1 when the committed
 module differs from a fresh build (after a change to the contacts, the
@@ -35,8 +36,9 @@ HEADER = f'''"""Stable multiplier intervals of the uniform and dk2013 gain schem
 
 Generated by ``python3 scripts/reach_table.py``; edit that script, not this
 file. ``ROWS[(scheme, T, N)]`` is ``(lo, hi, clear)`` for T <= {T_MAX} and
-N <= {N_MAX}: ``stable_mu_interval``'s interval, floats written by ``repr`` so
-they read back bit for bit, and whether no ``merged_contacts`` value lies
+N <= {N_MAX}: ``reach`` of the scheme's gains, the interval that
+``stable_mu_interval`` returns for them, floats written by ``repr`` so they
+read back bit for bit, and whether no ``merged_contacts`` value lies
 strictly inside it.
 """
 

@@ -16,6 +16,8 @@ For the named schemes (``SCHEMES``) at T <= 4 and N <= 32,
 ``reach_table.ROWS`` holds the ``reach`` row of each: the stable interval
 (lo, hi) and whether no merged contact lies strictly inside it, written by
 ``scripts/reach_table.py``; each such stable set is that one interval.
+``stable_mu_interval`` returns a row's (lo, hi) for gains equal, float for
+float, to that scheme's gains at N, bit for bit what ``reach`` gives them.
 ``min_N_to_stabilize`` takes its verdict for N from there when mu is
 farther than 1e-6 (1 + |mu|) from the row's ends, outside the interval or
 inside one without contacts. The Jury table decides every other N, so the
@@ -356,7 +358,10 @@ def merged_contacts(a: GainVector, T: int) -> list[float]:
     of its first merged into that first, as a tangency often shows as two
     sign changes a hair apart. mu = 1 is always a contact (p(1) = 1 - mu),
     so a run that comes within 2e-6 of it is merged into 1.0 exactly rather
-    than into a rounding copy such as 0.9999999999999998."""
+    than into a rounding copy such as 0.9999999999999998. T < 1 raises
+    ValueError, since no period below one has contacts."""
+    if T < 1:
+        raise ValueError("T must be a positive integer")
     merged: list[float] = []
     first = -math.inf
     for c in _contacts(a, T).tolist():
@@ -380,10 +385,12 @@ def reach(a: GainVector, T: int) -> tuple[float, float, bool]:
     lies above the fixed floor ``MU_FLOOR``; ``hi`` is 1 when none lies
     below it (p(1) = 1 - mu). ``clear`` is True when no merged contact lies
     strictly inside (lo, hi), the rows where ``_reach_verdict`` may say
-    stable without the Jury table.
+    stable without the Jury table. T < 1 raises ValueError.
+
+    Each call makes one contact pass and never reads ``reach_table.ROWS``:
+    ``scripts/reach_table.py`` writes that table from it, and
+    ``stable_mu_interval`` reads the table in its place for the gains it holds.
     """
-    if T < 1:
-        raise ValueError("T must be a positive integer")
     N = len(a)
 
     def stable(mu: float) -> bool:
@@ -411,10 +418,36 @@ def reach(a: GainVector, T: int) -> tuple[float, float, bool]:
 
 
 def stable_mu_interval(N: int, T: int, a: GainVector, scheme: str = "custom") -> MuInterval:
-    """The stable interval of multipliers around mu = 0: (lo, hi) of ``reach``."""
+    """The stable interval of multipliers around mu = 0: (lo, hi) of ``reach``.
+
+    Gains equal, float for float, to those of a named scheme at N
+    (``SCHEMES``, T <= 4, N <= 32) take (lo, hi) from their
+    ``reach_table.ROWS`` row, which holds ``reach``'s answer bit for bit;
+    any other gain vector runs ``reach``. The gains decide, never ``scheme``,
+    which only labels the result.
+    """
     _ = char_poly_closed(N, T, a, 0.0)  # validates dimensions
-    lo, hi, _ = reach(a, T)
+    lo, hi, _ = _table_row(a, T) or reach(a, T)
     return MuInterval(lo=lo, hi=hi, scheme=scheme, N=N, T=T)
+
+
+def _rows() -> dict:
+    """``reach_table.ROWS``, imported on first use: compiling the table's
+    ~500 float literals takes milliseconds that ``import dfclab`` should not pay."""
+    from .reach_table import ROWS
+
+    return ROWS
+
+
+def _table_row(a: GainVector, T: int) -> tuple | None:
+    """The table row of gains a at period T, or None unless a equals a named
+    scheme's gains at N = len(a) float for float."""
+    rows, N = _rows(), len(a)
+    for scheme, family in SCHEMES.items():
+        row = rows.get((scheme, T, N))
+        if row is not None and family(N).coeffs == a.coeffs:
+            return row
+    return None
 
 
 def min_N_to_stabilize(
@@ -423,13 +456,15 @@ def min_N_to_stabilize(
     """Smallest N <= N_max whose scheme gains make the cycle stable, else None.
 
     Each N gets the verdict of the Jury table with ``SCHUR_MARGIN``, solving
-    no root. Where ``reach_table.ROWS`` has the row (uniform and dk2013,
-    T <= 4, N <= 32), its interval (lo, hi) and whether it is clear of
+    no root. Where ``reach_table.ROWS`` has the row of ``scheme`` (uniform
+    and dk2013, T <= 4, N <= 32), its interval (lo, hi) and whether it is clear of
     contacts inside: mu <= lo - d or mu >= hi + d, d = ``END_BAND``
     (1 + |mu|), is unstable; lo + d < mu < hi - d is stable in a clear row.
     The Jury table runs only in between, inside a row with a contact (a
     tangency, beside which the margined table can say unstable), and for
-    every row the reach table lacks. mu >= 1 is rejected at once: p(1) = 1 - mu
+    every row the reach table lacks. Rows are read by the scheme's name,
+    since the gains tested at N are that scheme's, the gains each row was
+    built from. mu >= 1 is rejected at once: p(1) = 1 - mu
     <= 0 for every valid gain vector, so no N can work. A non-finite mu
     raises ValueError.
     """
@@ -439,12 +474,9 @@ def min_N_to_stabilize(
         raise ValueError(f"mu must be finite, got {mu!r}")
     if mu >= 1.0:
         return None
-    # Imported on first use: compiling the table's ~500 float literals takes
-    # milliseconds that ``import dfclab`` should not pay.
-    from .reach_table import ROWS
-
+    rows = _rows()
     for N in range(1, N_max + 1):
-        stable = _reach_verdict(ROWS.get((scheme, T, N)), mu)
+        stable = _reach_verdict(rows.get((scheme, T, N)), mu)
         if stable is None:
             stable = jury_stable(char_poly_closed(N, T, make_gains(scheme, N), mu), SCHUR_MARGIN)
         if stable:

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import dfclab.reach_table
 from dfclab.reach_table import ROWS
 from dfclab.spectrum import char_poly_closed
-from dfclab.stability import MU_FLOOR, SCHUR_MARGIN, jury_stable, make_gains, merged_contacts
+from dfclab.stability import (
+    MU_FLOOR, SCHUR_MARGIN, jury_stable, make_gains, merged_contacts, stable_mu_interval)
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("reach_table_script", ROOT / "scripts" / "reach_table.py")
@@ -45,6 +47,17 @@ def test_check_fails_on_a_stale_table(rebuilt, monkeypatch, tmp_path, capsys):
     assert reach_table.main(["--check"]) == 1
     assert "stale" in capsys.readouterr().out
     assert path.read_text() == stale  # --check writes nothing
+
+
+def test_the_build_never_reads_the_table(monkeypatch):
+    # stable_mu_interval reads the rows it is handed, wrong ones too; the
+    # script's rows() still rebuilds the committed module, so --check
+    # compares the table with a fresh computation, not with itself.
+    wrong = {key: (-0.5, 0.5, False) for key in ROWS}
+    monkeypatch.setattr(dfclab.reach_table, "ROWS", wrong)
+    iv = stable_mu_interval(4, 1, make_gains("uniform", 4))
+    assert (iv.lo, iv.hi) == (-0.5, 0.5)
+    assert reach_table.render(reach_table.rows()) == reach_table.TABLE.read_text()
 
 
 def interior(scheme, T, N):

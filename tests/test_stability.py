@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from dfclab.polynomials import Polynomial, poly_roots
 from dfclab.reach_table import ROWS
-from dfclab.spectrum import GainVector, char_poly_closed
+from dfclab.spectrum import GAIN_SUM_TOL, GainVector, char_poly_closed
 import dfclab.stability
 from dfclab.stability import (
     MU_FLOOR,
+    SCHEMES,
     SCHUR_MARGIN,
     analyze,
     gains_dk2013,
@@ -273,6 +274,11 @@ class TestStableMuInterval:
         assert near_one and 1.0 not in near_one
         merged = dfclab.stability.merged_contacts(make_gains(scheme, N), T)
         assert 1.0 in merged and not any(0.0 < abs(c - 1.0) <= 2e-6 for c in merged)
+
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_merged_contacts_rejects_a_period_below_one(self, T):
+        with pytest.raises(ValueError, match="T must be a positive integer"):
+            merged_contacts(gains_uniform(3), T)
 
     def test_uniform_n4_t1(self):
         iv = stable_mu_interval(4, 1, gains_uniform(4), scheme="uniform")
@@ -579,6 +585,50 @@ class TestReach:
     def test_rejects_a_period_below_one(self):
         with pytest.raises(ValueError, match="T must be a positive integer"):
             reach(gains_uniform(2), 0)
+
+
+def spy_contacts():
+    return mock.patch.object(dfclab.stability, "_contacts", wraps=dfclab.stability._contacts)
+
+
+class TestIntervalFromTheTable:
+    @pytest.mark.parametrize("label", [None, "custom", "uniform", "dk2013"])
+    def test_every_row_is_read_without_a_contact_pass(self, label):
+        # The gains pick the row; the label only names the result.
+        with spy_contacts() as spy:
+            for (scheme, T, N), (lo, hi, _) in ROWS.items():
+                iv = stable_mu_interval(N, T, SCHEMES[scheme](N), label or scheme)
+                assert (iv.lo, iv.hi, iv.scheme) == (lo, hi, label or scheme), (scheme, T, N)
+        assert spy.call_count == 0
+
+    @staticmethod
+    def assert_computed(a, T, scheme):
+        with spy_contacts() as spy:
+            iv = stable_mu_interval(len(a), T, a, scheme)
+        assert spy.call_count == 1
+        assert (iv.lo, iv.hi) == reach(a, T)[:2]
+
+    @pytest.mark.parametrize("scheme, T, N", [("uniform", 1, 9), ("uniform", 3, 4),
+                                              ("dk2013", 1, 4), ("dk2013", 2, 7)])
+    def test_gains_one_ulp_off_a_row_run_the_contact_pass(self, scheme, T, N):
+        c = list(SCHEMES[scheme](N).coeffs)
+        c[0], c[1] = np.nextafter(c[0], 1.0), np.nextafter(c[1], 0.0)
+        assert abs(math.fsum(c) - 1.0) <= GAIN_SUM_TOL
+        a = GainVector(c)
+        assert a.coeffs != SCHEMES[scheme](N).coeffs
+        self.assert_computed(a, T, scheme)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_gains_labelled_uniform_run_the_contact_pass(self, seed):
+        rng = np.random.default_rng(seed)
+        a = random_simplex_gains(rng, int(rng.integers(2, 9)))
+        self.assert_computed(a, int(rng.integers(1, 5)), "uniform")
+
+    @pytest.mark.parametrize("scheme", ["uniform", "dk2013"])
+    @pytest.mark.parametrize("T, N", [(1, 33), (5, 4)])
+    def test_scheme_gains_past_the_table_run_the_contact_pass(self, scheme, T, N):
+        assert (scheme, T, N) not in ROWS
+        self.assert_computed(SCHEMES[scheme](N), T, scheme)
 
 
 class TestReachTableEquivalence:
