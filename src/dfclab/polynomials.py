@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "Polynomial",
     "horner",
+    "trimmed",
     "poly_roots",
     "poly_roots_stack",
     "STACK_BYTES",
@@ -24,8 +25,9 @@ __all__ = [
     "has_repeated_roots",
 ]
 
-# Companion matrices of one stacked eigenvalue call take at most this many
-# bytes; a longer stack is solved in chunks of this size.
+# The powers of the roots in one chunk's residual check take at most this
+# many bytes, and so do its companion matrices (about half as many); a longer
+# stack is solved in chunks of this size.
 STACK_BYTES = 1 << 24
 
 
@@ -42,6 +44,16 @@ def horner(coeffs: np.ndarray, x):
     return acc if acc.shape else acc[()]
 
 
+def trimmed(coeffs: np.ndarray) -> np.ndarray:
+    """The ascending ``coeffs`` without their exact trailing zeros, so that
+    the leading coefficient is nonzero (the zero polynomial keeps one
+    entry): a view, as ``Polynomial`` stores its coefficients."""
+    last = coeffs.size - 1
+    while last > 0 and coeffs[last] == 0.0:
+        last -= 1
+    return coeffs[: last + 1]
+
+
 class Polynomial:
     """Polynomial with real coefficients in ascending degree order."""
 
@@ -51,12 +63,7 @@ class Polynomial:
         arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
-        # Trim exact trailing zeros so the leading coefficient is nonzero
-        # (identically-zero polynomial keeps one entry).
-        last = arr.size - 1
-        while last > 0 and arr[last] == 0.0:
-            last -= 1
-        arr = arr[: last + 1].copy()
+        arr = trimmed(arr).copy()
         arr.flags.writeable = False
         self._coeffs = arr
 
@@ -173,8 +180,15 @@ def poly_roots_stack(rows) -> np.ndarray:
     ``numpy.roots``, a row whose k lowest coefficients are exactly zero gets k
     exact zero roots, last, and a companion matrix of size degree - k.
     Companion matrices of one size go to ``np.linalg.eigvals`` as one stack,
-    cut into chunks of at most ``STACK_BYTES``. A root whose residual exceeds
+    cut into chunks whose residual arrays take at most ``STACK_BYTES``: the
+    powers z^0..z^deg of a row's n roots take 16 n (deg + 1) bytes, about
+    twice its companion matrix. A root whose residual exceeds
     1e-10 * sum|c_k| * max(1, |z|)^deg, in any row, raises one RuntimeWarning.
+    The residual p(z) = sum c_k z^k of a chunk's roots is one matrix product
+    of each row with its roots' powers, not a Horner loop: the two round
+    differently, each within about deg eps sum|c_k| |z|^k, so they can
+    judge a root otherwise only when its residual lies within about 1e-5 deg
+    of the bound (relative). Exact zero roots are not evaluated: p(0) = 0.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] < 2:
@@ -189,12 +203,13 @@ def _checked_roots(rows: np.ndarray) -> np.ndarray:
     n_rows, deg = rows.shape[0], rows.shape[1] - 1
     roots = np.zeros((n_rows, deg), dtype=complex)
     low_zeros = np.argmax(rows != 0.0, axis=1)  # leading coefficients are nonzero
+    missed = False
     for k in set(low_zeros.tolist()):
         n = deg - k  # companion size
         if n == 0:  # c * lambda^deg: every root is 0
             continue
         sel = np.flatnonzero(low_zeros == k)
-        per_chunk = max(1, STACK_BYTES // (8 * n * n))
+        per_chunk = max(1, STACK_BYTES // (16 * n * (deg + 1)))  # the powers of the residual
         for start in range(0, sel.size, per_chunk):
             r = sel[start : start + per_chunk]
             desc = rows[r, k:][:, ::-1]
@@ -204,17 +219,36 @@ def _checked_roots(rows: np.ndarray) -> np.ndarray:
             w = np.linalg.eigvals(A)
             if w.dtype == complex:  # numpy.roots gives a real array for a row of real roots
                 real = (w.imag == 0.0).all(axis=1)
-                w[real] = w[real].real
+                if real.any():
+                    w[real] = w[real].real
             roots[r, :n] = w
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is no verdict
-        z = roots.T  # one column per row, so each coefficient broadcasts along it
-        resid = np.abs(horner(rows.T, z))
-        bound = 1e-10 * np.abs(rows).sum(axis=1) * np.maximum(1.0, np.abs(z)) ** deg
-    if (resid > bound).any():
+            missed = missed or _misses_bound(rows[r], w)
+    if missed:
         warnings.warn(
             "polynomial roots miss the residual bound", RuntimeWarning, stacklevel=3
         )
     return roots
+
+
+@np.errstate(all="ignore")  # an overflow is no verdict; tiny powers may underflow
+def _misses_bound(rows: np.ndarray, w: np.ndarray) -> bool:
+    """True iff a root w[i, j] of row i has |p_i(w[i, j])| above the bound of
+    ``poly_roots_stack``. The powers z^0..z^deg of every root come from
+    log2(deg) products of slices, P[b+1 : b+1+k] = P[1 : k+1] P[b], and the
+    values from one matrix product of each row with its roots' powers, their
+    real and imaginary parts side by side."""
+    deg = rows.shape[1] - 1
+    P = np.empty((deg + 1,) + w.shape, dtype=complex)
+    P[0] = 1.0
+    P[1] = w
+    b = 1  # P[: b + 1] holds z^0..z^b
+    while b < deg:
+        k = min(b, deg - b)
+        np.multiply(P[1 : k + 1], P[b], out=P[b + 1 : b + 1 + k])
+        b += k
+    values = (rows[:, None, :] @ P.view(float).transpose(1, 0, 2)).view(complex)[:, 0]
+    bound = 1e-10 * np.abs(rows).sum(axis=1)[:, None] * np.maximum(1.0, np.abs(w)) ** deg
+    return bool((np.abs(values) > bound).any())
 
 
 # ---------------------------------------------------------------------------

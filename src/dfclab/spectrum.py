@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, trimmed
 
 __all__ = [
     "GainVector",
@@ -36,6 +36,7 @@ __all__ = [
     "jacobian_via_chain",
     "build_jacobian",
     "char_poly_closed",
+    "check_dims",
     "char_poly_faddeev",
     "morgul_jacobian_product",
     "morgul_char_poly",
@@ -76,7 +77,10 @@ class GainVector:
         return Polynomial(list(reversed(self.coeffs)))
 
 
-def _check_dims(N: int, T: int, a: GainVector, n_mult: int | None = None) -> int:
+def check_dims(N: int, T: int, a: GainVector, n_mult: int | None = None) -> int:
+    """M = (N-1)T + 1, the dimension of the controlled system, after checking
+    that N and T are positive, that a has N gains and, when n_mult is given,
+    that there are T multipliers; ValueError otherwise."""
     if N < 1 or T < 1:
         raise ValueError("N and T must be positive integers")
     if len(a) != N:
@@ -92,7 +96,7 @@ def step_jacobian(N: int, T: int, a: GainVector, mu_at_step: float) -> np.ndarra
     Shift structure: entry (i, i+1) = 1 for i < M; the last row carries
     a_k * mu at column M - (k-1)T for k = 1..N, zeros elsewhere.
     """
-    M = _check_dims(N, T, a)
+    M = check_dims(N, T, a)
     S = np.zeros((M, M))
     for i in range(M - 1):
         S[i, i + 1] = 1.0
@@ -110,7 +114,7 @@ def jacobian_via_chain(N: int, T: int, a: GainVector, multipliers) -> np.ndarray
     ``build_jacobian`` must reproduce.
     """
     mus = [float(m) for m in multipliers]
-    M = _check_dims(N, T, a, len(mus))
+    M = check_dims(N, T, a, len(mus))
     J = np.eye(M)
     for mu in mus:
         J = step_jacobian(N, T, a, mu) @ J
@@ -131,7 +135,7 @@ def build_jacobian(N: int, T: int, a: GainVector, multipliers) -> np.ndarray:
     Matches ``jacobian_via_chain`` elementwise.
     """
     mus = [float(m) for m in multipliers]
-    M = _check_dims(N, T, a, len(mus))
+    M = check_dims(N, T, a, len(mus))
     J = np.zeros((M, M))
     base = (N - 2) * T
     av = a.coeffs
@@ -159,16 +163,23 @@ def char_poly_closed(N: int, T: int, a: GainVector, mu: float) -> Polynomial:
     """Closed-form characteristic polynomial of the controlled system.
 
     p(lambda) = lambda^((N-1)T+1) - mu * q(lambda)^T with q the gain
-    polynomial; q^T is computed by repeated convolution. Depends on the
-    multipliers only through their product mu, which must be finite.
+    polynomial; q^T is computed by repeated ``np.convolve`` of coefficient
+    arrays, each cut after its last nonzero entry (``trimmed``) as a
+    ``Polynomial`` would be, so p's coefficients are those of
+    ``a.q_polynomial() ** T`` bit for bit: a zero of either sign in q^T
+    gives +0.0 in p. Depends on the multipliers only through their product
+    mu, which must be finite.
     """
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu!r}: p would have non-finite coefficients")
-    M = _check_dims(N, T, a)
-    q_pow = a.q_polynomial() ** T
+    M = check_dims(N, T, a)
+    q = trimmed(np.array(a.coeffs[::-1]))
+    q_pow = q
+    for _ in range(T - 1):
+        q_pow = trimmed(np.convolve(q_pow, q))
     coeffs = np.zeros(M + 1)
     coeffs[M] = 1.0
-    coeffs[: q_pow.coeffs.size] -= mu * q_pow.coeffs
+    coeffs[: q_pow.size] -= mu * q_pow
     return Polynomial(coeffs)
 
 

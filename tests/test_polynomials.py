@@ -5,13 +5,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dfclab.polynomials
 from dfclab.polynomials import (
     Polynomial,
     has_repeated_roots,
+    horner,
     poly_roots,
     poly_roots_stack,
     resultant,
@@ -201,6 +202,98 @@ class TestRootsStack:
 
     def test_empty_stack(self):
         assert poly_roots_stack(np.empty((0, 4))).shape == (0, 3)
+
+
+def horner_residuals(rows, roots):
+    """Per root, (|p(z)| by Horner's rule, the residual bound of
+    ``poly_roots_stack``): the residual as it was evaluated before the
+    product of powers replaced the Horner loop."""
+    deg = rows.shape[1] - 1
+    z = roots.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(horner(rows.T, z))
+        bound = 1e-10 * np.abs(rows).sum(axis=1) * np.maximum(1.0, np.abs(z)) ** deg
+    return resid.T, bound.T
+
+
+def _misses(caught) -> int:
+    """How many of the recorded warnings say that roots miss the residual bound."""
+    return sum(str(w.message) == "polynomial roots miss the residual bound" for w in caught)
+
+
+def moved_eigvals(shift):
+    """np.linalg.eigvals with every eigenvalue moved by shift (an array of
+    one complex number per companion size, indexed by the size)."""
+    real = np.linalg.eigvals
+
+    def eigvals(A):
+        return real(A).astype(complex) + shift[A.shape[-1]]
+
+    return eigvals
+
+
+@st.composite
+def near_bound(draw):
+    """A row of degree 2-60, random or with clustered roots, and a shift of
+    its roots that puts the smallest residual-to-bound ratio near 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    deg = draw(st.integers(2, 60))
+    if draw(st.booleans()):
+        row = rng.standard_normal(deg + 1)
+    else:  # clusters of up to three roots within 1e-3 of each other
+        centres = rng.uniform(-1.5, 1.5, deg)
+        roots = centres[rng.integers(0, max(1, deg // 3), deg)] + 1e-3 * rng.random(deg)
+        row = Polynomial.from_roots(roots).coeffs
+    assume(row[-1] != 0.0 and row[0] != 0.0)
+    z = np.roots(row[::-1]).astype(complex)
+    resid, bound = horner_residuals(row[None, :], z[None, :])
+    slope = np.abs(Polynomial(row).derivative()(z))
+    assume(np.all(slope > 0.0) and np.all(np.isfinite(bound)))
+    step = float(np.min(bound[0] / slope)) * draw(st.floats(0.5, 2.0))
+    return row, step * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+
+
+class TestResidualCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(case=near_bound())
+    def test_warning_agrees_with_horner_outside_the_band(self, case):
+        row, step = case
+        deg = row.size - 1
+        shift = np.zeros(deg + 1, dtype=complex)
+        shift[deg] = step
+        with mock.patch.object(np.linalg, "eigvals", moved_eigvals(shift)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                roots = poly_roots(Polynomial(row))
+        resid, bound = horner_residuals(row[None, :], roots[None, :])
+        if _misses(caught) != bool((resid > bound).any()):
+            # Only a residual within 1e-5 deg of its bound may be judged otherwise.
+            assert np.min(np.abs(resid / bound - 1.0)) <= 1e-5 * deg
+
+    # A budget of 1 byte makes every row a chunk; 400 bytes hold the powers
+    # of two rows of degree 3 (16 n (deg + 1) = 192 bytes each).
+    @pytest.mark.parametrize("budget", [1, 400])
+    def test_chunks_give_the_roots_and_warning_of_one_chunk(self, budget):
+        rows = np.array([Polynomial.from_roots(z).coeffs for z in
+                         ([0.5, -0.25, 2.0], [0.1, 0.2, 0.3], [-1.0, 0.4, 0.9], [0.7, 0.7, 0.7],
+                          [3.0, -3.0, 1e-3])] + [[0.0, 1.0, 0.0, 2.0], [0.0, 0.0, 0.5, 1.0]])
+        for bad in (None, 1, 4):  # no row, or one row, whose roots miss the bound
+            def eigvals(A, real=np.linalg.eigvals, marker=None if bad is None else rows[bad]):
+                w = real(A).astype(complex)
+                if marker is not None and A.shape[-1] == marker.size - 1:
+                    hit = np.all(A[:, 0, :] == -marker[::-1][1:] / marker[-1], axis=1)
+                    w[hit] += 1e-6
+                return w
+
+            found = []
+            for size in (1 << 24, budget):
+                with mock.patch.object(dfclab.polynomials, "STACK_BYTES", size), \
+                        mock.patch.object(np.linalg, "eigvals", eigvals), \
+                        warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    found.append((poly_roots_stack(rows).tobytes(), _misses(caught)))
+            assert found[0] == found[1]
+            assert found[0][1] == (bad is not None)
 
 
 class TestSylvester:

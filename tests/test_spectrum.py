@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfclab.polynomials import Polynomial
 from dfclab.spectrum import (
@@ -179,6 +181,53 @@ class TestClosedForm:
             mu = float(rng.uniform(-4, 4))
             p = char_poly_closed(N, T, a, mu)
             assert complex(p(1.0)).real == pytest.approx(1.0 - mu, abs=1e-12)
+
+
+def char_poly_by_polynomials(N, T, a, mu):
+    """``char_poly_closed`` as it was built before its q^T became a chain of
+    array convolutions: a product of ``Polynomial`` factors."""
+    M = (N - 1) * T + 1
+    q_pow = a.q_polynomial() ** T
+    coeffs = np.zeros(M + 1)
+    coeffs[M] = 1.0
+    coeffs[: q_pow.coeffs.size] -= mu * q_pow.coeffs
+    return Polynomial(coeffs)
+
+
+@st.composite
+def gain_vectors(draw):
+    """Gains that sum to 1: a random simplex, with a_1 = 0 (and a_2 = 0), with
+    negative entries, or with a_1 so small that its powers underflow to 0."""
+    N = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["simplex", "leading zeros", "negative", "tiny leading"]))
+    if kind == "simplex" or N == 1:
+        return random_simplex_gains(rng, N)
+    c = rng.uniform(0.0, 1.0, N) if kind != "negative" else rng.normal(0.0, 1.0, N)
+    if kind == "leading zeros":
+        c[: draw(st.integers(1, min(2, N - 1)))] = draw(st.sampled_from([0.0, -0.0]))
+    if kind == "tiny leading":
+        c[0] = 10.0 ** draw(st.integers(-200, -100))
+    c[-1] = 0.0
+    c[-1] = 1.0 - math.fsum(c)
+    return GainVector(c)
+
+
+class TestClosedFormBuild:
+    @settings(max_examples=300, deadline=None)
+    @given(a=gain_vectors(), T=st.integers(1, 6),
+           mu=st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-1e6, 1e6))
+    def test_bytes_equal_the_polynomial_product(self, a, T, mu):
+        N = len(a)
+        got = char_poly_closed(N, T, a, mu).coeffs
+        assert got.tobytes() == char_poly_by_polynomials(N, T, a, mu).coeffs.tobytes()
+
+    def test_a_zero_leading_gain_leaves_positive_zeros(self):
+        p = char_poly_closed(3, 3, GainVector([0.0, 0.25, 0.75]), -2.0)
+        # q = 0.25 lambda + 0.75 after its zero leading gain, so q^3 stops at lambda^3.
+        assert p.degree == 7
+        assert p.coeffs[4:7].tolist() == [0.0] * 3
+        assert [math.copysign(1.0, c) for c in p.coeffs[4:7]] == [1.0] * 3
 
 
 class TestFaddeev:

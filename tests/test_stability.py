@@ -32,6 +32,7 @@ from dfclab.stability import (
 from dfclab.verify import random_simplex_gains
 
 from bisection import bisection_engine
+import jury_reference
 
 
 class TestJury:
@@ -149,6 +150,137 @@ class TestJury:
             gap = float(max(abs(r) for r in roots) - mpmath.mpf(threshold))
         assert abs(gap - offset) < 1e-11
         assert jury_stable(p, SCHUR_MARGIN) == (gap < 0.0)
+
+
+def _reference_verdict(p, margin):
+    """The verdict of the reference table (``tests/jury_reference.py``), or
+    None when one of its operations overflows, underflows or gives NaN."""
+    events = []
+    with np.errstate(all="call", call=lambda kind, flag: events.append(kind)):
+        verdict = jury_reference.jury_stable(p, margin)
+    return None if events else verdict
+
+
+def _conjugate_closed(rng, deg, top):
+    """Monic polynomial of degree deg with real coefficients and random roots
+    of modulus below top, in conjugate pairs and reals."""
+    pairs = deg // 2
+    z = rng.uniform(0.0, top, pairs) * np.exp(1j * rng.uniform(0.0, np.pi, pairs))
+    roots = np.concatenate([z, z.conj(), rng.uniform(-top, top, deg - 2 * pairs)])
+    return Polynomial(np.poly(roots)[::-1].real)
+
+
+@st.composite
+def jury_inputs(draw):
+    """(p, margin) across the list/array switch: degree 1-125 of random
+    normal coefficients at scales 1e-150..1e150, random roots near the unit
+    circle (stable ones run the whole table), small integers (some make a
+    pivot degenerate) and char polys of random simplex gains with mu on
+    either side of an end of their stable interval."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "roots", "integers", "system"]))
+    deg = draw(st.integers(1, 125))
+    if kind == "normal":
+        p = Polynomial(rng.standard_normal(deg + 1) * 10.0 ** draw(st.integers(-150, 150)))
+    elif kind == "roots":
+        p = _conjugate_closed(rng, deg, draw(st.sampled_from([0.9, 1.0, 1.02])))
+    elif kind == "integers":
+        c = rng.integers(-2, 3, deg + 1).astype(float)
+        c[-1] = draw(st.sampled_from([-2.0, -1.0, 1.0, 2.0]))
+        p = Polynomial(c)
+    else:
+        T = draw(st.integers(1, 4))
+        N = draw(st.integers(1, 1 + 124 // T))
+        a = random_simplex_gains(rng, N)
+        iv = stable_mu_interval(N, T, a)
+        end = iv.hi if iv.lo == -math.inf or draw(st.booleans()) else iv.lo
+        offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-10.0, -2.0))
+        p = char_poly_closed(N, T, a, end + offset * (1.0 + abs(end)))
+    assume(p.degree >= 1)
+    margin = draw(st.sampled_from([0.0, SCHUR_MARGIN]) | st.floats(-0.5, 0.9))
+    return p, margin
+
+
+class TestJuryMatchesTheReference:
+    """The table of short rows on floats and a scaled first row gives the
+    verdict of the all-numpy, unscaled table (``tests/jury_reference.py``)
+    wherever that one neither overflows nor underflows."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(jury_inputs())
+    def test_random_polynomials(self, inputs):
+        p, margin = inputs
+        want = _reference_verdict(p, margin)
+        assume(want is not None)
+        assert jury_stable(p, margin) == want
+
+    # Tables with a degenerate pivot: in a short row at degree 7, and in an
+    # array row of 49 entries at degree 62. Both fall back to root moduli.
+    DEGENERATE = [
+        [-1.0, -1.0, 2.0, 0.0, -1.0, 2.0, 0.0, -2.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0] + [0.0] * 14 + [-2.0] + [0.0] * 32 + [-1.0]
+        + [0.0] * 7 + [2.0],
+    ]
+
+    @pytest.mark.parametrize("coeffs", DEGENERATE)
+    def test_degenerate_pivots_fall_back_to_root_moduli(self, coeffs):
+        p = Polynomial(coeffs)
+        with mock.patch.object(dfclab.stability, "spectral_radius",
+                               wraps=spectral_radius) as spy:
+            got = jury_stable(p)
+        assert spy.call_count == 1
+        assert got == _reference_verdict(p, 0.0) == (spectral_radius(p) < 1.0)
+
+    @pytest.mark.parametrize("N, T", [(8, 1), (16, 2), (24, 4), (32, 4)])
+    def test_benchmark_degrees(self, N, T):
+        a = gains_uniform(N)
+        lo, hi, _ = ROWS[("uniform", T, N)]
+        for mu in (lo * (1 - 1e-7), lo * (1 + 1e-7), 0.5 * lo, 0.5 * hi, -1.0, -3.0):
+            p = char_poly_closed(N, T, a, mu)
+            for margin in (0.0, SCHUR_MARGIN):
+                assert jury_stable(p, margin) == _reference_verdict(p, margin), (mu, margin)
+
+
+class TestJuryTableCannotOverflow:
+    # Spectral radius 1.5811: its roots are those of 1e-10 + 2.5 z^2 + z^4.
+    BIG = [1e150, 0.0, 2.5e160, 0.0, 1e160]
+
+    @pytest.mark.parametrize("k", [1, 13, 31])
+    def test_large_coefficients_are_unstable(self, k):
+        # Unscaled, the first derived row's products overflow: inf - inf
+        # gives NaN, every later check is False, and the table said stable.
+        # BIG(z^k) has degree 4k (list rows only, or array rows first) and
+        # spectral radius 1.5811^(1/k).
+        c = np.zeros(4 * k + 1)
+        c[::k] = self.BIG
+        p = Polynomial(c)
+        assert spectral_radius(p) == pytest.approx(1.5811388300841898 ** (1 / k))
+        assert not jury_stable(p)
+        assert not jury_stable(p, SCHUR_MARGIN)
+
+    def test_the_same_roots_at_unit_scale(self):
+        p = Polynomial(np.array(self.BIG) / 1e160)
+        assert not jury_stable(p)
+        report = analyze(p)
+        assert not report.jury_verdict and not report.schur_stable
+        assert report.spectral_radius == pytest.approx(1.5811388300841898)
+
+    def test_analyze_of_the_large_coefficients(self):
+        report = analyze(Polynomial(self.BIG))
+        assert not report.jury_verdict and not report.schur_stable
+
+    @pytest.mark.parametrize("exponent", [-300, -160, 0, 160, 300])
+    def test_verdicts_do_not_depend_on_the_scale(self, exponent):
+        for p in (Polynomial.from_roots([0.9, -0.5, 0.3 + 0.4j, 0.3 - 0.4j]),
+                  Polynomial.from_roots([1.1, -0.5, 0.3 + 0.4j, 0.3 - 0.4j])):
+            scaled = Polynomial(p.coeffs * 10.0**exponent)
+            assert jury_stable(scaled) == jury_stable(p) == (spectral_radius(p) < 1.0)
+
+    def test_overflowing_margin_falls_back_to_root_moduli(self):
+        # p(r z) with r = 1.5: 1e300 * 1.5^k overflows, so the verdict comes from the roots.
+        p = Polynomial([1e300, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2e300])
+        with np.errstate(over="ignore"):
+            assert jury_stable(p, -0.5) == (spectral_radius(p) < 1.5)
 
 
 class TestSpectralRadius:
@@ -279,6 +411,23 @@ class TestStableMuInterval:
     def test_merged_contacts_rejects_a_period_below_one(self, T):
         with pytest.raises(ValueError, match="T must be a positive integer"):
             merged_contacts(gains_uniform(3), T)
+
+    # (N, T, number of gains, message): the first failing check names itself.
+    BAD_DIMENSIONS = [
+        (0, 1, 3, "N and T must be positive integers"),
+        (3, 0, 3, "N and T must be positive integers"),
+        (0, 0, 2, "N and T must be positive integers"),
+        (4, 1, 3, "gain vector has 3 entries, expected N=4"),
+        (2, 3, 5, "gain vector has 5 entries, expected N=2"),
+    ]
+
+    @pytest.mark.parametrize("N, T, n_gains, message", BAD_DIMENSIONS)
+    def test_dimension_errors_are_those_of_the_char_poly(self, N, T, n_gains, message):
+        a = gains_uniform(n_gains)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            stable_mu_interval(N, T, a)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            char_poly_closed(N, T, a, 0.0)
 
     def test_uniform_n4_t1(self):
         iv = stable_mu_interval(4, 1, gains_uniform(4), scheme="uniform")
@@ -691,6 +840,12 @@ class TestAnalyze:
         assert report.schur_stable
         assert report.jury_verdict
         assert not report.marginal
+
+    def test_roots_are_python_complex_numbers(self):
+        p = char_poly_closed(8, 1, gains_uniform(8), -4.0)
+        report = analyze(p)
+        assert all(type(r) is complex for r in report.roots)
+        assert np.array(report.roots).tobytes() == poly_roots(p).tobytes()
 
     def test_report_roots_match_polynomial(self):
         p = char_poly_closed(2, 1, GainVector([0.5, 0.5]), -1.2)
