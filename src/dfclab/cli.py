@@ -7,8 +7,10 @@ Each concern is declared once. ``_command`` registers a subcommand with its
 subcommands share: ``_map_flags`` (--map, --param, --domain), ``_scan_flags``
 (--period, --grid), ``_run_flags`` (--steps, --tol), ``_shape_flags`` (--N,
 --T) and ``_gain_flags`` (--scheme, --gains). Every handler writes its
-report through ``_report``; ``_gains_for`` is the one way to gains, and the
-checks that span flags are ``_check_degree`` and ``_check_steps``.
+report through ``_report``, but for ``simulate``'s CSV, whose control column
+is a formatted array between blank cells; ``_gains_for`` is the one way to
+gains, and the checks that span flags are ``_check_degree`` and
+``_check_steps``.
 
 Reports are machine readable: JSON documents start with ``schema_version``
 and ``subcommand`` so downstream scripts can pin schemas; CSV output has a
@@ -37,6 +39,8 @@ import sys
 from collections.abc import Sequence
 from dataclasses import asdict
 from fractions import Fraction
+
+import numpy as np
 
 from .cycles import find_cycles
 from .maps import MapError, MapSpec, parse_map
@@ -212,27 +216,30 @@ def _json_text(args, body: dict) -> str:
 
 
 def _emit_csv(args, header: list[str], columns: list[Sequence]) -> None:
-    """A CSV report from columns of equal length. Each column is formatted
-    in one pass, then the rows are joined into the report at once."""
-    cells = [_csv_column(col) for col in columns]
+    """A CSV report from columns of equal length, each formatted in one pass."""
+    _emit_cells(args, header, [_csv_column(col) for col in columns])
+
+
+def _emit_cells(args, header: list[str], cells: list[list[str]]) -> None:
+    """A CSV report from columns of formatted cells, its rows joined at once."""
     lines = [",".join(header), *map(",".join, zip(*cells))]
     _emit(args, "\n".join(lines) + "\n")
 
 
 def _csv_column(values: Sequence) -> list[str]:
     """``_csv_cell`` of every value, without a call per cell for the column
-    types the reports print: floats and ints with blanks, or bools."""
+    types the reports print: a float64 array, a range, floats and ints with
+    blanks, or bools."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        # repr(v) is _csv_cell(v), made once per distinct value: a settled
+        # run repeats its cycle. The values are told apart by their bits, in
+        # which 0.0 and -0.0 differ though they are ==.
+        bits, index = np.unique(values.view(np.int64), return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        return text[index].tolist()
+    if isinstance(values, range):
+        return list(map(str, values))
     kinds = set(map(type, values))
-    if kinds <= {float, type(None)}:
-        # repr(v) is _csv_cell(v), made once per distinct value: a simulated
-        # run repeats its cycle. 0.0 == -0.0 share a key, so zeros are made
-        # one by one.
-        text = {v: repr(v) for v in set(values)}
-        text[None] = ""
-        cells = list(map(text.__getitem__, values))
-        if 0.0 in text:
-            cells = [repr(v) if v == 0.0 else cell for v, cell in zip(values, cells)]
-        return cells
     if kinds <= {float, int, type(None)}:
         # For exactly these types repr(v) is _csv_cell(v).
         return ["" if v is None else repr(v) for v in values]
@@ -390,13 +397,15 @@ def _cmd_simulate(args) -> int:
     header = ["k", "x", "u"]
     # u(k) is the control applied on the step from state k to k+1; the
     # history rows before the last one and the final state carry none.
-    n_hist = len(traj.states) - len(traj.controls)
-    us = [None] * (n_hist - 1) + traj.controls.tolist() + [None]
-    columns = [range(len(traj.states)), traj.states.tolist(), us]
-    _report(args, lambda: {**summary, "trajectory": [dict(zip(header, r)) for r in zip(*columns)]},
-            header, columns)
-    if args.format == "csv":  # the JSON summary goes to stdout beside the trajectory
-        sys.stdout.write(_json_text(args, summary))
+    blanks = len(traj.states) - len(traj.controls) - 1
+    ks = range(len(traj.states))
+    if args.format == "json":
+        us = [None] * blanks + traj.controls.tolist() + [None]
+        rows = zip(ks, traj.states.tolist(), us)
+        return _report(args, {**summary, "trajectory": [dict(zip(header, r)) for r in rows]})
+    us = [""] * blanks + _csv_column(traj.controls) + [""]
+    _emit_cells(args, header, [_csv_column(ks), _csv_column(traj.states), us])
+    sys.stdout.write(_json_text(args, summary))  # the summary goes to stdout beside the trajectory
     return 0
 
 

@@ -163,7 +163,10 @@ def jury_stable(p: Polynomial, margin: float = 0.0) -> bool:
     if n < 1:
         raise ValueError("Jury test requires degree >= 1")
     r = 1.0 - margin
-    a = p.coeffs if margin == 0.0 else p.coeffs * r ** np.arange(n + 1)
+    a = p.coeffs
+    if margin != 0.0:
+        with np.errstate(over="ignore"):  # p(r z) that overflows falls back below
+            a = a * r ** np.arange(n + 1)
     top = float(np.abs(a).max())
     if not math.isfinite(top):
         if not np.isfinite(p.coeffs).all():

@@ -5,6 +5,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -479,6 +480,25 @@ class TestSimulate:
         assert code == 0
         assert len(calls) == 5 + 399
 
+    def test_settled_run_prints_the_bytes_of_the_per_cell_writer(self, capsys, monkeypatch):
+        # The run recurs within a few hundred steps, so nearly every row is
+        # in the copied tail; the JSON document carries the same rows.
+        argv = ["simulate", "--map", "logistic:r=3.9", "--period", "1", "--N", "2",
+                "--init", "0.3", "--steps", "30000"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        rows = [[r["k"], r["x"], r["u"]] for r in doc.pop("trajectory")]
+        assert len(rows) == 30002
+        calls = []
+        real = dfclab.simulation.eval_map
+        monkeypatch.setattr(
+            dfclab.simulation, "eval_map", lambda m, x: calls.append(x) or real(m, x)
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(calls) < 1000
+        assert out == per_cell_csv(["k", "x", "u"], rows) + json.dumps(doc, indent=2) + "\n"
+
     def test_custom_gains_set_N_without_mutating_args(self, capsys):
         args = build_parser().parse_args([
             "simulate", "--map", "logistic:r=4", "--period", "1", "--scheme", "custom",
@@ -936,6 +956,21 @@ class TestCsvWriter:
         assert column_csv(["x", "y"], columns) == per_cell_csv(["x", "y"], rows)
         assert dfclab.cli._csv_column(window) == [
             "0.1", "-0.0", "0.75", "0.0", "", "nan", "1e-300", "-0.0"]
+
+
+    @settings(deadline=None, max_examples=150)
+    @given(vals=st.one_of(
+        st.lists(FLOATS, max_size=60),
+        st.lists(st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                                  -5e-324, 0.75]), max_size=300),
+        st.tuples(st.lists(FLOATS, min_size=1, max_size=8), st.integers(1, 60)).map(
+            lambda w: w[0] * w[1]),
+    ))
+    def test_float64_arrays_format_as_the_per_cell_rule(self, vals):
+        # Every distinct value is formatted once, so repeats, the two zeros
+        # and every NaN must still print as their own cells.
+        cells = [dfclab.cli._csv_cell(v) for v in vals]
+        assert dfclab.cli._csv_column(np.array(vals, dtype=np.float64)) == cells
 
 
 class TestOneParserPerProcess:

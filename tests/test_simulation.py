@@ -488,7 +488,7 @@ class TestIterateStoresFOncePerState:
         history[pole_at] = 0.0
         got = _iterate(m, a, 2, history, 20)
         want = reference_run(m, a, 2, history, 20)
-        assert got == want
+        assert _hex(got) == _hex(want)
         assert got[2] and len(got[0]) == 5 + pole_at % 2
 
 
@@ -537,6 +537,19 @@ class TestRecurrenceExit:
         else:
             assert got[2] and calls[0] < steps
 
+    @pytest.mark.parametrize("source, domain, N, T, history, kind", LONG_RUNS)
+    def test_runs_are_float64_arrays(self, source, domain, N, T, history, kind):
+        # The computed prefix and the copied tail alike: one array a run.
+        m, a, steps = parse_map(source, domain=domain), gains_uniform(N), 5000
+        want = _hex(reference_run(m, a, T, history, steps))
+        got = _iterate(m, a, T, history, steps)
+        target = Cycle(T, (0.5,) * T, (0.0,) * T, 0.0)
+        traj = simulate(m, a, T, history, steps, target)
+        for states, controls, diverged in (got, (traj.states, traj.controls, traj.diverged)):
+            assert isinstance(states, np.ndarray) and states.dtype == np.float64
+            assert isinstance(controls, np.ndarray) and controls.dtype == np.float64
+            assert _hex((states, controls, diverged)) == want
+
     @pytest.mark.parametrize(
         "source, N, T, period",
         [("logistic:r=3.9", 2, 1, 3), ("quadratic:c=-1.3", 2, 2, 8)],
@@ -551,7 +564,9 @@ class TestRecurrenceExit:
         calls = _counted_evals(monkeypatch)
         full = _iterate(m, a, T, history, 5000)
         exit_at = calls[0]
-        assert full[0][-period:] == full[0][-2 * period : -period]
+        last, before = slice(-period, None), slice(-2 * period, -period)
+        assert _hex((full[0][last], full[1][last], False)) == _hex(
+            (full[0][before], full[1][before], False))
         for steps in range(exit_at - M + 1 - 2 * period, exit_at - M + 1 + 3 * period):
             calls[0] = 0
             got = _iterate(m, a, T, history, steps)
@@ -576,6 +591,6 @@ class TestSignedZero:
             return 0.5 if math.copysign(1.0, x) > 0 else 0.0
 
         monkeypatch.setattr("dfclab.simulation.eval_map", f)
-        states, controls, diverged = _iterate(logistic4, GainVector([1.0]), 1, [-0.0], 100)
-        assert [x.hex() for x in states] == ["-0x0.0p+0", "0x0.0p+0"] + [(0.5).hex()] * 99
-        assert controls == [0.0] * 100 and not diverged
+        got = _iterate(logistic4, GainVector([1.0]), 1, [-0.0], 100)
+        assert _hex(got) == (["-0x0.0p+0", "0x0.0p+0"] + [(0.5).hex()] * 99,
+                             [(0.0).hex()] * 100, False)

@@ -277,10 +277,14 @@ class TestJuryTableCannotOverflow:
             assert jury_stable(scaled) == jury_stable(p) == (spectral_radius(p) < 1.0)
 
     def test_overflowing_margin_falls_back_to_root_moduli(self):
-        # p(r z) with r = 1.5: 1e300 * 1.5^k overflows, so the verdict comes from the roots.
-        p = Polynomial([1e300, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2e300])
-        with np.errstate(over="ignore"):
-            assert jury_stable(p, -0.5) == (spectral_radius(p) < 1.5)
+        # p(r z) with r = 1.5: 1e307 * 1.5^10 overflows, so the verdict comes
+        # from the roots, without a numpy warning (an error under pytest here).
+        p = Polynomial([1e306] + [0.0] * 9 + [1e307])
+        with mock.patch.object(dfclab.stability, "spectral_radius",
+                               wraps=spectral_radius) as spy:
+            got = jury_stable(p, -0.5)
+        assert spy.call_count == 1
+        assert got == (spectral_radius(p) < 1.5)
 
 
 class TestSpectralRadius:
