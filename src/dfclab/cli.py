@@ -17,7 +17,8 @@ and ``subcommand`` so downstream scripts can pin schemas; CSV output has a
 fixed header row per subcommand (``verify`` and ``stabilize`` write JSON
 only). Only ``verify`` draws random numbers, so only it takes ``--seed``
 (default 0); identical configuration + seed yields byte-identical output.
-Exit codes: 0 success, 1 domain error, 2 usage error; a float flag that is
+Exit codes: 0 success, 1 domain error or an ``--out`` file that cannot be
+written, 2 usage error; a float flag that is
 not a finite number, a tolerance that is not positive, an integer flag below
 its floor, a length above ``MAX_ARRAY_LENGTH``, a degree (N-1)T + 1 above
 ``MAX_DEGREE``, fewer than 10 T steps and ``simulate``'s --init with
@@ -416,7 +417,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--mu-range expects lo,hi with lo <= hi")
     lo, hi = bounds
     step = _parse_exact(args.mu_step, "--mu-step")
-    if float(step) <= 0:
+    if step <= 0:  # exact: a positive step such as 1e-400 rounds to 0.0 as a float
         raise UsageError("--mu-step must be positive")
     n_rows = int((hi - lo) / step) + 1
     if n_rows > MAX_ARRAY_LENGTH:
@@ -609,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except (MapError, DomainError, ValueError) as exc:
+    except (MapError, DomainError, ValueError, OSError) as exc:  # OSError: an --out path
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

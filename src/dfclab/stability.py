@@ -18,10 +18,13 @@ For the named schemes (``SCHEMES``) at T <= 4 and N <= 32,
 ``scripts/reach_table.py``; each such stable set is that one interval.
 ``stable_mu_interval`` returns a row's (lo, hi) for gains equal, float for
 float, to that scheme's gains at N, bit for bit what ``reach`` gives them.
-``min_N_to_stabilize`` takes its verdict for N from there when mu is
+It finds the row by one dict lookup: a map from each row's gains to its
+scheme name, built once per process from the table's keys, gives the
+scheme, and (scheme, T, N) the row. ``min_N_to_stabilize`` reads rows by
+its scheme's name and takes its verdict for N from there when mu is
 farther than 1e-6 (1 + |mu|) from the row's ends, outside the interval or
-inside one without contacts. The Jury table decides every other N, so the
-answers are those of the Jury table alone.
+inside one without contacts. The margined Jury table (``_stable``) decides
+every other N, so the answers are those of the Jury table alone.
 
 ``pipeline_stabilize`` runs the paper's chain on a map: each T-cycle's mu,
 the smallest N whose gains make p Schur stable, and a simulation to confirm.
@@ -29,6 +32,7 @@ the smallest N whose gains make p Schur stable, and a simulation to confirm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -412,6 +416,12 @@ def merged_contacts(a: GainVector, T: int) -> list[float]:
     return merged
 
 
+def _stable(N: int, T: int, a: GainVector, mu: float) -> bool:
+    """The margined Jury verdict on p at mu: every probe of ``reach`` and
+    each N that ``min_N_to_stabilize`` cannot read from the reach table."""
+    return jury_stable(char_poly_closed(N, T, a, mu), SCHUR_MARGIN)
+
+
 def reach(a: GainVector, T: int) -> tuple[float, float, bool]:
     """The reach row (lo, hi, clear) of gains a at period T.
 
@@ -431,10 +441,6 @@ def reach(a: GainVector, T: int) -> tuple[float, float, bool]:
     ``stable_mu_interval`` reads the table in its place for the gains it holds.
     """
     N = len(a)
-
-    def stable(mu: float) -> bool:
-        return jury_stable(char_poly_closed(N, T, a, mu), SCHUR_MARGIN)
-
     merged = merged_contacts(a, T)
     down = [c for c in reversed(merged) if c < 0.0]
     lo = float("-inf")
@@ -442,14 +448,14 @@ def reach(a: GainVector, T: int) -> tuple[float, float, bool]:
         if c < MU_FLOOR:
             break
         probe = 0.5 * (c + down[k + 1]) if k + 1 < len(down) else 2.0 * c
-        if not stable(probe):
+        if not _stable(N, T, a, probe):
             lo = c
             break
 
     up = [c for c in merged if 0.0 < c < 1.0] + [1.0]
     hi = 1.0
     for c, nxt in zip(up, up[1:]):
-        if not stable(0.5 * (c + nxt)):
+        if not _stable(N, T, a, 0.5 * (c + nxt)):
             hi = c
             break
 
@@ -478,15 +484,21 @@ def _rows() -> dict:
     return ROWS
 
 
+@functools.cache
+def _table_schemes() -> dict:
+    """The scheme name of each table row's gains, keyed by their floats:
+    ``SCHEMES`` builds each (scheme, N) of the ``reach_table.ROWS`` keys once
+    per process. (1.0,), the one vector two schemes share (N = 1), has equal
+    uniform and dk2013 rows at every T, so either name finds its row."""
+    return {SCHEMES[s](N).coeffs: s for s, N in dict.fromkeys((s, N) for s, _, N in _rows())}
+
+
 def _table_row(a: GainVector, T: int) -> tuple | None:
     """The table row of gains a at period T, or None unless a equals a named
-    scheme's gains at N = len(a) float for float."""
-    rows, N = _rows(), len(a)
-    for scheme, family in SCHEMES.items():
-        row = rows.get((scheme, T, N))
-        if row is not None and family(N).coeffs == a.coeffs:
-            return row
-    return None
+    scheme's gains at N = len(a) float for float. The gains' floats give the
+    scheme (``_table_schemes``, built once), and (scheme, T, N) the row;
+    ``_rows()`` is read on every call, so a patched table is seen."""
+    return _rows().get((_table_schemes().get(a.coeffs), T, len(a)))
 
 
 def min_N_to_stabilize(
@@ -517,7 +529,7 @@ def min_N_to_stabilize(
     for N in range(1, N_max + 1):
         stable = _reach_verdict(rows.get((scheme, T, N)), mu)
         if stable is None:
-            stable = jury_stable(char_poly_closed(N, T, make_gains(scheme, N), mu), SCHUR_MARGIN)
+            stable = _stable(N, T, make_gains(scheme, N), mu)
         if stable:
             return N
     return None

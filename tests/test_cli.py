@@ -401,6 +401,17 @@ print(code, time.perf_counter() - start)
         assert float(seconds) < 1.0
         assert proc.stderr == "usage error: --mu-range and --mu-step give more than 10000000 rows\n"
 
+    def test_step_below_the_smallest_float_is_positive(self, capsys):
+        # 1e-400 rounds to 0.0 as a float; the exact step is positive, so
+        # it meets the row bound as 1e-300 does, and an empty range keeps
+        # its one row.
+        argv = ["sweep", "--N", "2", "--T", "1", "--mu-step", "1e-400"]
+        assert run_cli(capsys, *argv, "--mu-range=0,1") == (
+            2, "", "usage error: --mu-range and --mu-step give more than 10000000 rows\n")
+        code, out, err = run_cli(capsys, *argv, "--mu-range=0,0")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["mu,spectral_radius,stable", "0.0,0.0,true"]
+
     def test_row_count_at_the_limit_is_accepted(self, monkeypatch, capsys):
         # Three rows, -1, -0.5 and 0, with the limit lowered to three.
         monkeypatch.setattr(dfclab.cli, "MAX_ARRAY_LENGTH", 3)
@@ -892,6 +903,20 @@ class TestUsageErrors:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["gains"] == pytest.approx([1 / 3] * 3)
+
+    @pytest.mark.parametrize("argv", [
+        ["gains", "--scheme", "uniform", "--N", "2"],
+        ["simulate", "--map", "logistic:r=4", "--period", "1", "--N", "3", "--init", "0.3",
+         "--steps", "100"],
+    ], ids=["gains", "simulate"])
+    def test_out_path_that_cannot_be_opened_is_one_error_line(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.out"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert not path.parent.exists()
 
 
 def per_cell_csv(header, rows):

@@ -1,4 +1,6 @@
-"""Module boundaries: no dfclab module imports another one's private names."""
+"""Module boundaries: no dfclab module imports another one's private names,
+and every module of the package and of ``scripts/`` parses as Python 3.10,
+the oldest version ``pyproject.toml`` supports."""
 
 import ast
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import dfclab
 
 PACKAGE = Path(dfclab.__file__).parent
+SCRIPTS = PACKAGE.parents[1] / "scripts"
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -28,3 +31,12 @@ def test_no_module_imports_a_private_name_from_another():
     assert len(modules) >= 9
     problems = [p for path in modules for p in _private_imports(path)]
     assert problems == []
+
+
+def test_every_module_parses_as_python_3_10():
+    # ast checks the grammar of the version asked for (except*, for one, is
+    # 3.11), so the 3.10 floor is checked on any newer interpreter too.
+    modules = sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    assert len(modules) >= 13
+    for path in modules:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -784,6 +784,31 @@ class TestIntervalFromTheTable:
         self.assert_computed(SCHEMES[scheme](N), T, scheme)
 
 
+    def test_no_query_builds_a_scheme_s_gains(self):
+        # After the first query has built the map from gains to scheme
+        # names, a row is found from the gains' floats alone.
+        gains = {key: SCHEMES[key[0]](key[2]) for key in ROWS}
+        stable_mu_interval(1, 1, gains[("uniform", 1, 1)])
+        spies = {name: mock.Mock(wraps=family) for name, family in SCHEMES.items()}
+        with mock.patch.dict(SCHEMES, spies), spy_contacts() as contacts:
+            for key, (lo, hi, _) in ROWS.items():
+                iv = stable_mu_interval(key[2], key[1], gains[key])
+                assert (iv.lo, iv.hi) == (lo, hi), key
+        assert [spy.call_count for spy in spies.values()] == [0, 0]
+        assert contacts.call_count == 0
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 4])
+    def test_the_vector_both_schemes_share_reads_its_row(self, T):
+        # (1.0,) is the uniform and the dk2013 gain vector at N = 1; the two
+        # rows are equal, so the one name the map keeps finds the row.
+        assert gains_uniform(1).coeffs == gains_dk2013(1).coeffs == (1.0,)
+        assert ROWS[("uniform", T, 1)] == ROWS[("dk2013", T, 1)]
+        lo, hi, _ = ROWS[("uniform", T, 1)]
+        with spy_contacts() as spy:
+            iv = stable_mu_interval(1, T, GainVector([1.0]))
+        assert (iv.lo, iv.hi, spy.call_count) == (lo, hi, 0)
+
+
 class TestReachTableEquivalence:
     def test_tangency_window_inside_an_interval(self):
         # -5.854... is a tangency of the dk2013 N = 4 row at T = 1. Next to it
@@ -831,6 +856,20 @@ class TestOneVerdict:
         assert min_N_to_stabilize(4, -18.4, "uniform", 32) is None
         iv = stable_mu_interval(8, 2, gains_dk2013(8))
         assert iv.lo < 0.0 < iv.hi
+
+
+    def test_every_margined_probe_goes_through_one_function(self):
+        # reach's probes and min_N_to_stabilize's Jury fallback (T = 5 has
+        # no table rows) are each one call of _stable.
+        a = gains_dk2013(4)
+        with mock.patch.object(dfclab.stability, "_stable", wraps=dfclab.stability._stable) as spy:
+            reach(a, 1)
+            probes = spy.call_args_list[:]
+            assert min_N_to_stabilize(5, -1.5, "dk2013", 32) == 2
+        assert probes and all(c.args[:3] == (4, 1, a) for c in probes)
+        fallback = [c.args for c in spy.call_args_list[len(probes):]]
+        assert [(N, T, mu) for N, T, _, mu in fallback] == [(1, 5, -1.5), (2, 5, -1.5)]
+        assert [g for _, _, g, _ in fallback] == [gains_dk2013(1), gains_dk2013(2)]
 
 
 class TestAnalyze:
